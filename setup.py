@@ -1,14 +1,15 @@
-"""Legacy setup shim: enables `pip install -e .` without the wheel package.
+"""Package metadata and install script: `pip install -e .` from a checkout.
 
-All real metadata lives in pyproject.toml; this file only exists because the
-offline environment lacks `wheel` (required for PEP 660 editable installs).
+This file is the only packaging metadata (there is no pyproject.toml).  The
+test suite also needs pytest and hypothesis, which are not install
+requirements.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.7.0",
+    version="1.8.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},

@@ -113,7 +113,7 @@ def _napper(api):
 # --------------------------------------------------------------------- #
 
 def _build(world_cls, graph, k: int, program_for: Callable[[int], Callable]):
-    world = world_cls(graph, keep_trace=False)
+    world = world_cls(graph)
     spread = max(1, graph.n // k) if k else 1
     for rid in range(1, k + 1):
         world.add_robot(rid, ((rid - 1) * spread) % graph.n, program_for(rid))

@@ -35,7 +35,7 @@ from typing import Iterator, List, Optional
 from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.robot import SETTLED, Action, Move, RobotAPI, Stay
+from ..sim.robot import SETTLED, STAY, Action, Move, RobotAPI
 from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ..sim.ids import assign_ids
@@ -56,7 +56,7 @@ def dfs_dispersion_program(api: RobotAPI, cap: int = 1) -> Iterator[Action]:
     while True:
         # --- arrive round: announce the visit ------------------------------
         api.say(("visiting",))
-        yield Stay()
+        yield STAY
 
         # --- guide round ----------------------------------------------------
         snapshot = api.colocated_at_round_start()
@@ -74,7 +74,7 @@ def dfs_dispersion_program(api: RobotAPI, cap: int = 1) -> Iterator[Action]:
                     yield from _landmark(api, parent_port)
                 return
         # Node full: wait for guidance in the next round.
-        yield Stay()
+        yield STAY
         direction = _read_guidance(api)
         if direction is None:
             # No guidance (all landmarks silent — Byzantine or root done):
@@ -105,7 +105,7 @@ def _landmark(api: RobotAPI, parent_port: Optional[int]) -> Iterator[Action]:
             else:
                 direction = parent_port if parent_port is not None else 0
             api.say(("dfs", direction))
-        yield Stay()
+        yield STAY
 
 
 def _read_guidance(api: RobotAPI) -> Optional[int]:
@@ -132,7 +132,6 @@ def solve_dfs_baseline(
     seed: int = 0,
     byz_placement: str = "lowest",
     byz_ids: Optional[List[int]] = None,
-    keep_trace: bool = True,
 ) -> RunReport:
     """Run the DFS baseline with ``k`` robots (default ``n``), gathered start.
 
@@ -150,7 +149,7 @@ def solve_dfs_baseline(
     if byz_ids is None:
         byz_ids = adversary.choose_ids(ids, f, placement=byz_placement)
     byz = set(byz_ids)
-    world = World(graph, model="weak", keep_trace=keep_trace)
+    world = World(graph, model="weak")
     for rid in ids:
         if rid in byz:
             world.add_robot(rid, gather_node, adversary.program_factory(rid), byzantine=True)

@@ -20,7 +20,7 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.exploration import _log2_ceil
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.robot import SETTLED, Move, RobotAPI, Stay
+from ..sim.robot import SETTLED, STAY, Move, RobotAPI
 from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ..core._setup import build_population
@@ -50,7 +50,7 @@ def _program(api: RobotAPI, rng: np.random.Generator):
             return
         deg = api.degree()
         if deg == 0:
-            yield Stay()
+            yield STAY
         else:
             yield Move(int(rng.integers(1, deg + 1)))
 
@@ -62,7 +62,6 @@ def solve_random_baseline(
     start: Union[str, int, Dict[int, int]] = "arbitrary",
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = False,
 ) -> RunReport:
     """Run the randomized scatter baseline (budgeted; may fail by timeout)."""
     if not graph.is_connected():
@@ -71,7 +70,7 @@ def solve_random_baseline(
         graph, f, start=start, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    world = World(graph, model="weak", keep_trace=keep_trace)
+    world = World(graph, model="weak")
     byz = set(pop.byz_ids)
     for rid in pop.ids:
         node = pop.placement[rid]

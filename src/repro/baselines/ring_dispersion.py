@@ -40,7 +40,6 @@ def solve_ring_dispersion(
     start: Union[str, int, Dict[int, int]] = "arbitrary",
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
 ) -> RunReport:
     """Ring Byzantine dispersion: ``n`` robots, ``f ≤ n − 1`` weak Byzantine.
 
@@ -59,7 +58,7 @@ def solve_ring_dispersion(
         graph, f, start=start, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    world = World(graph, model="weak", keep_trace=keep_trace)
+    world = World(graph, model="weak")
     byz = set(pop.byz_ids)
     map_graph = ring(n)  # the free map
     for rid in pop.ids:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterator, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.robot import SETTLED, TOBESETTLED, Action, ByzantineAPI, Move, Stay
+from ..sim.robot import SETTLED, STAY, TOBESETTLED, Action, ByzantineAPI, Move
 
 __all__ = [
     "Strategy",
@@ -73,7 +73,7 @@ def idle(api: ByzantineAPI, rng) -> Iterator[Action]:
     shared node, forcing them through the flag dance each time.
     """
     while True:
-        yield Stay()
+        yield STAY
 
 
 def squatter(api: ByzantineAPI, rng) -> Iterator[Action]:
@@ -84,7 +84,7 @@ def squatter(api: ByzantineAPI, rng) -> Iterator[Action]:
     """
     api.set_state(SETTLED)
     while True:
-        yield Stay()
+        yield STAY
 
 
 def ghost_squatter(api: ByzantineAPI, rng, period: int = 3) -> Iterator[Action]:
@@ -102,7 +102,7 @@ def ghost_squatter(api: ByzantineAPI, rng, period: int = 3) -> Iterator[Action]:
             api.set_state(SETTLED)
             yield Move(port)
         else:
-            yield Stay()
+            yield STAY
 
 
 def flag_spammer(api: ByzantineAPI, rng) -> Iterator[Action]:
@@ -113,7 +113,7 @@ def flag_spammer(api: ByzantineAPI, rng) -> Iterator[Action]:
     """
     while True:
         api.set_flag(1)
-        yield Stay()
+        yield STAY
 
 
 def random_walker(api: ByzantineAPI, rng) -> Iterator[Action]:
@@ -128,7 +128,7 @@ def random_walker(api: ByzantineAPI, rng) -> Iterator[Action]:
         if deg > 0 and rng.random() < 0.8:
             yield Move(int(rng.integers(1, deg + 1)))
         else:
-            yield Stay()
+            yield STAY
 
 
 def stalker(api: ByzantineAPI, rng) -> Iterator[Action]:
@@ -146,12 +146,12 @@ def stalker(api: ByzantineAPI, rng) -> Iterator[Action]:
     while True:
         api.set_flag(1)
         if target is None:
-            yield Stay()
+            yield STAY
             continue
         target_node = world.robots[target].node
         me = world.robots[api.id].node
         if me == target_node:
-            yield Stay()
+            yield STAY
         else:
             ports = navigate(world.graph, me, target_node)
             yield Move(ports[0])
@@ -181,7 +181,7 @@ def false_commander(api: ByzantineAPI, rng, port: int = 1) -> Iterator[Action]:
                 break
         if not mirrored:
             api.say(("cmd", None, api.round // 2, port))
-        yield Stay()
+        yield STAY
 
 
 def decoy_token(api: ByzantineAPI, rng, walk_rounds: int = 3) -> Iterator[Action]:
@@ -196,10 +196,10 @@ def decoy_token(api: ByzantineAPI, rng, walk_rounds: int = 3) -> Iterator[Action
         if deg > 0:
             yield Move(int(rng.integers(1, deg + 1)))
         else:
-            yield Stay()
+            yield STAY
     api.set_state(SETTLED)
     while True:
-        yield Stay()
+        yield STAY
 
 
 def sleeper(delay: int, inner: Strategy) -> Strategy:
@@ -213,7 +213,7 @@ def sleeper(delay: int, inner: Strategy) -> Strategy:
 
     def program(api: ByzantineAPI, rng) -> Iterator[Action]:
         for _ in range(delay):
-            yield Stay()
+            yield STAY
         yield from inner(api, rng)
 
     program.__name__ = f"sleeper({delay},{getattr(inner, '__name__', 'inner')})"
@@ -232,7 +232,7 @@ def impersonator(api: ByzantineAPI, rng) -> Iterator[Action]:
         api.set_claimed_id(honest[0])
     api.set_state(SETTLED)
     while True:
-        yield Stay()
+        yield STAY
 
 
 def id_cycler(api: ByzantineAPI, rng) -> Iterator[Action]:
@@ -245,7 +245,7 @@ def id_cycler(api: ByzantineAPI, rng) -> Iterator[Action]:
         api.set_state(SETTLED if i % 2 == 0 else TOBESETTLED)
         api.set_flag(i % 2)
         i += 1
-        yield Stay()
+        yield STAY
 
 
 #: Name -> strategy registry used by experiment configs and benchmarks.

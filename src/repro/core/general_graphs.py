@@ -72,7 +72,6 @@ def _run_driver(
     model: str,
     max_rounds: int,
     pre_charges,
-    keep_trace: bool,
     scheduler=None,
     **meta,
 ) -> RunReport:
@@ -88,8 +87,7 @@ def _run_driver(
     """
     scheduler, canon = resolve_scheduler(scheduler)
     world = World(
-        graph, model=model, keep_trace=keep_trace,
-        scheduler=scheduler, scheduler_seed=pop.adversary.seed,
+        graph, model=model, scheduler=scheduler, scheduler_seed=pop.adversary.seed,
     )
     for label, rounds in pre_charges:
         world.charge(label, rounds)
@@ -121,7 +119,6 @@ def _pairing_solver(
     gather_node: int,
     seed: int,
     byz_placement: str,
-    keep_trace: bool,
     pre_charges,
     theorem: int,
     schedule: str = "paper",
@@ -148,7 +145,7 @@ def _pairing_solver(
     )
     return _run_driver(
         graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
-        pre_charges, keep_trace, scheduler=scheduler, theorem=theorem,
+        pre_charges, scheduler=scheduler, theorem=theorem,
         tick_budget=tb, gather_node=gather_node, schedule=schedule,
     )
 
@@ -185,7 +182,6 @@ def _group_solver(
     gather_node: int,
     seed: int,
     byz_placement: str,
-    keep_trace: bool,
     pre_charges,
     scheme: str,
     theorem: int,
@@ -210,7 +206,7 @@ def _group_solver(
     bound = base + group_plan_rounds(scheme, tb) + dispersion_rounds_bound(n) + 16
     return _run_driver(
         graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
-        pre_charges, keep_trace, scheduler=scheduler, theorem=theorem,
+        pre_charges, scheduler=scheduler, theorem=theorem,
         tick_budget=tb, gather_node=gather_node,
     )
 
@@ -227,7 +223,6 @@ def solve_theorem3(
     gather_node: int = 0,
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
     schedule: str = "paper",
     max_rounds: Optional[int] = None,
     scheduler=None,
@@ -244,7 +239,7 @@ def solve_theorem3(
     """
     _check_common(graph, f, graph.n // 2 - 1, "Theorem 3")
     return _pairing_solver(
-        graph, f, adversary, gather_node, seed, byz_placement, keep_trace,
+        graph, f, adversary, gather_node, seed, byz_placement,
         pre_charges=[], theorem=3, schedule=schedule, max_rounds=max_rounds,
         scheduler=scheduler,
     )
@@ -256,7 +251,6 @@ def solve_theorem2(
     adversary: Optional[Adversary] = None,
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
@@ -280,7 +274,7 @@ def solve_theorem2(
     )
     charge = weak_gathering_rounds(graph, pop_preview.honest_ids)
     return _pairing_solver(
-        graph, f, adversary, gather, seed, byz_placement, keep_trace,
+        graph, f, adversary, gather, seed, byz_placement,
         pre_charges=[("gathering_dpp_weak", charge)], theorem=2,
         max_rounds=max_rounds, scheduler=scheduler,
     )
@@ -293,7 +287,6 @@ def solve_theorem4(
     gather_node: int = 0,
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
@@ -305,7 +298,7 @@ def solve_theorem4(
     """
     _check_common(graph, f, graph.n // 3 - 1, "Theorem 4")
     return _group_solver(
-        graph, f, adversary, gather_node, seed, byz_placement, keep_trace,
+        graph, f, adversary, gather_node, seed, byz_placement,
         pre_charges=[], scheme="three_groups", theorem=4, max_rounds=max_rounds,
         scheduler=scheduler,
     )
@@ -317,7 +310,6 @@ def solve_theorem5(
     adversary: Optional[Adversary] = None,
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
@@ -342,7 +334,7 @@ def solve_theorem5(
     )
     charge = hirose_gathering_rounds(graph, pop_preview.ids, f)
     return _group_solver(
-        graph, f, adversary, gather, seed, byz_placement, keep_trace,
+        graph, f, adversary, gather, seed, byz_placement,
         pre_charges=[("gathering_hirose", charge)], scheme="two_groups_majority",
         theorem=5, max_rounds=max_rounds, scheduler=scheduler,
     )

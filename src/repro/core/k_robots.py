@@ -42,7 +42,6 @@ def solve_k_robots(
     start: Union[str, int, Dict[int, int]] = "arbitrary",
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
 ) -> RunReport:
     """Disperse ``k ≤ n`` robots, up to ``f ≤ k − 1`` of them weak Byzantine.
 
@@ -70,7 +69,7 @@ def solve_k_robots(
     byz = set(adversary.choose_ids(ids, f, placement=byz_placement))
     placement = make_placement(graph, ids, start, seed=seed)
 
-    world = World(graph, model="weak", keep_trace=keep_trace)
+    world = World(graph, model="weak")
     world.charge("find_map", find_map_rounds(n, graph.m))
     for rid in ids:
         node = placement[rid]

@@ -35,7 +35,7 @@ from ..mapping.token_mapping import (
     sleep_until,
     token_program,
 )
-from ..sim.robot import Action, Move, RobotAPI, Stay
+from ..sim.robot import STAY, Action, Move, RobotAPI
 
 __all__ = [
     "roster_phase",
@@ -54,10 +54,10 @@ def roster_phase(api: RobotAPI, out: Dict) -> Iterator[Action]:
     a strong Byzantine robot can hide behind an honest ID but never mint
     extra roster entries.
     """
-    yield Stay()
+    yield STAY
     views = api.colocated_at_round_start()
     out["roster"] = sorted({v.claimed_id for v in views} | {api.id})
-    yield Stay()
+    yield STAY
 
 
 #: Pairing schedule builders selectable by the Theorem 2/3 drivers: the

@@ -42,7 +42,6 @@ def solve_theorem1(
     seed: int = 0,
     byz_placement: str = "lowest",
     id_seed: Optional[int] = None,
-    keep_trace: bool = True,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
@@ -81,8 +80,7 @@ def solve_theorem1(
     )
     scheduler, canon = resolve_scheduler(scheduler)
     world = World(
-        graph, model="weak", keep_trace=keep_trace,
-        scheduler=scheduler, scheduler_seed=pop.adversary.seed,
+        graph, model="weak", scheduler=scheduler, scheduler_seed=pop.adversary.seed,
     )
 
     # Phase 1 — Find-Map: independent, parallel, interference-free; all

@@ -56,7 +56,6 @@ def _strong_solver(
     gather_node: int,
     seed: int,
     byz_placement: str,
-    keep_trace: bool,
     pre_charges,
     theorem: int,
     max_rounds: Optional[int] = None,
@@ -79,7 +78,7 @@ def _strong_solver(
     bound = base + group_plan_rounds("two_groups_strong", tb) + n + 16
     return _run_driver(
         graph, pop, honest_program_factory, "strong", round_budget(bound, max_rounds),
-        pre_charges, keep_trace, scheduler=scheduler, theorem=theorem,
+        pre_charges, scheduler=scheduler, theorem=theorem,
         tick_budget=tb, gather_node=gather_node,
     )
 
@@ -91,14 +90,13 @@ def solve_theorem6(
     gather_node: int = 0,
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
     """Theorem 6: gathered start, ``f ≤ ⌊n/4−1⌋`` **strong** Byzantine, O(n³)."""
     _check(graph, f)
     return _strong_solver(
-        graph, f, adversary, gather_node, seed, byz_placement, keep_trace,
+        graph, f, adversary, gather_node, seed, byz_placement,
         pre_charges=[], theorem=6, max_rounds=max_rounds, scheduler=scheduler,
     )
 
@@ -109,7 +107,6 @@ def solve_theorem7(
     adversary: Optional[Adversary] = None,
     seed: int = 0,
     byz_placement: str = "lowest",
-    keep_trace: bool = True,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
@@ -123,7 +120,7 @@ def solve_theorem7(
     gather = canonical_gather_node(graph)
     charge = strong_gathering_rounds(graph)
     return _strong_solver(
-        graph, f, adversary, gather, seed, byz_placement, keep_trace,
+        graph, f, adversary, gather, seed, byz_placement,
         pre_charges=[("gathering_dpp_strong", charge)], theorem=7,
         max_rounds=max_rounds, scheduler=scheduler,
     )

@@ -38,7 +38,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import GraphStructureError, MapError
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.robot import Action, Move, RobotAPI, Sleep, Stay
+from ..sim.robot import STAY, Action, Move, RobotAPI, Sleep
 
 __all__ = [
     "RunSpec",
@@ -334,38 +334,42 @@ def agent_program(
     node at ``run.start_round`` (asserted by construction of the phases).
     """
     yield from sleep_until(api, run.start_round)
+    # The run's fields, read once rather than every tick.
+    tag = run.tag
+    tick_budget = run.tick_budget
+    token_ids = run.token_ids
+    presence_threshold = run.presence_threshold
     core = explorer_core(api.n, api.degree())
     trail: List[int] = []
     tick = 0
     result: Optional[PortLabeledGraph] = None
     completed = False
-    resp = None
     try:
         op = core.send(None)
         while True:
             if op[0] == "check":
-                present = _count_distinct(api.colocated(), run.token_ids) >= run.presence_threshold
+                present = _count_distinct(api.colocated(), token_ids) >= presence_threshold
                 op = core.send(present)
                 continue
             _, self_port, token_port = op
-            if tick >= run.tick_budget:
+            if tick >= tick_budget:
                 break  # budget exhausted: abort (footnote 11)
             # Command round.
             if token_port:
-                api.say(("cmd", run.tag, tick, token_port))
-            yield Stay()
+                api.say(("cmd", tag, tick, token_port))
+            yield STAY
             # Move round.
             if self_port:
                 if self_port > api.degree():
                     break  # map/world mismatch: Byzantine-corrupted run
                 yield Move(self_port)
-                trail.append(api.arrival_port)
-                resp = (api.degree(), api.arrival_port)
+                arrival = api.arrival_port
+                trail.append(arrival)
             else:
-                yield Stay()
-                resp = (api.degree(), api.arrival_port)
+                yield STAY
+                arrival = api.arrival_port
             tick += 1
-            op = core.send(resp)
+            op = core.send((api.degree(), arrival))
     except StopIteration as stop:
         result = stop.value
         completed = True
@@ -383,11 +387,11 @@ def agent_program(
 
         encoding = canonical_form(out[run.tag], 0) if out[run.tag] is not None else None
         api.say(("map", run.tag, encoding))
-        yield Stay()
+        yield STAY
         # Read-back round (agents also collect, for uniformity).
         collected = _collect_map(api, run)
         out[("exchanged", run.tag)] = collected
-        yield Stay()
+        yield STAY
     yield from sleep_until(api, run.end_round)
 
 
@@ -402,53 +406,51 @@ def token_program(
     reverse trail home.  In exchange mode, collects the map the agent
     group broadcasts into ``out[("exchanged", run.tag)]``.
     """
-    yield from sleep_until(api, run.start_round)
+    start = run.start_round
+    yield from sleep_until(api, start)
+    # The run's fields, read once rather than every round.
+    active_end = start + run.active_rounds
+    tag = run.tag
+    agent_ids = run.agent_ids
+    cmd_threshold = run.cmd_threshold
     trail: List[int] = []
-    while api.round < run.start_round + run.active_rounds:
-        rel = api.round - run.start_round
+    while (rnd := api.round) < active_end:
+        rel = rnd - start
         if rel % 2 == 0:
-            yield Stay()  # command round: listen only
+            yield STAY  # command round: listen only
             continue
         tick = rel // 2
         support: Dict[int, set] = {}
         for sender, payload in api.messages_prev():
             if (
                 isinstance(payload, tuple)
-                and len(payload) == 3
-                and payload[0] == "cmd"
-                and payload[1] == run.tag
-            ):
-                # ("cmd", tag, port) is never posted — full form has tick.
-                continue
-            if (
-                isinstance(payload, tuple)
                 and len(payload) == 4
                 and payload[0] == "cmd"
-                and payload[1] == run.tag
+                and payload[1] == tag
                 and payload[2] == tick
-                and sender in run.agent_ids
+                and sender in agent_ids
             ):
                 support.setdefault(payload[3], set()).add(sender)
         best_port = 0
         best = (0, 0)
         for port, backers in support.items():
             key = (len(backers), -port)
-            if len(backers) >= run.cmd_threshold and key > best:
+            if len(backers) >= cmd_threshold and key > best:
                 best = key
                 best_port = port
         if best_port and best_port <= api.degree():
             yield Move(best_port)
             trail.append(api.arrival_port)
         else:
-            yield Stay()
+            yield STAY
     # Return phase: retrace every move (correct from wherever we stand).
     for port in reversed(trail):
         yield Move(port)
     yield from sleep_until(api, run.exchange_round if run.exchange else run.end_round)
     if run.exchange:
-        yield Stay()  # agents post in this round
+        yield STAY  # agents post in this round
         out[("exchanged", run.tag)] = _collect_map(api, run)
-        yield Stay()
+        yield STAY
     yield from sleep_until(api, run.end_round)
 
 

@@ -3,6 +3,7 @@
 from .ids import assign_ids, id_space_upper_bound, validate_ids
 from .robot import (
     SETTLED,
+    STAY,
     TOBESETTLED,
     ByzantineAPI,
     Move,
@@ -42,6 +43,7 @@ __all__ = [
     "PublicView",
     "Move",
     "Stay",
+    "STAY",
     "Sleep",
     "SETTLED",
     "TOBESETTLED",

@@ -15,8 +15,9 @@ Design constraints, in order:
   quarantined cell, so :meth:`World.step` calls it outside the solver's
   control flow and the serve worker wraps its own sink body).
 * **Near-zero cost when absent.**  The common case — every CLI run,
-  every test, every benchmark — pays one thread-local attribute probe
-  per round and nothing else.
+  every test, every benchmark — pays one thread-local attribute read
+  per round and nothing else.  The attribute has a class-level default,
+  so the read never raises and catches an ``AttributeError``.
 * **Thread-local, not global.**  The serve worker pool runs several
   cells concurrently in one process; each worker's sink must only see
   its own cell's rounds.
@@ -37,12 +38,20 @@ __all__ = ["current_sink", "observe", "settled_count"]
 
 ProgressSink = Callable[[object, int], None]
 
-_LOCAL = threading.local()
+
+class _Local(threading.local):
+    """Per-thread progress state; ``sink`` is ``None`` on every thread
+    until :func:`observe` sets it."""
+
+    sink: Optional[ProgressSink] = None
+
+
+_LOCAL = _Local()
 
 
 def current_sink() -> Optional[ProgressSink]:
     """The sink installed on this thread, or ``None`` (the fast path)."""
-    return getattr(_LOCAL, "sink", None)
+    return _LOCAL.sink
 
 
 @contextmanager
@@ -53,7 +62,7 @@ def observe(sink: ProgressSink) -> Iterator[None]:
     on exit, so an observed run can itself run observed sub-simulations
     without cross-talk.
     """
-    previous = getattr(_LOCAL, "sink", None)
+    previous = _LOCAL.sink
     _LOCAL.sink = sink
     try:
         yield

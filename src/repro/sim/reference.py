@@ -21,7 +21,7 @@ Keep this file boring: it is the executable specification of one round.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..errors import ProtocolViolation, SimulationError
 from .robot import ByzantineAPI, Move, PublicView, RobotAPI, Sleep, Stay
@@ -102,8 +102,14 @@ class ReferenceWorld(World):
         (empty before the first step, stale positions after a step)."""
         return self._eager_snapshot
 
-    def step(self) -> None:
-        """Execute one synchronous round exactly like the seed engine."""
+    def all_honest_done(self) -> bool:
+        """The termination condition by definition: a scan of every
+        honest robot (the optimized world keeps a live count instead)."""
+        return all(r.terminated for r in self.robots.values() if not r.byzantine)
+
+    def step(self, limit: Optional[int] = None) -> None:
+        """Execute one synchronous round exactly like the seed engine
+        (``limit`` caps the sleep fast-forward, as in :meth:`World.step`)."""
         # Freeze the round-start snapshot: the paper's "in round t" sets.
         # The seed engine had no view cache and built a fresh PublicView
         # per robot per round; invalidating the cache first reproduces
@@ -188,10 +194,12 @@ class ReferenceWorld(World):
         self.round += 1
 
         # Fast-forward: if every live robot is dormant, jump to the first
-        # round anyone wakes in one step.
+        # round anyone wakes (never past ``limit``) in one step.
         live = [r for r in self.robots.values() if not r.terminated]
         if live and all(r.sleep_until > self.round for r in live):
             wake = min(r.sleep_until for r in live)
+            if limit is not None:
+                wake = min(wake, limit)
             if wake > self.round + 1:
                 self.round = wake
                 self.board_previous = {}

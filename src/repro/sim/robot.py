@@ -9,8 +9,9 @@ honest robot program can observe *only*
 * messages posted at its node (same round by earlier sub-round actors,
   or the full board of the previous round).
 
-It acts by yielding :class:`Move` or :class:`Stay`; movement is applied
-simultaneously at the end of the round (the model's task (ii)).
+It acts by yielding :class:`Move`, :class:`Stay` (the shared
+:data:`STAY`) or :class:`Sleep`; movement is applied simultaneously at
+the end of the round (the model's task (ii)).
 
 Byzantine robots run strategy programs bound to a :class:`ByzantineAPI`,
 which additionally exposes the whole :class:`~repro.sim.world.World`
@@ -31,6 +32,7 @@ __all__ = [
     "SETTLED",
     "Move",
     "Stay",
+    "STAY",
     "Sleep",
     "Action",
     "PublicView",
@@ -57,6 +59,12 @@ class Move:
 @dataclass(frozen=True)
 class Stay:
     """End the round without moving."""
+
+
+#: The one :class:`Stay` programs yield.  ``Stay`` is a frozen dataclass
+#: with no fields, so every instance is interchangeable; sharing one
+#: spares hot loops an allocation per idle round.
+STAY = Stay()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Event tracing for simulations.
 
-A trace is a flat list of ``(round, kind, data)`` events.  Tracing is
-enabled by default for tests/examples (events are cheap dicts) and can be
-disabled for large benchmark runs; the recorder then degrades to a no-op
-that only keeps counters, so hot loops never pay for event storage they
-will not use (guide rule: don't allocate on the fast path).
+A trace keeps per-kind event counters and, optionally, a flat list of
+``(round, kind, data)`` events.  Counters are all that records, reports
+and stores read, so they are the default: a world keeps event objects
+only when built with ``World(keep_trace=True)`` (engine comparisons and
+tests that inspect individual moves).  Without events, hot loops bump
+counters and allocate nothing per move or settle.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ class Trace:
     """Append-only event log with per-kind counters.
 
     Counters are always maintained (metrics need them); full events are
-    kept only when ``keep_events=True``.
+    kept only when ``keep_events=True`` (off by default).
     """
 
     __slots__ = ("keep_events", "events", "counters")
 
-    def __init__(self, keep_events: bool = True):
+    def __init__(self, keep_events: bool = False):
         self.keep_events = keep_events
         self.events: List[TraceEvent] = []
         self.counters: Counter = Counter()

@@ -32,6 +32,11 @@ Hot-path engineering (see PERFORMANCE.md for measurements):
 * Board dictionaries are recycled on message-free rounds instead of being
   reallocated; a shared immutable empty mapping stands in for decayed
   previous-round boards.
+* Actions are dispatched on their **exact class**, most frequent first
+  (``Stay``, then ``Move``, then ``Sleep``); nothing subclasses them.
+* Termination is an **O(1)** check: the world counts its live honest
+  robots instead of scanning them before every round.
+* Traces keep **counters only** unless ``keep_trace=True``.
 
 Activation schedulers (see :mod:`repro.sim.schedulers`): a non-default
 ``scheduler`` decides, per round, which robots get their program resumed.
@@ -44,6 +49,7 @@ byte-identical to the scheduler-free engine.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -96,7 +102,10 @@ class World:
         ``"weak"`` — Byzantine robots cannot fake IDs (Sections 2 & 3);
         ``"strong"`` — they can (Section 4).
     keep_trace:
-        Store full event objects (True) or only counters (False).
+        Also store every event object (moves, settles, charges, ...).
+        Off by default: records, reports and stores read only the
+        per-kind counters, which are kept either way.  Turn it on to
+        inspect or compare individual events (engine identity tests).
     scheduler:
         Activation scheduler: ``None`` (the default — fully synchronous,
         the paper's model), a spec string like ``"semi_synchronous(p=0.5)"``,
@@ -117,7 +126,7 @@ class World:
         self,
         graph: PortLabeledGraph,
         model: str = "weak",
-        keep_trace: bool = True,
+        keep_trace: bool = False,
         scheduler: Union[None, str, SchedulerSpec, Scheduler] = None,
         scheduler_seed: int = 0,
     ):
@@ -149,6 +158,9 @@ class World:
         self._order_dirty = True
         self._in_step = False
         self._seq_counter = 0
+        #: Honest robots whose program has not returned yet; kept by
+        #: ``add_robot`` and ``step`` so ``all_honest_done`` is O(1).
+        self._honest_live = 0
 
     # ------------------------------------------------------------------ #
     # Population management
@@ -179,6 +191,8 @@ class World:
         self.robots[true_id] = robot
         self._by_node.setdefault(node, []).append(robot)
         self._order_dirty = True
+        if not byzantine:
+            self._honest_live += 1
         return robot
 
     @property
@@ -222,8 +236,12 @@ class World:
     # Round execution
     # ------------------------------------------------------------------ #
 
-    def step(self) -> None:
-        """Execute one synchronous round (sub-rounds + simultaneous moves)."""
+    def step(self, limit: Optional[int] = None) -> None:
+        """Execute one synchronous round (sub-rounds + simultaneous moves).
+
+        ``limit`` caps the sleep fast-forward: the round counter never
+        jumps past it (:meth:`run` passes its deadline).
+        """
         rnd = self.round
         ports = self.graph._ports  # package-internal: skip method dispatch
         trace = self.trace
@@ -254,15 +272,14 @@ class World:
         # the population is needed at round end: ``ff_blocked`` means some
         # live robot is guaranteed awake next round; ``ff_min`` is the
         # earliest wake round among dormant robots (-1 = none yet).
-        any_live = False
         ff_blocked = False
         ff_min = -1
+        activations = 0
         self._in_step = True
         try:
             for robot in order:
                 su = robot.sleep_until
                 if su > rnd:  # dormant this round
-                    any_live = True
                     if ff_min < 0 or su < ff_min:
                         ff_min = su
                     continue
@@ -270,17 +287,22 @@ class World:
                     # Not activated this round: record frozen, program
                     # un-resumed.  It may run next round, so the sleep
                     # fast-forward must never jump over it.
-                    any_live = True
                     ff_blocked = True
                     continue
-                self.activations += 1
+                activations += 1
                 try:
                     action = next(robot.program)
                 except StopIteration:
                     robot.terminated = True
                     self._order_dirty = True
+                    if not robot.byzantine:
+                        self._honest_live -= 1
                     continue
-                if isinstance(action, Move):
+                # Exact-class dispatch, most frequent action first.
+                cls = type(action)
+                if cls is Stay:
+                    ff_blocked = True
+                elif cls is Move:
                     if not robot.byzantine and robot.settled_node is not None:
                         raise ProtocolViolation(
                             f"settled honest robot {robot.true_id} attempted to move"
@@ -293,18 +315,13 @@ class World:
                             f"at a degree-{deg} node"
                         )
                     append_mover((robot, port))
-                    any_live = True
                     ff_blocked = True
-                elif isinstance(action, Stay):
-                    any_live = True
-                    ff_blocked = True
-                elif isinstance(action, Sleep):
+                elif cls is Sleep:
                     rounds = action.rounds
                     if rounds < 1:
                         raise SimulationError("Sleep must cover at least 1 round")
                     su = rnd + rounds
                     robot.sleep_until = su
-                    any_live = True
                     if ff_min < 0 or su < ff_min:
                         ff_min = su
                 else:
@@ -313,6 +330,7 @@ class World:
                     )
         finally:
             self._in_step = False
+            self.activations += activations
 
         # Task (ii): simultaneous movement, applied incrementally to the
         # node index (only movers relocate; lists keep insertion rank).
@@ -356,13 +374,17 @@ class World:
         self.round = nxt = rnd + 1
 
         # Fast-forward: if every live robot is dormant, jump to the first
-        # round anyone wakes in one step.  Equivalent to stepping (dormant
-        # robots observe nothing and boards decay to empty after a round).
-        # Never under a scheduler: skipped rounds would skip its RNG draws
-        # and fairness/outage clocks, changing activation semantics.
-        if scheduler is None and any_live and not ff_blocked and ff_min > nxt + 1:
-            self.round = ff_min
-            self.board_previous = _EMPTY_BOARD
+        # round anyone wakes (or to ``limit``) in one step.  Equivalent to
+        # stepping (dormant robots observe nothing and boards decay to
+        # empty after a round).  Never under a scheduler: skipped rounds
+        # would skip its RNG draws and fairness/outage clocks, changing
+        # activation semantics.
+        if scheduler is None and not ff_blocked and ff_min > nxt + 1:
+            if limit is not None and ff_min > limit:
+                ff_min = limit
+            if ff_min > nxt + 1:
+                self.round = ff_min
+                self.board_previous = _EMPTY_BOARD
 
         # Progress observation (read-only; see repro.sim.progress): a
         # sink installed on this thread sees every completed round.  The
@@ -381,22 +403,20 @@ class World:
         Returns True if the stop condition was met within ``max_rounds``,
         False if the budget ran out first (callers decide whether that is
         a failure; it usually is).  ``max_rounds`` bounds the simulated
-        round counter, not loop iterations (sleep fast-forwarding can
-        advance many rounds per step).
+        round counter, not loop iterations: sleep fast-forwarding can
+        advance many rounds per step, but never past the deadline.
         """
         deadline = self.round + max_rounds
+        done = self.all_honest_done if until is None else partial(until, self)
         while self.round < deadline:
-            if until is not None:
-                if until(self):
-                    return True
-            elif self.all_honest_done():
+            if done():
                 return True
-            self.step()
-        return (until(self) if until is not None else self.all_honest_done())
+            self.step(deadline)
+        return done()
 
     def all_honest_done(self) -> bool:
         """True iff every honest robot's program has terminated."""
-        return all(r.terminated for r in self.robots.values() if not r.byzantine)
+        return self._honest_live == 0
 
     # ------------------------------------------------------------------ #
     # Oracle-phase support (charged rounds, simulator-side placement)

@@ -6,7 +6,9 @@ the original straight-line implementation as executable specification.
 These tests run rich mixed scenarios through both and require identical
 traces, positions, and round accounting — plus pin the individual
 fast-path behaviours (sleep fast-forwarding, board decay, tuple index
-views) the optimizations lean on.
+views) the optimizations lean on.  Worlds keep only counters by default,
+so every event-by-event comparison builds both sides with
+``keep_trace=True``.
 """
 
 import pytest
@@ -34,6 +36,7 @@ def fingerprint(w):
 
 
 def full_trace(w):
+    assert w.trace.keep_events, "compare events only on keep_trace=True worlds"
     return [(e.round, e.kind, e.data) for e in w.trace.events]
 
 
@@ -116,14 +119,30 @@ def test_optimized_trace_equals_reference(model, graph_seed):
     """Bit-identical traces on a mixed scenario (observation-dependent
     moves, messages, sleeps, terminations, strong-Byzantine ID faking)."""
     g = random_connected(9, seed=graph_seed)
-    w_opt = _populate(World(g, model=model), model)
-    w_ref = _populate(ReferenceWorld(g, model=model), model)
+    w_opt = _populate(World(g, model=model, keep_trace=True), model)
+    w_ref = _populate(ReferenceWorld(g, model=model, keep_trace=True), model)
     for _ in range(40):
         w_opt.step()
         w_ref.step()
         assert w_opt.round == w_ref.round
     assert fingerprint(w_opt) == fingerprint(w_ref)
-    assert full_trace(w_opt) == full_trace(w_ref)
+    assert full_trace(w_opt) and full_trace(w_opt) == full_trace(w_ref)
+
+
+@pytest.mark.parametrize("model", ["weak", "strong"])
+def test_default_world_keeps_counters_only(model):
+    """A default world stores no events, and its counters, positions and
+    round accounting equal those of a ``keep_trace=True`` run."""
+    g = random_connected(9, seed=1)
+    w_default = _populate(World(g, model=model), model)
+    w_traced = _populate(World(g, model=model, keep_trace=True), model)
+    for _ in range(40):
+        w_default.step()
+        w_traced.step()
+    assert w_default.trace.events == []
+    assert w_traced.trace.events
+    assert w_default.trace.counters == w_traced.trace.counters
+    assert fingerprint(w_default) == fingerprint(w_traced)
 
 
 def test_benchmark_scenarios_match_reference():
@@ -142,7 +161,7 @@ def test_benchmark_scenarios_match_reference():
 def test_teleport_and_midrun_add_robot_match_reference():
     """Simulator-side mutations (teleport, late add) keep engines aligned."""
     g = ring(8)
-    w_opt, w_ref = World(g), ReferenceWorld(g)
+    w_opt, w_ref = World(g, keep_trace=True), ReferenceWorld(g, keep_trace=True)
     for w in (w_opt, w_ref):
         w.add_robot(1, 0, _observer_mover)
         w.add_robot(2, 3, _gossip)
@@ -220,7 +239,7 @@ class TestSleepFastForward:
                 yield Sleep(5)
                 yield Move(1)
 
-        w_opt, w_ref = World(g), ReferenceWorld(g)
+        w_opt, w_ref = World(g, keep_trace=True), ReferenceWorld(g, keep_trace=True)
         for w in (w_opt, w_ref):
             w.add_robot(1, 0, cycle)
             w.add_robot(2, 2, cycle)

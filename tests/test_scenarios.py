@@ -370,6 +370,15 @@ class TestRoundBudgetAndPlacement:
         assert full["success"] and full["rounds_simulated"] > 3
         assert not capped["success"]
         assert capped["rounds_simulated"] <= 3
+        # With no Byzantine robot awake (f=0, or crashed ones), every
+        # robot sleeps through the idle part of a mapping slot and the
+        # world fast-forwards.  The jump stops at the budget, exactly
+        # where stepping the dormant rounds one by one would stop.
+        for strategy, f, rounds in (("idle", 0, 115), ("crash", "max", 241)):
+            cut = Scenario(algorithm=5, graph=g, strategy=strategy, f=f,
+                           rounds=rounds).run()[0]
+            assert not cut["success"]
+            assert cut["rounds_simulated"] == rounds
 
     def test_budget_at_bound_changes_nothing_but_key(self, g):
         full = Scenario(algorithm=5, graph=g, strategy="idle")

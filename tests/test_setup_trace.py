@@ -110,7 +110,7 @@ class TestTrace:
         from repro.sim import Move
 
         g = ring(4)
-        w = World(g)
+        w = World(g, keep_trace=True)
 
         def program(api):
             yield Move(1)

@@ -2,15 +2,17 @@
 
 These harden the substrate everything else trusts: whatever robots do
 (random moves, random messages, random sleeps), the world conserves
-robots, keeps positions legal, reports arrival ports truthfully, and
-stays bit-reproducible under a fixed seed.
+robots, keeps positions legal, reports arrival ports truthfully, keeps
+its O(1) termination count equal to a scan of the robots, and stays
+bit-reproducible under a fixed seed.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import random_connected
-from repro.sim import Move, Sleep, Stay, World
+from repro.sim import Move, ReferenceWorld, Sleep, Stay, World
+from repro.sim.progress import observe
 
 
 def chaotic_program(api, rng):
@@ -136,3 +138,62 @@ def test_sleep_equivalent_to_stays(seed):
     for r in common:
         assert d1[r] == d2[r], (r, d1[r], d2[r])
     assert w1.robots[1].node == w2.robots[1].node
+
+
+def mortal_program(api, rng, lifetime):
+    """Moves, stays and sleeps at random, then returns after
+    ``lifetime`` resumptions (0 = terminates on its first one)."""
+    for _ in range(lifetime):
+        roll = rng.random()
+        if roll < 0.4:
+            yield Move(int(rng.integers(1, api.degree() + 1)))
+        elif roll < 0.55:
+            yield Sleep(int(rng.integers(1, 4)))
+        else:
+            yield Stay()
+
+
+def honest_scan(w):
+    """The termination condition by definition."""
+    return all(r.terminated for r in w.robots.values() if not r.byzantine)
+
+
+@given(
+    n=st.integers(4, 8),
+    seed=st.integers(0, 100),
+    batches=st.lists(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+    budget=st.integers(1, 8),
+)
+@settings(max_examples=30, deadline=None)
+def test_live_honest_count_matches_scan(n, seed, batches, budget):
+    """``all_honest_done()`` (a live count on the optimized world) equals
+    the scan after every step, with robots added between ``run`` calls,
+    and both engines agree on when the run is done."""
+    g = random_connected(n, seed=seed)
+    worlds = (World(g), ReferenceWorld(g))
+
+    def check(world, _round):
+        assert world.all_honest_done() == honest_scan(world)
+
+    rid = 0
+    for batch in batches:
+        for byzantine, lifetime in batch:
+            rid += 1
+            for w in worlds:
+                rng = np.random.default_rng((seed, rid))
+
+                def factory(api, _rng=rng, _life=lifetime):
+                    return mortal_program(api, _rng, _life)
+
+                w.add_robot(rid, rid % n, factory, byzantine=byzantine)
+        for w in worlds:
+            check(w, w.round)
+        with observe(check):
+            done = [w.run(max_rounds=budget) for w in worlds]
+        assert done[0] == done[1] == honest_scan(worlds[0])
+        assert worlds[0].round == worlds[1].round
+        assert worlds[0].positions() == worlds[1].positions()

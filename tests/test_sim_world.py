@@ -141,14 +141,20 @@ class TestRounds:
 
     def test_bad_action_rejected(self):
         g = ring(3)
-        w = World(g)
 
-        def bad(api):
-            yield "north"
+        class Nudge(Move):
+            """Dispatch is on the exact action class: subclasses are
+            not actions."""
 
-        w.add_robot(1, 0, bad)
-        with pytest.raises(SimulationError, match="expected Move or Stay"):
-            w.step()
+        for action in ("north", Nudge(1)):
+            w = World(g)
+
+            def bad(api, _action=action):
+                yield _action
+
+            w.add_robot(1, 0, bad)
+            with pytest.raises(SimulationError, match="expected Move or Stay"):
+                w.step()
 
     def test_program_end_terminates_robot(self):
         g = ring(3)
