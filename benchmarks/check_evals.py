@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Behavioural-drift gate: fresh eval-suite runs vs checked-in pins.
 
-The perf twin of :mod:`check_regression`: where that script guards
-``BENCH_*.json`` timings, this one guards ``EVAL_*.json`` *behaviour* —
-per solver × cell-class success counts and round totals for every named
-suite in :data:`repro.evals.SUITES`.  Unlike timings, behaviour is
-deterministic, so the comparison is exact: any drift fails, there is no
-tolerance knob, and CI can gate on a full re-run without flakiness.
+Guards ``EVAL_*.json`` *behaviour* — per solver × cell-class success
+counts and round totals for every named suite in
+:data:`repro.evals.SUITES`.  Unlike timings (measured end to end by
+``perfbench/``), behaviour is deterministic, so the comparison is exact:
+any drift fails, there is no tolerance knob, and CI can gate on a full
+re-run without flakiness.
 
 Discovery is the union of two sources, so nothing drops out silently:
 

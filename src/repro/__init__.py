@@ -115,7 +115,7 @@ from .sim import (
     parse_scheduler,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "__version__",

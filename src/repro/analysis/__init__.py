@@ -5,9 +5,8 @@ declarative Scenario API in :mod:`repro.scenarios` — new experiment code
 should build :class:`~repro.scenarios.ScenarioGrid`s directly.
 """
 
-from .benchmark import run_benchmark, write_bench_json
+from ..sim.report import dispersion_violations, is_dispersed, settlement_histogram
 from .complexity import PowerFit, doubling_ratios, fit_power_law
-from .graphbench import run_graph_benchmark
 from .experiments import (
     DEFAULT_POLICY,
     ExecutionPolicy,
@@ -25,7 +24,6 @@ from .faults import FaultPlan, FaultSpec
 from .metrics import record_from_report, success_rate, summarize
 from .store import RunStore, cell_key
 from .tables import format_big, render_table
-from .validation import dispersion_violations, is_dispersed, settlement_histogram
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -54,7 +52,4 @@ __all__ = [
     "scaling_sweep",
     "scheduler_matrix",
     "strategy_matrix",
-    "run_benchmark",
-    "run_graph_benchmark",
-    "write_bench_json",
 ]

@@ -58,7 +58,7 @@ from ..sim.batch import (
     BatchWorld,
     Theorem1BatchProgram,
 )
-from ..sim.scheduler import RunReport
+from ..sim.report import RunReport, dispersion_violations
 from .metrics import record_from_report
 
 __all__ = [
@@ -248,28 +248,11 @@ def _run_theorem1_batch(
             if honest[s, j]:
                 node = int(settled_node[s, j])
                 settled[j + 1] = node if node >= 0 else None
-        violations: List[str] = []
-        unsettled = sorted(rid for rid, node in settled.items() if node is None)
-        if unsettled:
-            violations.append(f"honest robots never settled: {unsettled}")
-        by_node: Dict[int, List[int]] = {}
-        for rid, node in settled.items():
-            if node is not None:
-                by_node.setdefault(node, []).append(rid)
-        for node, rids in sorted(by_node.items()):
-            if len(rids) > 1:
-                violations.append(
-                    f"node {node} hosts {len(rids)} honest settlers: {sorted(rids)}"
-                )
-        not_done = sorted(
+        violations = dispersion_violations(settled, not_done=[
             j + 1
             for j in range(n)
             if honest[s, j] and not terminated[s, j] and settled_node[s, j] < 0
-        )
-        if not_done:
-            violations.append(
-                f"honest robots neither settled nor terminated: {not_done}"
-            )
+        ])
         report = RunReport(
             success=not violations,
             rounds_simulated=int(rounds[s]),

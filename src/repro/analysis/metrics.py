@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..sim.scheduler import RunReport
+from ..sim.report import RunReport
 
 __all__ = ["record_from_report", "success_rate", "summarize"]
 

@@ -45,8 +45,7 @@ The record-schema version is folded into every key, so bumping
 :data:`SCHEMA_VERSION` (because record contents changed meaning) orphans
 all old entries rather than serving stale shapes; the store file format
 itself never needs migrating.  ``meta.json`` records the creating
-version for external tooling (``benchmarks/check_regression.py`` refuses
-to ``--update`` a baseline across a schema change).
+version for external tooling.
 """
 
 from __future__ import annotations

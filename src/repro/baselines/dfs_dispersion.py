@@ -35,8 +35,8 @@ from typing import Iterator, List, Optional
 from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
+from ..sim.report import RunReport, finish_report
 from ..sim.robot import SETTLED, STAY, Action, Move, RobotAPI
-from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ..sim.ids import assign_ids
 
@@ -161,7 +161,7 @@ def solve_dfs_baseline(
     world.run(max_rounds=dfs_rounds_bound(n, graph.m, cap), until=_all_honest_settled_or_done)
     return finish_report(
         world,
-        honest_cap=-(-(k - len(byz)) // n),  # ⌈(k−f)/n⌉ — Section 5's cap
+        honest_cap=max(1, -(-(k - len(byz)) // n)),  # ⌈(k−f)/n⌉ (Section 5), 1 if k = f
         algorithm="dfs_baseline",
         k=k,
         cap=cap,

@@ -20,8 +20,8 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.exploration import _log2_ceil
 from ..graphs.port_labeled import PortLabeledGraph
+from ..sim.report import RunReport, finish_report
 from ..sim.robot import SETTLED, STAY, Move, RobotAPI
-from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ..core._setup import build_population
 

@@ -23,8 +23,8 @@ from typing import Dict, Optional, Union
 from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.generators import ring
+from ..sim.report import RunReport, finish_report
 from ..sim.robot import RobotAPI
-from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ._shared import check_canonical_ring
 from ..core._setup import build_population

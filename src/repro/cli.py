@@ -20,10 +20,8 @@ Commands
                  run store (warm cells answered with zero solver calls,
                  single-flight dedup, bounded-queue backpressure, live
                  SSE run streaming — see ``repro.serve``)
-``bench``        microbenchmarks: engine, graph substrate, the batched
-                 sweep engine, and/or the serve subsystem
-                 (``--suite engine|graphs|batch|serve|all``;
-                 ``--profile`` runs the suite under cProfile)
+``eval``         run a named solver eval suite against its pinned
+                 ``benchmarks/EVAL_<suite>.json`` results
 
 Every solver-running command (``table1``, ``run``, ``tolerance``,
 ``sweep``, ``scenario``) goes through the same plan executor and accepts
@@ -63,10 +61,9 @@ Examples::
     python -m repro serve --store runs/ --workers 4 --port 8008
     python -m repro lint
     python -m repro lint src/repro --format json --select exception-hygiene
-    python -m repro bench --out benchmarks/BENCH_engine.json
-    python -m repro bench --suite graphs
-    python -m repro bench --suite batch --batch-cells 64
-    python -m repro bench --suite engine --profile
+    python -m repro eval ring_weak_byz --store runs/
+
+Wall-clock benchmarking lives outside the package, in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -77,19 +74,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis import (
-    ExecutionPolicy,
-    render_table,
-    run_benchmark,
-    run_graph_benchmark,
-    run_table1,
-    tolerance_sweep,
-)
+from .analysis import ExecutionPolicy, render_table, run_table1, tolerance_sweep
 from .analysis.store import RunStore
-from .analysis.batchbench import format_batch_report, run_batch_benchmark
-from .analysis.benchmark import format_report, write_bench_json
-from .analysis.graphbench import format_graph_report
-from .analysis.servebench import format_serve_report, run_serve_benchmark
 from .byzantine import STRATEGIES, STRONG_STRATEGIES, WEAK_STRATEGIES, Adversary
 from .core import TABLE1, demonstrate_impossibility, get_row
 from .errors import ReproError
@@ -100,18 +86,18 @@ from .sim.schedulers import SCHEDULERS, parse_scheduler
 __all__ = ["main"]
 
 
-#: The repo's checked-in benchmark baselines (what
-#: ``benchmarks/check_regression.py`` gates).  ``repro bench`` defaults
-#: its outputs here so a bare run from any CWD refreshes the guarded
-#: files instead of silently dropping JSON next to wherever you stood.
-_BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
+#: The repo's checked-in eval pins (what ``benchmarks/check_evals.py``
+#: gates).  ``eval --update-expected`` defaults its output here so a bare
+#: run from any CWD refreshes the gated files instead of silently
+#: dropping JSON next to wherever you stood.
+_PIN_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
-def _default_bench_path(name: str) -> str:
-    """Default output path for a benchmark artifact: the checked-in
-    baseline when this is a repo checkout, the bare name otherwise
-    (installed package with no benchmarks/ directory)."""
-    return str(_BENCH_DIR / name) if _BENCH_DIR.is_dir() else name
+def _default_pin_path(name: str) -> str:
+    """Default path for a pinned eval file: the checked-in pin when this
+    is a repo checkout, the bare name otherwise (installed package with
+    no benchmarks/ directory)."""
+    return str(_PIN_DIR / name) if _PIN_DIR.is_dir() else name
 
 
 def _sample_graph(n: int, require_view_distinct: bool, seed: int):
@@ -553,101 +539,6 @@ def _cmd_strategies(args) -> int:
     return 0
 
 
-def _warn_if_baseline_params_drift(path: str, payload: dict) -> None:
-    """Flag an overwrite of an existing bench file whose recorded params
-    differ: the regression gate re-runs with the *baseline's* params, so
-    clobbering it with an exploratory run corrupts the gate.  Guarded
-    refreshes belong to ``benchmarks/check_regression.py --update``."""
-    try:
-        with open(path) as fh:
-            existing = json.load(fh)
-    except (OSError, ValueError):
-        return
-    if existing.get("params") not in (None, payload["params"]):
-        print(
-            f"warning: {path} was recorded with params {existing['params']}; "
-            f"overwriting with params {payload['params']} changes what the "
-            f"regression gate measures (use benchmarks/check_regression.py "
-            f"--update for guarded refreshes, or pass --out elsewhere)"
-        )
-
-
-#: Bench suite registry: name -> (runner(args) -> payload, formatter,
-#: the args attribute naming that suite's JSON output path).  ``--suite``
-#: choices, ``all`` expansion, and ``--profile`` all derive from this
-#: table, so a new suite plugs in with one entry.
-_BENCH_SUITES = {
-    "engine": (
-        lambda args: run_benchmark(
-            n=args.n, k=args.k, rounds=args.rounds, seed=args.seed,
-            repeats=args.repeats,
-        ),
-        format_report,
-        "out",
-    ),
-    "graphs": (
-        lambda args: run_graph_benchmark(
-            seed=args.seed, repeats=args.repeats, cells=args.cells
-        ),
-        format_graph_report,
-        "graphs_out",
-    ),
-    "batch": (
-        lambda args: run_batch_benchmark(
-            seed=args.seed, repeats=args.repeats, cells=args.batch_cells
-        ),
-        format_batch_report,
-        "batch_out",
-    ),
-    "serve": (
-        lambda args: run_serve_benchmark(
-            seed=args.seed, repeats=args.repeats, cells=args.serve_cells,
-            clients=args.serve_clients, dedup_clients=args.serve_dedup,
-            workers=args.serve_workers,
-        ),
-        format_serve_report,
-        "serve_out",
-    ),
-}
-
-
-def _cmd_bench(args) -> int:
-    names = list(_BENCH_SUITES) if args.suite == "all" else [args.suite]
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-    ok = True
-    for name in names:
-        runner, formatter, out_attr = _BENCH_SUITES[name]
-        if profiler is not None:
-            profiler.enable()
-        payload = runner(args)
-        if profiler is not None:
-            profiler.disable()
-        print(formatter(payload))
-        out = getattr(args, out_attr)
-        if out and profiler is None:
-            # Profiled runs never refresh baselines: instrumentation
-            # inflates every timing, which would poison the gate.
-            _warn_if_baseline_params_drift(out, payload)
-            write_bench_json(payload, out)
-            print(f"wrote {out}")
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        ok = ok and payload["all_identical"]
-    if profiler is not None:
-        import pstats
-
-        print()
-        print(f"cProfile — top 20 by tottime ({', '.join(names)}):")
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.strip_dirs().sort_stats("tottime").print_stats(20)
-        print("(baseline files not written under --profile)")
-    return 0 if ok else 1
-
-
 def _cmd_serve(args) -> int:
     from .serve import run_server  # deferred: pulls in the asyncio stack
 
@@ -713,7 +604,7 @@ def _cmd_eval(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        path = args.expected or _default_bench_path(expected_filename(args.suite))
+        path = args.expected or _default_pin_path(expected_filename(args.suite))
         write_expected(report.expected_payload(), path)
         print(f"wrote {path}")
     return 1 if n_failed else 0
@@ -923,54 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     li.add_argument("--select",
                     help="comma-separated checker names to run (default: all)")
     li.set_defaults(func=_cmd_lint)
-
-    suite_names = (*_BENCH_SUITES, "all")
-    be = sub.add_parser(
-        "bench",
-        help="microbenchmarks: engine, graph substrate, batched sweeps",
-        epilog="example: python -m repro bench --suite batch --repeats 3",
-    )
-    be.add_argument("--suite", choices=suite_names, default="engine",
-                    help=f"which microbenchmark(s) to run — one of "
-                         f"{', '.join(suite_names)} (default: engine)")
-    be.add_argument("--n", type=int, default=96, help="graph size (engine suite)")
-    be.add_argument("--k", type=int, default=64, help="robot count (engine suite)")
-    be.add_argument("--rounds", type=int, default=500,
-                    help="rounds per scenario (engine suite)")
-    be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--repeats", type=int, default=3, help="best-of timing repeats")
-    be.add_argument("--cells", type=int, default=24,
-                    help="sweep cells in the dispatch scenario (graphs suite)")
-    be.add_argument("--batch-cells", type=int, default=64,
-                    help="simulations per scenario (batch suite; default: 64)")
-    be.add_argument("--serve-cells", type=int, default=6,
-                    help="distinct cells in the cold/warm workloads "
-                         "(serve suite; default: 6)")
-    be.add_argument("--serve-clients", type=int, default=4,
-                    help="concurrent HTTP clients (serve suite; default: 4)")
-    be.add_argument("--serve-dedup", type=int, default=8,
-                    help="concurrent identical requests in the dedup "
-                         "workload (serve suite; default: 8)")
-    be.add_argument("--serve-workers", type=int, default=4,
-                    help="server compute threads (serve suite; default: 4)")
-    be.add_argument("--out", default=_default_bench_path("BENCH_engine.json"),
-                    help="engine JSON output path ('' to skip writing; "
-                         "default: the checked-in benchmarks/ baseline)")
-    be.add_argument("--graphs-out", default=_default_bench_path("BENCH_graphs.json"),
-                    help="graphs JSON output path ('' to skip writing; "
-                         "default: the checked-in benchmarks/ baseline)")
-    be.add_argument("--batch-out", default=_default_bench_path("BENCH_batch.json"),
-                    help="batch JSON output path ('' to skip writing; "
-                         "default: the checked-in benchmarks/ baseline)")
-    be.add_argument("--serve-out", default=_default_bench_path("BENCH_serve.json"),
-                    help="serve JSON output path ('' to skip writing; "
-                         "default: the checked-in benchmarks/ baseline)")
-    be.add_argument("--profile", action="store_true",
-                    help="run the selected suite(s) under cProfile and print "
-                         "the top-20 functions by tottime (baseline files "
-                         "are not written)")
-    be.add_argument("--json", action="store_true", help="also print the JSON payload")
-    be.set_defaults(func=_cmd_bench)
 
     from .evals import suite_names as _eval_suite_names
 

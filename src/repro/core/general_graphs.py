@@ -32,8 +32,8 @@ from ..gathering.oracle import (
 from ..graphs.port_labeled import PortLabeledGraph
 from ..mapping.group_mapping import build_group_plan, group_phase_program, group_plan_rounds
 from ..mapping.token_mapping import plan_honest_run
+from ..sim.report import RunReport, finish_report
 from ..sim.robot import Action, RobotAPI
-from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ._setup import (
     Population,

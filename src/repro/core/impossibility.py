@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 from ..baselines.dfs_dispersion import solve_dfs_baseline
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.scheduler import RunReport
+from ..sim.report import RunReport
 
 __all__ = ["ImpossibilityReport", "impossibility_applies", "demonstrate_impossibility"]
 

@@ -24,8 +24,8 @@ from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.quotient import is_quotient_isomorphic
 from ..sim.ids import assign_ids, validate_ids
+from ..sim.report import RunReport, finish_report
 from ..sim.robot import RobotAPI
-from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ._setup import make_placement
 from .dispersion_using_map import dispersion_rounds_bound, dispersion_using_map

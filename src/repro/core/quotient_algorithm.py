@@ -19,8 +19,8 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.quotient import is_quotient_isomorphic
+from ..sim.report import RunReport, finish_report
 from ..sim.robot import RobotAPI
-from ..sim.scheduler import RunReport, finish_report
 from ..sim.world import World
 from ._setup import build_population, resolve_scheduler, round_budget, run_world_guarded
 from .dispersion_using_map import dispersion_rounds_bound, dispersion_using_map
@@ -56,7 +56,7 @@ def solve_theorem1(
     non-default activation model (:mod:`repro.sim.schedulers`); timing-
     induced protocol breakdowns under it are recorded as violations.
 
-    Returns a :class:`~repro.sim.scheduler.RunReport`; ``rounds_charged``
+    Returns a :class:`~repro.sim.report.RunReport`; ``rounds_charged``
     carries the Find-Map polynomial, ``rounds_simulated`` the O(n)
     dispersion phase.
     """

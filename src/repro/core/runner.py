@@ -22,7 +22,7 @@ from ..gathering.oracle import (
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.quotient import is_quotient_isomorphic
 from ..sim.ids import assign_ids
-from ..sim.scheduler import RunReport
+from ..sim.report import RunReport
 from .find_map import find_map_rounds
 from .general_graphs import solve_theorem2, solve_theorem3, solve_theorem4, solve_theorem5
 from .quotient_algorithm import solve_theorem1

@@ -28,8 +28,8 @@ from ..errors import ConfigurationError
 from ..gathering.oracle import canonical_gather_node, strong_gathering_rounds
 from ..graphs.port_labeled import PortLabeledGraph
 from ..mapping.group_mapping import build_group_plan, group_phase_program, group_plan_rounds
+from ..sim.report import RunReport
 from ..sim.robot import Action, RobotAPI
-from ..sim.scheduler import RunReport
 from ._setup import build_population, round_budget
 from .general_graphs import _run_driver, tick_budget_for
 from .phases import rank_dispersion_phase, roster_phase

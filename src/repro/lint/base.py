@@ -22,8 +22,7 @@ checker's allow token (each checker documents its own, e.g.
   On a standalone comment line, it silences the *next* line instead —
   useful when the offending line has no room left.
 * ``# repro: allow-wallclock file`` anywhere in the file silences the
-  checker for the whole module (the per-file allowlist mechanism; bench
-  modules use it).
+  checker for the whole module (the per-file allowlist mechanism).
 
 A pragma should always carry a justification after the token — pragmas
 without a *why* defeat the review-time purpose of the linter.
@@ -32,10 +31,8 @@ Scoping
 -------
 Checkers can restrict themselves by path: ``only_suffixes`` limits a
 checker to the named modules (the canonical-JSON pass only polices the
-store/baseline writers) and ``exempt_suffixes`` carves out modules
-where the rule does not apply by design (bench modules may read the
-clock).  Suffixes match against the POSIX form of the file's absolute
-path, so they work from any scan root.
+store writers).  Suffixes match against the POSIX form of the file's
+absolute path, so they work from any scan root.
 """
 
 from __future__ import annotations
@@ -173,8 +170,7 @@ class Checker:
 
     Subclasses set the identity fields and implement :meth:`check`,
     yielding findings through :meth:`emit` (which applies the pragma
-    filter).  ``only_suffixes``/``exempt_suffixes`` scope the pass by
-    path suffix.
+    filter).  ``only_suffixes`` scopes the pass by path suffix.
     """
 
     #: Registry name (``repro lint --select`` and finding labels).
@@ -187,14 +183,11 @@ class Checker:
     hint: str = ""
     #: If non-empty, only modules matching one of these path suffixes.
     only_suffixes: Tuple[str, ...] = ()
-    #: Modules matching one of these path suffixes are skipped.
-    exempt_suffixes: Tuple[str, ...] = ()
 
     def applies_to(self, module: Module) -> bool:
-        posix = module.posix
-        if self.only_suffixes and not any(posix.endswith(s) for s in self.only_suffixes):
-            return False
-        return not any(posix.endswith(s) for s in self.exempt_suffixes)
+        return not self.only_suffixes or any(
+            module.posix.endswith(s) for s in self.only_suffixes
+        )
 
     def emit(
         self,

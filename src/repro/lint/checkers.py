@@ -8,8 +8,8 @@ for the rule-by-rule rationale and the pragma escape hatches):
   streams; module-level ``random.*`` / legacy ``numpy.random.*`` global
   state cannot be replayed across processes or resumes.
 * :class:`WallClockChecker` — clock reads in solver/record paths break
-  byte-identity between runs; only bench modules and the executor's
-  timeout machinery may measure time.
+  byte-identity between runs; only the executor's timeout machinery and
+  latency metrics that never reach a record may read it, under pragmas.
 * :class:`UnorderedIterationChecker` — set iteration order is hash-
   dependent (and ``PYTHONHASHSEED``-dependent for strings); anything
   that feeds records, store writes, or sub-round order must iterate
@@ -135,29 +135,22 @@ _CLOCK_CALLS = frozenset({
 
 
 class WallClockChecker(Checker):
-    """Ban clock reads outside bench modules and timeout machinery.
+    """Ban clock reads in record-producing code.
 
     A wall-clock value that reaches a record, a store shard, or a
     control-flow decision makes two otherwise-identical runs diverge.
-    The bench modules (which exist to measure time) are exempted by
-    path; the plan executor's timeout machinery carries line pragmas
-    with justifications.
+    The plan executor's timeout machinery and the serve and eval latency
+    metrics carry line pragmas with justifications; benchmarking lives
+    outside the package, in ``perfbench/``.
     """
 
     name = "no-wallclock-in-records"
     pragma = "allow-wallclock"
-    description = ("time.time/perf_counter/datetime.now outside bench "
-                   "modules and the executor's timeout machinery")
+    description = ("time.time/perf_counter/datetime.now outside "
+                   "pragma'd timeout and latency code")
     hint = ("record-producing code must be a pure function of its seeds; "
-            "move timing into benchmarks/ or a bench module, or pragma "
-            "the line with a justification if it is timeout machinery")
-    exempt_suffixes = (
-        # Bench modules measure wall time by design; their outputs are
-        # perf baselines, never solver records or store cells.
-        "repro/analysis/benchmark.py",
-        "repro/analysis/graphbench.py",
-        "repro/analysis/batchbench.py",
-    )
+            "move timing into perfbench/, or pragma the line with a "
+            "justification if it is timeout machinery")
 
     def check(self, module: Module) -> Iterator[Finding]:
         imports = ImportMap.of(module.tree)
@@ -366,24 +359,22 @@ class UnorderedIterationChecker(Checker):
 # --------------------------------------------------------------------- #
 
 class CanonicalJsonChecker(Checker):
-    """Require ``sort_keys=True`` in the store/baseline serializers.
+    """Require ``sort_keys=True`` in the store serializers.
 
-    Scoped to the modules that write store shards or bench baselines:
-    there, JSON bytes *are* identity (content hashes, cache keys,
-    byte-compared baselines), so key order must be canonical, not
-    whatever dict construction order happens to be.
+    Scoped to the modules that write store shards: there, JSON bytes
+    *are* identity (content hashes, cache keys), so key order must be
+    canonical, not whatever dict construction order happens to be.
     """
 
     name = "canonical-json-only"
     pragma = "allow-unsorted-json"
     description = ("json.dumps/json.dump without sort_keys=True in "
-                   "store-shard / bench-baseline writer modules")
+                   "store-shard writer modules")
     hint = ("pass sort_keys=True (canonical bytes), or pragma with a "
             "justification when insertion order is itself the pinned "
             "contract")
     only_suffixes = (
         "repro/analysis/store.py",
-        "repro/analysis/benchmark.py",
         "repro/analysis/batching.py",
     )
 

@@ -14,7 +14,7 @@ from .robot import (
     Stay,
 )
 from .reference import ReferenceWorld
-from .scheduler import RunReport, finish_report
+from .report import RunReport, finish_report
 from .schedulers import (
     SCHEDULERS,
     Scheduler,

@@ -1,4 +1,4 @@
-"""Straight-line reference engine for differential testing and benchmarks.
+"""Straight-line reference engine for differential testing.
 
 :class:`ReferenceWorld` re-implements :meth:`World.step` exactly the way
 the original (pre-optimization) engine did:
@@ -12,9 +12,8 @@ the original (pre-optimization) engine did:
 The optimized :class:`~repro.sim.world.World` must be observably
 indistinguishable from this class — same traces, same round counters,
 same positions — for any program and any seed.  Tests in
-``tests/test_engine_fastpath.py`` assert that equivalence, and
-``benchmarks/bench_engine.py`` uses this class as the wall-clock baseline
-the ≥3× speedup target is measured against.
+``tests/test_engine_fastpath.py`` assert that equivalence, on mixed
+scenarios and on load scenarios that drive each engine hot path.
 
 Keep this file boring: it is the executable specification of one round.
 """
@@ -113,9 +112,8 @@ class ReferenceWorld(World):
         # Freeze the round-start snapshot: the paper's "in round t" sets.
         # The seed engine had no view cache and built a fresh PublicView
         # per robot per round; invalidating the cache first reproduces
-        # that cost faithfully (this class is also the benchmark
-        # baseline).  Reads go through the same start_view fields the
-        # optimized engine uses.
+        # that cost faithfully.  Reads go through the same start_view
+        # fields the optimized engine uses.
         rnd = self.round
         snapshot = {}
         for rid, r in self.robots.items():

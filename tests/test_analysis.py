@@ -17,7 +17,7 @@ from repro.analysis import (
     summarize,
 )
 from repro.errors import ConfigurationError
-from repro.sim.scheduler import RunReport
+from repro.sim.report import RunReport
 
 
 def fake_report(success=True, sim=10, charged=5, settled=None, theorem=3):

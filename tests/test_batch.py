@@ -18,10 +18,7 @@ The contracts under test:
 * the batch engine genuinely runs (a spy on ``run_batch_group`` catches
   a regression where everything silently falls back), and graphs
   outside the Theorem 1 class are *returned* to the serial path, not
-  simulated;
-* the bench CLI rejects unknown suites, lists the ``batch`` suite in
-  ``--help``, exposes ``--no-batch``, and ``--profile`` prints a
-  cProfile table without touching baseline files.
+  simulated.
 
 Every test runs with :data:`repro.analysis.batching.STRICT` flipped on,
 so an engine bug raises instead of hiding behind the serial fallback.
@@ -42,7 +39,6 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.faults import FaultPlan, FaultSpec
 from repro.analysis.store import RunStore
-from repro.cli import main as cli_main
 from repro.graphs import random_connected, ring
 
 #: ``random_connected(12, seed=0)`` is connected and quotient-isomorphic
@@ -309,36 +305,3 @@ class TestByteIdentity:
         )
         assert json.dumps(replay) == json.dumps(first)
         assert not any(r.get("failed") for recs in replay for r in recs)
-
-
-class TestBenchCLI:
-    def test_unknown_suite_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["bench", "--suite", "nope"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_help_lists_suites_and_profile(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["bench", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        for name in ("engine", "graphs", "batch", "all", "--profile"):
-            assert name in out
-
-    def test_plan_commands_expose_no_batch(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["sweep", "--help"])
-        assert "--no-batch" in capsys.readouterr().out
-
-    def test_profile_prints_stats_and_skips_baselines(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_batch.json"
-        rc = cli_main([
-            "bench", "--suite", "batch", "--batch-cells", "2",
-            "--repeats", "1", "--profile",
-            "--batch-out", str(out_path),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "tottime" in out
-        assert not out_path.exists(), "profiled run must not write baselines"

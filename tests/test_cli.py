@@ -1,12 +1,10 @@
-"""Tests for the command-line interface (and its benchmark tooling)."""
+"""Tests for the command-line interface."""
 
-import importlib.util
-import json
 import pathlib
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _default_pin_path, build_parser, main
 
 
 class TestParser:
@@ -21,6 +19,20 @@ class TestParser:
     def test_strategy_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--row", "1", "--strategy", "teleporter"])
+
+    def test_plan_commands_expose_no_batch(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--no-batch" in capsys.readouterr().out
+
+    def test_eval_pins_default_to_checked_in_files(self):
+        """`eval --update-expected` without `--expected` must target the
+        pin `benchmarks/check_evals.py` gates from any CWD, not a
+        CWD-relative name that leaves the gated file stale."""
+        repo_pins = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+        path = _default_pin_path("EVAL_torus_strong.json")
+        assert pathlib.Path(path) == repo_pins / "EVAL_torus_strong.json"
+        assert path == str(pathlib.Path(path).absolute())
 
 
 class TestCommands:
@@ -110,146 +122,3 @@ class TestSweep:
                    "--serials", "99"])
         assert rc == 1
         assert "nothing ran" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_bench_writes_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_engine.json"
-        rc = main([
-            "bench", "--n", "12", "--k", "6", "--rounds", "20",
-            "--repeats", "1", "--out", str(out_path),
-        ])
-        printed = capsys.readouterr().out
-        assert rc == 0
-        assert "Engine microbenchmark" in printed
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "engine"
-        assert payload["all_identical"] is True
-        assert {s["scenario"] for s in payload["scenarios"]} == {
-            "ring_march", "ring_observe", "random_walk", "messages", "sleepers",
-        }
-        for s in payload["scenarios"]:
-            assert s["optimized_s"] >= 0 and s["reference_s"] >= 0
-
-    def test_bench_no_out_file(self, capsys):
-        rc = main([
-            "bench", "--n", "12", "--k", "6", "--rounds", "10",
-            "--repeats", "1", "--out", "",
-        ])
-        assert rc == 0
-        assert "overall speedup" in capsys.readouterr().out
-
-    def test_bench_graphs_suite_writes_json(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_graphs.json"
-        rc = main([
-            "bench", "--suite", "graphs", "--repeats", "1", "--cells", "4",
-            "--graphs-out", str(out_path),
-        ])
-        printed = capsys.readouterr().out
-        assert rc == 0
-        assert "Graph substrate microbenchmark" in printed
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "graphs"
-        assert payload["all_identical"] is True
-        assert {s["scenario"] for s in payload["scenarios"]} == {
-            "construct_closed_form", "construct_seeded", "traverse",
-            "port_lookup", "sweep_dispatch",
-        }
-
-    def test_bench_warns_on_baseline_params_drift(self, capsys, tmp_path):
-        """Overwriting an existing bench file with different params must
-        be flagged: the regression gate re-runs the baseline's params."""
-        out_path = tmp_path / "BENCH_engine.json"
-        base_args = ["bench", "--k", "6", "--rounds", "10", "--repeats", "1",
-                     "--out", str(out_path)]
-        assert main(base_args + ["--n", "12"]) == 0
-        assert "warning:" not in capsys.readouterr().out
-        assert main(base_args + ["--n", "14"]) == 0
-        assert "changes what the regression gate measures" in capsys.readouterr().out
-
-    def test_bench_defaults_to_checked_in_baselines(self):
-        """A bare `repro bench` from any CWD must target the files
-        `benchmarks/check_regression.py` gates, not CWD-relative names
-        that silently leave the guarded baselines stale."""
-        args = build_parser().parse_args(["bench"])
-        repo_bench = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-        assert pathlib.Path(args.out) == repo_bench / "BENCH_engine.json"
-        assert pathlib.Path(args.graphs_out) == repo_bench / "BENCH_graphs.json"
-        assert args.out == str(pathlib.Path(args.out).absolute())
-
-
-def _load_regression_gate():
-    path = (
-        pathlib.Path(__file__).resolve().parents[1]
-        / "benchmarks" / "check_regression.py"
-    )
-    spec = importlib.util.spec_from_file_location("check_regression", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-class TestRegressionGateSchemaGuard:
-    """`check_regression.py --update` must not cross a run-store schema
-    bump silently: the baseline would claim continuity with records whose
-    meaning changed."""
-
-    def _fabricate(self, tmp_path, baseline_version):
-        baseline = {
-            "benchmark": "engine",
-            "store_schema_version": baseline_version,
-            "params": {},
-            "scenarios": [],
-        }
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps(baseline))
-        fresh = {
-            "benchmark": "engine",
-            "store_schema_version": baseline_version + 1,
-            "params": {},
-            "scenarios": [],
-            "overall_speedup": 1.0,
-            "all_identical": True,
-        }
-        return path, fresh
-
-    def test_update_refuses_on_mismatch(self, tmp_path, capsys):
-        gate = _load_regression_gate()
-        path, fresh = self._fabricate(tmp_path, baseline_version=1)
-        failures = gate.check_suite(
-            "engine", str(path), lambda params: fresh, 2.0, update=True
-        )
-        assert failures == 1
-        assert "REFUSING --update" in capsys.readouterr().out
-        assert json.loads(path.read_text())["store_schema_version"] == 1  # untouched
-
-    def test_update_allows_with_explicit_flag(self, tmp_path):
-        gate = _load_regression_gate()
-        path, fresh = self._fabricate(tmp_path, baseline_version=1)
-        failures = gate.check_suite(
-            "engine", str(path), lambda params: fresh, 2.0, update=True,
-            allow_schema_change=True,
-        )
-        assert failures == 0
-        assert json.loads(path.read_text())["store_schema_version"] == 2
-
-    def test_update_matching_schema_proceeds(self, tmp_path):
-        gate = _load_regression_gate()
-        path, fresh = self._fabricate(tmp_path, baseline_version=1)
-        fresh["store_schema_version"] = 1
-        failures = gate.check_suite(
-            "engine", str(path), lambda params: fresh, 2.0, update=True
-        )
-        assert failures == 0
-
-    def test_checked_in_baselines_carry_current_version(self):
-        from repro.analysis.store import SCHEMA_VERSION
-
-        bench_dir = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-        for name in ("BENCH_engine.json", "BENCH_graphs.json"):
-            payload = json.loads((bench_dir / name).read_text())
-            assert payload["store_schema_version"] == SCHEMA_VERSION

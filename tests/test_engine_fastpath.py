@@ -145,17 +145,108 @@ def test_default_world_keeps_counters_only(model):
     assert fingerprint(w_default) == fingerprint(w_traced)
 
 
-def test_benchmark_scenarios_match_reference():
-    """Every checked-in benchmark scenario agrees across engines."""
-    from repro.analysis.benchmark import SCENARIOS, fingerprint as bench_fp
+# --------------------------------------------------------------------- #
+# Load programs: each drives one hot path of the optimized engine —
+# movement + node index, observation + snapshot views, message boards,
+# and sleep fast-forwarding — at k robots on ring and random graphs.
+# --------------------------------------------------------------------- #
 
-    for name, builder in SCENARIOS.items():
-        w_opt = builder(World, 24, 16, 0)
-        w_ref = builder(ReferenceWorld, 24, 16, 0)
+def _marcher(api):
+    """March through port 1 forever — pure movement/index load."""
+    move = Move(1)
+    while True:
+        yield move
+
+
+def _random_walker(rng_seed):
+    """Deterministic pseudo-random walk (an LCG keeps the program cheap
+    next to the engine work it drives)."""
+
+    def program(api):
+        h = (api.id * 1103515245 + rng_seed + 12345) & 0x7FFFFFFF
+        stay = Stay()
+        while True:
+            h = (h * 1103515245 + 12345) & 0x7FFFFFFF
+            deg = api.degree()
+            if deg and h % 10 < 7:
+                yield Move((h >> 4) % deg + 1)
+            else:
+                yield stay
+
+    return program
+
+
+def _observer(api):
+    """Flip flags every round, observe live + round-start views at
+    protocol-realistic decision points (every 4th round)."""
+    rid = api.id
+    flag = rid & 1
+    move, stay = Move(1), Stay()
+    rnd = 0
+    while True:
+        api.set_flag(flag)
+        flag ^= 1
+        if (rnd + rid) & 3 == 0:
+            start = api.colocated_at_round_start()
+            live = api.colocated()
+            if len(live) < len(start) - 1:  # pragma: no cover - sanity anchor
+                raise AssertionError("view cardinality mismatch")
+        rnd += 1
+        yield move if (rnd + rid) % 3 == 0 else stay
+
+
+def _talker(api):
+    """Post every round, read boards at pickup points — board load."""
+    rid = api.id
+    move, stay = Move(1), Stay()
+    rnd = 0
+    while True:
+        api.say((rid, rnd))
+        if (rnd + rid) % 3 == 0:
+            api.messages()
+            api.messages_prev()
+        rnd += 1
+        yield move if (rnd + rid) % 5 == 0 else stay
+
+
+def _short_napper(api):
+    """Alternate short naps with single moves — fast-forward load."""
+    nap, move = Sleep(3), Move(1)
+    while True:
+        yield nap
+        yield move
+
+
+def _spread(world_cls, graph, k, program):
+    """``k`` robots running ``program``, spread evenly over ``graph``."""
+    world = world_cls(graph)
+    spread = max(1, graph.n // k) if k else 1
+    for rid in range(1, k + 1):
+        world.add_robot(rid, ((rid - 1) * spread) % graph.n, program)
+    return world
+
+
+#: name -> builder(world_cls, n, k, seed) -> world
+LOAD_SCENARIOS = {
+    "ring_march": lambda cls, n, k, seed: _spread(cls, ring(n), k, _marcher),
+    "ring_observe": lambda cls, n, k, seed: _spread(cls, ring(n), k, _observer),
+    "random_walk": lambda cls, n, k, seed: _spread(
+        cls, random_connected(n, seed=seed), k, _random_walker(seed)
+    ),
+    "messages": lambda cls, n, k, seed: _spread(cls, ring(n), k, _talker),
+    "sleepers": lambda cls, n, k, seed: _spread(cls, ring(n), k, _short_napper),
+}
+
+
+def test_benchmark_scenarios_match_reference():
+    """Every engine load scenario agrees across engines."""
+    for name, build in LOAD_SCENARIOS.items():
+        w_opt = build(World, 24, 16, 0)
+        w_ref = build(ReferenceWorld, 24, 16, 0)
         for _ in range(60):
             w_opt.step()
             w_ref.step()
-        assert bench_fp(w_opt) == bench_fp(w_ref), name
+        assert fingerprint(w_opt) == fingerprint(w_ref), name
 
 
 def test_teleport_and_midrun_add_robot_match_reference():

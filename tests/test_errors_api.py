@@ -1,5 +1,10 @@
 """Tests for the exception hierarchy and the public package surface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -52,7 +57,7 @@ class TestHierarchy:
 
 class TestPublicSurface:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -84,6 +89,18 @@ class TestPublicSurface:
         ):
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+
+    def test_import_loads_no_bench_code(self):
+        """A fresh ``import repro`` then ``import repro.cli`` loads no
+        benchmark module: wall-clock benchmarking lives in ``perfbench/``."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; import repro; import repro.cli; print(*sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert [m for m in proc.stdout.split() if "bench" in m] == []
 
     def test_table1_importable_from_root(self):
         assert len(repro.TABLE1) == 7

@@ -1,5 +1,7 @@
 """Tests for the graph family generators."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -71,10 +73,151 @@ _GENERATORS = {
 _ids = [f"{name}{args}" for name, args in GENERATOR_CALLS]
 
 
+# --------------------------------------------------------------------- #
+# Oracle builders: the original networkx construction path, kept
+# executable as the reference the closed-form generators must equal.
+# Each builds a networkx graph, labels it, and re-checks the full
+# structural contract in the validating constructor.
+# --------------------------------------------------------------------- #
+
+def _np_rng(seed):
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def _oracle_ring(n, seed=None):
+    if seed is not None:
+        return PortLabeledGraph.from_networkx(nx.cycle_graph(n), rng=_np_rng(seed))
+    return PortLabeledGraph(
+        {u: {1: ((u + 1) % n, 2), 2: ((u - 1) % n, 1)} for u in range(n)}
+    )
+
+
+def _oracle_path(n, seed=None):
+    return PortLabeledGraph.from_networkx(nx.path_graph(n), rng=_np_rng(seed))
+
+
+def _oracle_clique(n, seed=None):
+    if seed is not None:
+        return PortLabeledGraph.from_networkx(nx.complete_graph(n), rng=_np_rng(seed))
+    return PortLabeledGraph(
+        {u: {p: ((u + p) % n, n - p) for p in range(1, n)} for u in range(n)}
+    )
+
+
+def _oracle_star(n, seed=None):
+    return PortLabeledGraph.from_networkx(nx.star_graph(n - 1), rng=_np_rng(seed))
+
+
+def _oracle_hypercube(dim, seed=None):
+    if seed is not None:
+        g = nx.convert_node_labels_to_integers(nx.hypercube_graph(dim), ordering="sorted")
+        return PortLabeledGraph.from_networkx(g, rng=_np_rng(seed))
+    n = 1 << dim
+    return PortLabeledGraph(
+        {u: {p: (u ^ (1 << (p - 1)), p) for p in range(1, dim + 1)} for u in range(n)}
+    )
+
+
+def _oracle_torus(rows, cols, seed=None):
+    if seed is not None:
+        g = nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(rows, cols, periodic=True), ordering="sorted"
+        )
+        return PortLabeledGraph.from_networkx(g, rng=_np_rng(seed))
+    idx = lambda r, c: (r % rows) * cols + (c % cols)  # noqa: E731
+    return PortLabeledGraph(
+        {
+            idx(r, c): {
+                1: (idx(r + 1, c), 2),
+                2: (idx(r - 1, c), 1),
+                3: (idx(r, c + 1), 4),
+                4: (idx(r, c - 1), 3),
+            }
+            for r in range(rows)
+            for c in range(cols)
+        }
+    )
+
+
+def _oracle_complete_bipartite(a, b, seed=None):
+    return PortLabeledGraph.from_networkx(
+        nx.complete_bipartite_graph(a, b), rng=_np_rng(seed)
+    )
+
+
+def _oracle_lollipop(clique_n, path_n, seed=None):
+    return PortLabeledGraph.from_networkx(
+        nx.lollipop_graph(clique_n, path_n), rng=_np_rng(seed)
+    )
+
+
+def _oracle_random_tree(n, seed=0):
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        return PortLabeledGraph.from_edges(2, [(0, 1)])
+    prufer = [int(rng.integers(0, n)) for _ in range(n - 2)]
+    return PortLabeledGraph.from_networkx(nx.from_prufer_sequence(prufer), rng=rng)
+
+
+def _oracle_random_connected(n, seed=0, avg_degree=3.0):
+    rng = np.random.default_rng(seed)
+    tree = (
+        nx.from_prufer_sequence([int(rng.integers(0, n)) for _ in range(n - 2)])
+        if n > 2
+        else nx.path_graph(n)
+    )
+    g = nx.Graph(tree)
+    extra = max(0, int(n * avg_degree / 2) - (n - 1))
+    tries = 0
+    while extra > 0 and tries < 50 * n:
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        tries += 1
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v)
+            extra -= 1
+    return PortLabeledGraph.from_networkx(g, rng=rng)
+
+
+def _oracle_erdos_renyi(n, p, seed=0):
+    prob = p
+    for attempt in range(64):
+        g = nx.gnp_random_graph(n, prob, seed=seed + attempt)
+        if nx.is_connected(g):
+            return PortLabeledGraph.from_networkx(g, rng=_np_rng(seed))
+        prob = min(1.0, prob * 1.25)
+    raise RuntimeError("unreachable at test sizes")
+
+
+def _oracle_random_regular(n, d, seed=0):
+    for attempt in range(64):
+        g = nx.random_regular_graph(d, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            return PortLabeledGraph.from_networkx(g, rng=_np_rng(seed))
+    raise RuntimeError("unreachable at test sizes")
+
+
+#: Generator name -> oracle builder with the same signature.
+ORACLES = {
+    "ring": _oracle_ring,
+    "path": _oracle_path,
+    "clique": _oracle_clique,
+    "star": _oracle_star,
+    "hypercube": _oracle_hypercube,
+    "torus": _oracle_torus,
+    "complete_bipartite": _oracle_complete_bipartite,
+    "lollipop": _oracle_lollipop,
+    "random_tree": _oracle_random_tree,
+    "random_connected": _oracle_random_connected,
+    "erdos_renyi": _oracle_erdos_renyi,
+    "random_regular": _oracle_random_regular,
+}
+
+
 class TestGeneratorEquivalence:
     """The networkx-free generators must be indistinguishable from the
-    PR-1 networkx-built graphs: full validation, round-trips, and ``==``
-    to the oracle path for fixed seeds."""
+    networkx-built graphs: full validation, round-trips, and ``==`` to
+    the oracle path for fixed seeds."""
 
     @pytest.mark.parametrize("name,args", GENERATOR_CALLS, ids=_ids)
     def test_output_passes_full_validation(self, name, args):
@@ -85,8 +228,6 @@ class TestGeneratorEquivalence:
 
     @pytest.mark.parametrize("name,args", GENERATOR_CALLS, ids=_ids)
     def test_matches_networkx_oracle(self, name, args):
-        from repro.analysis.graphbench import ORACLES
-
         assert _GENERATORS[name](*args) == ORACLES[name](*args)
 
     @pytest.mark.parametrize("name,args", GENERATOR_CALLS, ids=_ids)

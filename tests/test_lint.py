@@ -113,13 +113,6 @@ class TestFixtures:
         golden = json.loads((FIXTURES / "golden.json").read_text())
         assert [f.to_dict() for f in bad_findings] == golden
 
-    def test_benchmark_path_is_wallclock_exempt(self):
-        # good/repro/analysis/benchmark.py reads perf_counter twice and
-        # must stay silent purely by virtue of its path.
-        hits = findings_for(GOOD / "repro" / "analysis" / "benchmark.py",
-                            select=["no-wallclock-in-records"])
-        assert hits == []
-
 
 class TestPragmas:
     def test_line_pragma_suppresses(self, tmp_path):

@@ -1,29 +1,20 @@
 #!/usr/bin/env python3
-"""Load generator for the serve subsystem (stdlib only).
+"""Serve-subsystem smoke check (stdlib only; the CI serve job).
 
-Two modes:
+Boots the real serve stack on an ephemeral port with a fresh temporary
+store, runs a cold+warm request pair (asserting the warm answer
+performed zero additional computations and returned identical
+records), reads one complete SSE stream, and checks ``/healthz`` +
+``/stats``.  Exit 0 on success, 1 with a reason on any failure::
 
-* **Default (benchmark)** — boots the real serve stack on an ephemeral
-  port with a fresh temporary store, drives the cold / warm / deduped
-  workloads through :func:`repro.analysis.servebench.run_serve_benchmark`,
-  prints the requests/sec + p50/p99 latency table, and writes the
-  ``benchmarks/BENCH_serve.json`` baseline gated by
-  ``check_regression.py``::
+    python tools/load_serve.py
 
-      python tools/load_serve.py --repeats 3
-
-* **``--smoke``** — the CI serve job: boots the server, runs a
-  cold+warm request pair (asserting the warm answer performed zero
-  additional computations and returned identical records), reads one
-  complete SSE stream, and checks ``/healthz`` + ``/stats``.  Exit 0
-  on success, 1 with a reason on any failure.
-
-Both modes are self-booting; no external server required.
+Self-booting; no external server required.  Throughput and latency of
+the serve path are measured by ``perfbench/`` (workload ``serve``).
 """
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
 import shutil
@@ -34,10 +25,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.servebench import (  # noqa: E402
-    format_serve_report,
-    run_serve_benchmark,
-)
 from repro.analysis.store import RunStore  # noqa: E402
 from repro.serve import ServerThread  # noqa: E402
 
@@ -129,37 +116,5 @@ def smoke() -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI smoke: cold+warm pair and one SSE stream")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=int, default=1,
-                        help="best-of timing repeats (default: 1)")
-    parser.add_argument("--cells", type=int, default=6)
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--dedup-clients", type=int, default=8)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--out", default=str(REPO_ROOT / "benchmarks" / "BENCH_serve.json"),
-                        help="baseline output path ('' to skip writing)")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        return smoke()
-
-    payload = run_serve_benchmark(
-        seed=args.seed, repeats=args.repeats, cells=args.cells,
-        clients=args.clients, dedup_clients=args.dedup_clients,
-        workers=args.workers,
-    )
-    print(format_serve_report(payload))
-    if args.out:
-        from repro.analysis.benchmark import write_bench_json
-
-        write_bench_json(payload, args.out)
-        print(f"wrote {args.out}")
-    return 0 if payload["all_identical"] else 1
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(smoke())
