@@ -92,17 +92,68 @@ def ghost_squatter(api: ByzantineAPI, rng, period: int = 3) -> Iterator[Action]:
 
     The canonical Step 4 trigger: the same ID observed settled at two
     different nodes proves it Byzantine, and honest robots blacklist it.
+    Each relocation port equals numpy's ``int(rng.integers(1, degree +
+    1))``, value for value; the draws come from :func:`_port_draws`,
+    so ``rng`` must serve this program alone.
     """
+    draw_port = _port_draws(rng)
     api.set_state(SETTLED)
     r = 0
     while True:
         r += 1
-        if r % period == 0 and api.degree() > 0:
-            port = int(rng.integers(1, api.degree() + 1))
+        if r % period == 0 and (deg := api.degree()) > 0:
+            port = draw_port(deg)
             api.set_state(SETTLED)
             yield Move(port)
         else:
             yield STAY
+
+
+#: Raw 64-bit words :func:`_port_draws` fetches per refill.
+_RAW_BLOCK = 64
+
+
+def _port_draws(rng: np.random.Generator) -> Callable[[int], int]:
+    """Return ``draw(d)``, equal to ``int(rng.integers(1, d + 1))`` for
+    every ``1 <= d <= 2**32``, draw for draw.
+
+    A scalar ``rng.integers`` call spends ~2 µs in numpy's argument
+    handling.  For a PCG64 generator this reproduces its draws from raw
+    words fetched in blocks instead: each 64-bit word is two
+    ``next_uint32`` outputs, low half first (a half the generator has
+    already buffered comes first), and each draw is Lemire's bounded
+    method with numpy's rejection threshold ``(2**32 - d) % d``;
+    ``d == 1`` consumes nothing, as in numpy.  The blocks run ahead of
+    the draws, so ``rng`` must not be drawn from any other way once
+    ``draw`` is in use.  Other bit generators get ``rng.integers``.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        return lambda d: int(rng.integers(1, d + 1))
+    next_half = _pcg64_uint32s(bitgen).__next__
+
+    def draw(d: int) -> int:
+        if d == 1:
+            return 1
+        m = next_half() * d
+        if (m & 0xFFFFFFFF) < d:
+            threshold = (0x100000000 - d) % d
+            while (m & 0xFFFFFFFF) < threshold:
+                m = next_half() * d
+        return 1 + (m >> 32)
+
+    return draw
+
+
+def _pcg64_uint32s(bitgen: np.random.PCG64) -> Iterator[int]:
+    """PCG64's ``next_uint32`` stream, from :meth:`random_raw` blocks."""
+    state = bitgen.state
+    if state["has_uint32"]:
+        yield state["uinteger"]
+    while True:
+        for word in bitgen.random_raw(_RAW_BLOCK).tolist():
+            yield word & 0xFFFFFFFF
+            yield word >> 32
 
 
 def flag_spammer(api: ByzantineAPI, rng) -> Iterator[Action]:

@@ -44,7 +44,7 @@ class _SeedReadPaths:
         me = self._robot
         views = [
             PublicView(claimed_id=r.claimed_id, state=r.state, flag=r.flag)
-            for r in self._world._by_node.get(me.node, ())
+            for r in self._world._node_index().get(me.node, ())
             if r is not me
         ]
         views.sort(key=lambda v: v.claimed_id)
@@ -192,9 +192,12 @@ class ReferenceWorld(World):
         self.round += 1
 
         # Fast-forward: if every live robot is dormant, jump to the first
-        # round anyone wakes (never past ``limit``) in one step.
+        # round anyone wakes (never past ``limit``) in one step — only
+        # while an honest robot is live (after that, ``run`` stops).
         live = [r for r in self.robots.values() if not r.terminated]
-        if live and all(r.sleep_until > self.round for r in live):
+        if any(not r.byzantine for r in live) and all(
+            r.sleep_until > self.round for r in live
+        ):
             wake = min(r.sleep_until for r in live)
             if limit is not None:
                 wake = min(wake, limit)

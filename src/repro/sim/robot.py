@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ProtocolViolation, SimulationError
 
@@ -49,11 +49,36 @@ SETTLED = "Settled"
 _CLAIMED_KEY = attrgetter("claimed_id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Move:
-    """End the round by crossing the edge at the given local port."""
+    """End the round by crossing the edge at the given local port.
+
+    ``Move(p)`` with an ``int`` port returns one shared instance per
+    port, the way programs share :data:`STAY`: movers then allocate
+    nothing.  Identity is an optimisation, never a contract; compare
+    moves with ``==``.  Subclasses and non-``int`` ports get a fresh
+    instance, as before.
+    """
 
     port: int
+
+    def __new__(cls, port: int) -> "Move":
+        shared = cls is Move and type(port) is int
+        move = _MOVES.get(port) if shared else None
+        if move is None:
+            move = object.__new__(cls)
+            object.__setattr__(move, "port", port)  # frozen: bypass __setattr__
+            if shared:
+                _MOVES[port] = move
+        return move
+
+    def __getnewargs__(self) -> Tuple[int]:
+        # pickle and copy rebuild through ``__new__``, which needs the port.
+        return (self.port,)
+
+
+#: The shared :class:`Move` of each ``int`` port, filled on first use.
+_MOVES: Dict[int, Move] = {}
 
 
 @dataclass(frozen=True)
@@ -115,7 +140,6 @@ class Robot:
         "moves_made",
         "pending_action",
         "sleep_until",
-        "_seq",
         "_view_cache",
         "start_view",
         "start_view_round",
@@ -144,7 +168,6 @@ class Robot:
         self.moves_made = 0
         self.pending_action: Optional[Action] = None
         self.sleep_until = 0  # robot is dormant while world.round < sleep_until
-        self._seq = 0  # world-assigned insertion rank (index ordering)
         self._view_cache: Optional[PublicView] = None
         # Copy-on-write round-start record: raw fields captured just
         # before the first public-record mutation of a round (allocation
@@ -247,7 +270,7 @@ class RobotAPI:
         me = self._robot
         views = [
             r.view()
-            for r in self._world._by_node.get(me.node, ())
+            for r in self._world._node_index().get(me.node, ())
             if r is not me
         ]
         views.sort(key=_CLAIMED_KEY)
@@ -270,7 +293,7 @@ class RobotAPI:
         world = self._world
         rnd = world.round
         views = []
-        for r in world._by_node.get(me.node, ()):
+        for r in world._node_index().get(me.node, ()):
             if r is me:
                 continue
             views.append(r._start_view() if r.start_view_round == rnd else r.view())

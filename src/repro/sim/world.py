@@ -26,9 +26,11 @@ Hot-path engineering (see PERFORMANCE.md for measurements):
   captured just before the first public-record mutation of a round.
 * The sub-round order is **cached** and re-sorted only after a claimed-ID
   change, a termination, or a robot addition — not every round.
-* The node index is updated **incrementally**: only robots that actually
-  moved are relocated (lists stay in insertion-rank order, matching a
-  full rebuild bit for bit).
+* The node index is **rebuilt on read**: movement, teleports and
+  additions only mark it stale, and the first observation after that
+  regroups ``world.robots`` in insertion order (the one builder,
+  :meth:`World._rebuild_index`, that the reference engine calls after
+  every move).  Rounds that move but observe nothing pay nothing.
 * Board dictionaries are recycled on message-free rounds instead of being
   reallocated; a shared immutable empty mapping stands in for decayed
   previous-round boards.
@@ -82,9 +84,6 @@ ProgramFactory = Callable[[RobotAPI], Iterator[Action]]
 
 #: Sub-round rank (the paper's "robot of rank Y waits until sub-round Y").
 _ORDER_KEY = attrgetter("claimed_id", "true_id")
-#: Insertion rank — reproduces the robots-dict iteration order inside
-#: per-node index lists, so incremental updates match a full rebuild.
-_SEQ_KEY = attrgetter("_seq")
 
 #: Shared stand-in for a decayed (empty) previous-round board.  Never
 #: mutated by the simulator; treat it as read-only from the outside too.
@@ -153,11 +152,13 @@ class World:
         self.board_current: Dict[int, List[Tuple[int, Any]]] = {}
         self.board_previous: Dict[int, List[Tuple[int, Any]]] = {}
         self.trace = Trace(keep_events=keep_trace)
-        self._by_node: Dict[int, List[Robot]] = {}
+        #: ``node -> robots there`` in insertion order; ``None`` while
+        #: stale (after a move, teleport or addition).  Read it through
+        #: :meth:`_node_index`, which rebuilds a stale index.
+        self._by_node: Optional[Dict[int, List[Robot]]] = {}
         self._order: List[Robot] = []
         self._order_dirty = True
         self._in_step = False
-        self._seq_counter = 0
         #: Honest robots whose program has not returned yet; kept by
         #: ``add_robot`` and ``step`` so ``all_honest_done`` is O(1).
         self._honest_live = 0
@@ -184,12 +185,10 @@ class World:
         if not (0 <= node < self.graph.n):
             raise SimulationError(f"node {node} out of range")
         robot = Robot(true_id=true_id, node=node, program=iter(()), byzantine=byzantine)
-        robot._seq = self._seq_counter
-        self._seq_counter += 1
         api = (self._byzantine_api_cls if byzantine else self._api_cls)(self, robot)
         robot.program = program_factory(api)
         self.robots[true_id] = robot
-        self._by_node.setdefault(node, []).append(robot)
+        self._by_node = None
         self._order_dirty = True
         if not byzantine:
             self._honest_live += 1
@@ -211,7 +210,7 @@ class World:
         Returns an immutable tuple: the underlying index must never be
         mutated by callers.
         """
-        return tuple(self._by_node.get(node) or ())
+        return tuple(self._node_index().get(node) or ())
 
     # ------------------------------------------------------------------ #
     # Round-start snapshot (lazy)
@@ -332,13 +331,11 @@ class World:
             self._in_step = False
             self.activations += activations
 
-        # Task (ii): simultaneous movement, applied incrementally to the
-        # node index (only movers relocate; lists keep insertion rank).
+        # Task (ii): simultaneous movement.  The node index goes stale;
+        # the next observation rebuilds it.
         if movers:
             if not keep_events:
                 trace.counters["move"] += len(movers)
-            by_node = self._by_node
-            touched = set()
             for robot, port in movers:
                 src = robot.node
                 dest, in_port = ports[src][port - 1]  # port validated above
@@ -349,18 +346,7 @@ class World:
                 robot.node = dest
                 robot.arrival_port = in_port
                 robot.moves_made += 1
-                lst = by_node[src]
-                lst.remove(robot)
-                if not lst:
-                    del by_node[src]
-                dlst = by_node.get(dest)
-                if dlst is None:
-                    by_node[dest] = [robot]
-                else:
-                    dlst.append(robot)
-                    touched.add(dest)
-            for node in sorted(touched):
-                by_node[node].sort(key=_SEQ_KEY)
+            self._by_node = None
 
         # Board decay: this round's board becomes readable for one more
         # round; on message-free rounds the empty dict is recycled.
@@ -376,10 +362,17 @@ class World:
         # Fast-forward: if every live robot is dormant, jump to the first
         # round anyone wakes (or to ``limit``) in one step.  Equivalent to
         # stepping (dormant robots observe nothing and boards decay to
-        # empty after a round).  Never under a scheduler: skipped rounds
-        # would skip its RNG draws and fairness/outage clocks, changing
-        # activation semantics.
-        if scheduler is None and not ff_blocked and ff_min > nxt + 1:
+        # empty after a round).  Only while an honest robot is live: once
+        # the last one terminates, ``run`` stops at the next round, and a
+        # jump would overshoot it.  Never under a scheduler: skipped
+        # rounds would skip its RNG draws and fairness/outage clocks,
+        # changing activation semantics.
+        if (
+            scheduler is None
+            and not ff_blocked
+            and ff_min > nxt + 1
+            and self._honest_live > 0
+        ):
             if limit is not None and ff_min > limit:
                 ff_min = limit
             if ff_min > nxt + 1:
@@ -442,12 +435,10 @@ class World:
     def teleport(self, true_id: int, node: int) -> None:
         """Simulator-side relocation (enacting an oracle phase outcome)."""
         robot = self.robots[true_id]
-        src = robot.node
-        self.trace.record(self.round, "teleport", robot=true_id, src=src, dst=node)
+        self.trace.record(self.round, "teleport", robot=true_id, src=robot.node, dst=node)
         robot.node = node
         robot.arrival_port = None
-        if node != src:
-            self._reindex_robot(robot, src, node)
+        self._by_node = None
 
     # ------------------------------------------------------------------ #
     # Messaging internals (used by RobotAPI)
@@ -473,29 +464,30 @@ class World:
         """Current ``true_id -> node`` for every robot."""
         return {rid: r.node for rid, r in self.robots.items()}
 
-    def _reindex_robot(self, robot: Robot, src: int, dest: int) -> None:
-        """Relocate one robot in the node index, preserving insertion rank."""
-        by_node = self._by_node
-        lst = by_node.get(src)
-        if lst is not None:
-            try:
-                lst.remove(robot)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            if not lst:
-                del by_node[src]
-        dlst = by_node.get(dest)
-        if dlst is None:
-            by_node[dest] = [robot]
-        else:
-            dlst.append(robot)
-            if len(dlst) > 1:
-                dlst.sort(key=_SEQ_KEY)
+    def _node_index(self) -> Dict[int, List[Robot]]:
+        """The ``node -> robots`` index, rebuilt first if stale.
 
-    def _rebuild_index(self) -> None:
-        """Full node-index rebuild (reference path; the hot path updates
-        incrementally and must stay equivalent to this)."""
+        Valid for the rest of the round: positions change only at round
+        end (movement is simultaneous) and by ``teleport`` between
+        rounds, and both mark the index stale.
+        """
+        index = self._by_node
+        if index is None:
+            index = self._rebuild_index()
+        return index
+
+    def _rebuild_index(self) -> Dict[int, List[Robot]]:
+        """Group ``world.robots`` by node, in insertion order.
+
+        The one index builder: :class:`World` calls it on the first read
+        after a move, the reference engine after every move.
+        """
         index: Dict[int, List[Robot]] = {}
         for r in self.robots.values():
-            index.setdefault(r.node, []).append(r)
+            lst = index.get(r.node)
+            if lst is None:
+                index[r.node] = [r]
+            else:
+                lst.append(r)
         self._by_node = index
+        return index

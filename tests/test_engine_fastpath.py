@@ -1,20 +1,22 @@
 """The optimized engine must be indistinguishable from the reference.
 
 ``World.step`` took four optimizations (lazy snapshot, cached sub-round
-order, incremental node index, recycled boards); ``ReferenceWorld`` keeps
-the original straight-line implementation as executable specification.
-These tests run rich mixed scenarios through both and require identical
-traces, positions, and round accounting — plus pin the individual
-fast-path behaviours (sleep fast-forwarding, board decay, tuple index
-views) the optimizations lean on.  Worlds keep only counters by default,
-so every event-by-event comparison builds both sides with
+order, a node index rebuilt on read, recycled boards); ``ReferenceWorld``
+keeps the original straight-line implementation as executable
+specification.  These tests run rich mixed scenarios through both and
+require identical traces, positions, and round accounting — plus pin the
+individual fast-path behaviours (sleep fast-forwarding, board decay,
+tuple index views) the optimizations lean on.  Worlds keep only counters
+by default, so every event-by-event comparison builds both sides with
 ``keep_trace=True``.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs import random_connected, ring
 from repro.sim import (
+    STAY,
     Move,
     ReferenceWorld,
     Sleep,
@@ -340,6 +342,34 @@ class TestSleepFastForward:
         assert full_trace(w_opt) == full_trace(w_ref)
 
 
+    @pytest.mark.parametrize("engine", [World, ReferenceWorld])
+    def test_sleeping_byzantine_does_not_outlive_honest_robots(self, engine):
+        """Once the last honest robot terminates, ``run`` stops at the next
+        round even if a Byzantine robot sleeps: the fast-forward must not
+        jump to its wake round (or the deadline) first."""
+
+        def honest(api):
+            yield STAY
+            yield STAY
+
+        def sleeping(api):
+            while True:
+                yield Sleep(1000)
+
+        def staying(api):
+            while True:
+                yield STAY
+
+        rounds = []
+        for byzantine in (sleeping, staying):
+            w = engine(ring(4))
+            w.add_robot(1, 0, honest)
+            w.add_robot(2, 1, byzantine, byzantine=True)
+            assert w.run(max_rounds=500)
+            rounds.append(w.round)
+        assert rounds == [3, 3]
+
+
 class TestIndexSafety:
     def test_robots_at_returns_tuple(self):
         w = World(ring(4))
@@ -395,3 +425,78 @@ class TestLazySnapshotProperty:
             for _ in range(15):
                 w.step()
         assert seen_opt == seen_ref
+
+
+#: One graph for the node-index property: mixed degrees, seven nodes.
+_INDEX_GRAPH = random_connected(7, seed=3)
+_INDEX_NODES = range(_INDEX_GRAPH.n)
+_MAX_ROBOTS = 8
+
+#: Index operations.  A step assigns each robot an action code: code % 5
+#: picks a port (0 = stay) and codes >= 5 also observe during the round.
+_INDEX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(_INDEX_NODES)),
+        st.tuples(
+            st.just("step"),
+            st.lists(st.integers(0, 9), max_size=_MAX_ROBOTS),
+        ),
+        st.tuples(
+            st.just("teleport"),
+            st.integers(0, _MAX_ROBOTS - 1),
+            st.sampled_from(_INDEX_NODES),
+        ),
+        st.tuples(st.just("read")),
+    ),
+    max_size=30,
+)
+
+
+def _scripted(plan, log):
+    """Play ``plan[id]`` each round, logging observations when asked."""
+
+    def program(api):
+        while True:
+            code = plan.get(api.id, 0)
+            if code >= 5:
+                log.append((
+                    api.round,
+                    api.id,
+                    [(v.claimed_id, v.state) for v in api.colocated()],
+                    [v.claimed_id for v in api.colocated_at_round_start()],
+                ))
+            port = code % 5
+            yield Move((port - 1) % api.degree() + 1) if port else STAY
+
+    return program
+
+
+class TestNodeIndex:
+    @settings(max_examples=60)
+    @given(ops=_INDEX_OPS)
+    def test_index_equals_a_fresh_grouping_and_the_reference(self, ops):
+        """Across adds, moves, teleports and reads, ``robots_at`` equals a
+        from-scratch grouping of ``world.robots`` in insertion order, and
+        ``World`` stays fingerprint-identical to ``ReferenceWorld``."""
+        plan = {}
+        logs = ([], [])
+        worlds = (
+            World(_INDEX_GRAPH),
+            ReferenceWorld(_INDEX_GRAPH),
+        )
+        for op in ops:
+            for w, log in zip(worlds, logs):
+                if op[0] == "add" and len(w.robots) < _MAX_ROBOTS:
+                    w.add_robot(len(w.robots) + 1, op[1], _scripted(plan, log))
+                elif op[0] == "teleport" and w.robots:
+                    w.teleport(op[1] % len(w.robots) + 1, op[2])
+                elif op[0] == "read":
+                    for v in _INDEX_NODES:
+                        expected = [r for r in w.robots.values() if r.node == v]
+                        assert list(w.robots_at(v)) == expected
+                elif op[0] == "step":
+                    plan.clear()
+                    plan.update(enumerate(op[1], start=1))
+                    w.step()
+            assert fingerprint(worlds[0]) == fingerprint(worlds[1])
+        assert logs[0] == logs[1]

@@ -57,7 +57,7 @@ class TestHierarchy:
 
 class TestPublicSurface:
     def test_version(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "1.10.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -90,9 +90,9 @@ class TestPublicSurface:
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
 
-    def test_import_loads_no_bench_code(self):
-        """A fresh ``import repro`` then ``import repro.cli`` loads no
-        benchmark module: wall-clock benchmarking lives in ``perfbench/``."""
+    @staticmethod
+    def _modules_after_import():
+        """Module names a fresh ``import repro; import repro.cli`` loads."""
         src = pathlib.Path(repro.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -100,7 +100,18 @@ class TestPublicSurface:
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert [m for m in proc.stdout.split() if "bench" in m] == []
+        return proc.stdout.split()
+
+    def test_import_loads_no_bench_code(self):
+        """A fresh ``import repro`` then ``import repro.cli`` loads no
+        benchmark module: wall-clock benchmarking lives in ``perfbench/``."""
+        assert [m for m in self._modules_after_import() if "bench" in m] == []
+
+    def test_import_loads_no_networkx(self):
+        """networkx loads only when a random family or an nx conversion
+        needs it, not on ``import repro`` or ``import repro.cli``."""
+        modules = self._modules_after_import()
+        assert [m for m in modules if m.split(".")[0] == "networkx"] == []
 
     def test_table1_importable_from_root(self):
         assert len(repro.TABLE1) == 7

@@ -630,8 +630,10 @@ class TestCLI:
         assert "status           : ok" in out
         # Corrupt the entry on disk; verify now fails, --repair heals.
         shard = store._shard_path(key)
-        data = open(shard, "rb").read().replace(b'{"v":1}', b'{"v":7}')
-        open(shard, "wb").write(data)
+        with open(shard, "rb") as fh:
+            data = fh.read().replace(b'{"v":1}', b'{"v":7}')
+        with open(shard, "wb") as fh:
+            fh.write(data)
         assert main(["store", "verify", path]) == 1
         assert main(["store", "verify", path, "--repair"]) == 0
         assert main(["store", "verify", path]) == 0

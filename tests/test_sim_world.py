@@ -1,5 +1,9 @@
 """Tests for the synchronous simulator: sub-rounds, movement, messages."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ProtocolViolation, SimulationError
@@ -192,6 +196,47 @@ class TestRounds:
     def test_unknown_model_rejected(self):
         with pytest.raises(SimulationError):
             World(ring(3), model="chaotic")
+
+
+class TestMoveAction:
+    def test_move_is_shared_per_port(self):
+        assert Move(3) is Move(3)
+        assert Move(port=3) is Move(3)
+        assert Move(3) is not Move(4)
+
+    def test_value_semantics_unchanged(self):
+        assert Move(3) == Move(3) and Move(3) != Move(4)
+        assert hash(Move(3)) == hash(Move(3))
+        assert {Move(3), Move(3), Move(4)} == {Move(3), Move(4)}
+        assert repr(Move(3)) == "Move(port=3)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Move(3).port = 4
+        assert Move(3).port == 3
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        back = pickle.loads(pickle.dumps(Move(3), protocol=protocol))
+        assert back == Move(3) and type(back) is Move
+
+    def test_copy_and_replace_round_trip(self):
+        assert copy.copy(Move(3)) == Move(3)
+        assert copy.deepcopy(Move(3)) == Move(3)
+        assert copy.deepcopy([Move(2), Move(2)]) == [Move(2), Move(2)]
+        assert dataclasses.replace(Move(3), port=4) == Move(4)
+        assert Move(3).port == 3
+
+    def test_subclass_and_non_int_ports_are_not_shared(self):
+        nudge = _Nudge(3)
+        assert type(nudge) is _Nudge and nudge.port == 3
+        assert nudge is not Move(3) and nudge is not _Nudge(3)
+        assert nudge != Move(3)  # dataclass equality compares classes
+        back = pickle.loads(pickle.dumps(nudge))
+        assert type(back) is _Nudge and back == nudge
+        assert Move(True) is not Move(1) and Move(True) == Move(1)
+
+
+class _Nudge(Move):
+    """A ``Move`` subclass (module level, so pickle can find it)."""
 
 
 class TestMessaging:

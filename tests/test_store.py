@@ -85,7 +85,8 @@ class TestRunStore:
         key = "ef" + "0" * 62
         store.put(key, [{"x": 1}])
         assert os.path.exists(os.path.join(store.path, "shard-ef.jsonl"))
-        meta = json.load(open(os.path.join(store.path, "meta.json")))
+        with open(os.path.join(store.path, "meta.json")) as fh:
+            meta = json.load(fh)
         assert meta == {"format": "repro-run-store", "schema_version": SCHEMA_VERSION}
 
     def test_torn_final_line_is_skipped(self, tmp_path):
@@ -307,8 +308,10 @@ class TestStoreMaintenance:
         assert report["stale_lines"] == 1 and report["corrupt"] == 0
         # Corrupt key_b's line on disk: verify names it.
         shard = store._shard_path(key_b)
-        data = open(shard, "rb").read().replace(b'{"v":2}', b'{"v":8}')
-        open(shard, "wb").write(data)
+        with open(shard, "rb") as fh:
+            data = fh.read().replace(b'{"v":2}', b'{"v":8}')
+        with open(shard, "wb") as fh:
+            fh.write(data)
         report = store.verify()
         assert report["ok"] is False
         assert report["corrupt_keys"] == [key_b]
@@ -320,8 +323,10 @@ class TestStoreMaintenance:
         store.put(key_a, [{"v": 1}])
         store.put(key_b, [{"v": 2}])
         shard = store._shard_path(key_b)
-        data = open(shard, "rb").read().replace(b'{"v":2}', b'{"v":8}')
-        open(shard, "wb").write(data)
+        with open(shard, "rb") as fh:
+            data = fh.read().replace(b'{"v":2}', b'{"v":8}')
+        with open(shard, "wb") as fh:
+            fh.write(data)
         fixed = RunStore(tmp_path / "store")
         report = fixed.repair()
         assert report["dropped_lines"] == 1 and report["cells"] == 1

@@ -12,6 +12,7 @@ from repro.byzantine import (
     sleeper,
 )
 from repro.byzantine.adversary import choose_byzantine_ids
+from repro.byzantine.strategies import _port_draws
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs import random_connected, ring
 from repro.sim import SETTLED, Stay, World
@@ -262,3 +263,41 @@ class TestAdversaryController:
         w.add_robot(1, 0, adv.program_factory(1), byzantine=True)
         w.run(max_rounds=2)
         assert w.robots[1].moves_made == 0
+
+
+#: Degrees a port draw sees, plus numpy's edge cases: 1 (no draw at all)
+#: and bounds whose Lemire rejection rate is near one half.
+_DRAW_BOUNDS = [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 2**31 + 1, 3 * 2**30]
+
+
+class TestPortDraws:
+    """``_port_draws`` must equal numpy's scalar draw, value for value."""
+
+    @staticmethod
+    def _bounds(seed, count=400):
+        return [_DRAW_BOUNDS[(seed + 7 * i) % len(_DRAW_BOUNDS)] for i in range(count)]
+
+    def test_matches_numpy_on_pcg64(self):
+        for seed in range(100):
+            reference = np.random.default_rng((seed, 5))
+            draw = _port_draws(np.random.default_rng((seed, 5)))
+            for d in self._bounds(seed):
+                assert draw(d) == int(reference.integers(1, d + 1)), (seed, d)
+
+    def test_honours_a_buffered_half_word(self):
+        """A generator holding half of a 64-bit word serves it first."""
+        for seed in range(20):
+            reference = np.random.default_rng(seed)
+            mine = np.random.default_rng(seed)
+            for rng in (reference, mine):
+                rng.integers(0, 2**32, dtype=np.uint32)  # buffers the high half
+            assert mine.bit_generator.state["has_uint32"] == 1
+            draw = _port_draws(mine)
+            for d in self._bounds(seed, count=50):
+                assert draw(d) == int(reference.integers(1, d + 1)), (seed, d)
+
+    def test_other_bit_generators_fall_back_to_numpy(self):
+        reference = np.random.Generator(np.random.MT19937(1))
+        draw = _port_draws(np.random.Generator(np.random.MT19937(1)))
+        for d in self._bounds(1):
+            assert draw(d) == int(reference.integers(1, d + 1)), d
