@@ -10,9 +10,10 @@ simulated rows must grow super-linearly with row 4 above row 5.
 import pytest
 
 from conftest import SCALING_NS, attach
-from repro.analysis import fit_power_law, scaling_sweep
+from repro.analysis import fit_power_law
 from repro.core import get_row
 from repro.graphs import is_quotient_isomorphic, random_connected
+from repro.scenarios import scaling_grid
 
 
 def _graphs():
@@ -32,10 +33,9 @@ GRAPHS = _graphs()
 @pytest.mark.parametrize("serial", [1, 4, 5, 7])
 def bench_scaling_simulated_rows(benchmark, serial):
     """Rows with meaningful simulated rounds: measure and fit."""
-    row = get_row(serial)
 
     def sweep():
-        return scaling_sweep(row, GRAPHS, "squatter", seed=1, f_fraction_of_max=1.0)
+        return scaling_grid(serial, GRAPHS, "squatter", seed=1, f_fraction_of_max=1.0).run()
 
     records = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert all(r["success"] for r in records)
@@ -59,8 +59,8 @@ def bench_scaling_row4_above_row5(benchmark):
     """The O(n^4) (row 4) vs O(n^3) (row 5) separation grows with n."""
 
     def sweep():
-        r4 = scaling_sweep(get_row(4), GRAPHS, "idle", seed=2)
-        r5 = scaling_sweep(get_row(5), GRAPHS, "idle", seed=2)
+        r4 = scaling_grid(4, GRAPHS, "idle", seed=2).run()
+        r5 = scaling_grid(5, GRAPHS, "idle", seed=2).run()
         return r4, r5
 
     r4, r5 = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -80,8 +80,7 @@ def bench_scaling_charged_rows_track_formulas(benchmark):
     def sweep():
         out = {}
         for serial in (2, 3, 6):
-            row = get_row(serial)
-            out[serial] = scaling_sweep(row, GRAPHS, "idle", seed=3)
+            out[serial] = scaling_grid(serial, GRAPHS, "idle", seed=3).run()
         return out
 
     out = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -9,18 +9,18 @@ the round inflation relative to the all-honest run (which strategies are
 import pytest
 
 from conftest import attach
-from repro.analysis import strategy_matrix, summarize
+from repro.analysis import summarize
 from repro.byzantine import WEAK_STRATEGIES
 from repro.core import TABLE1, get_row
+from repro.scenarios import grid
 
 
 def bench_strategy_grid_weak(benchmark, bench_graph):
-    rows = [get_row(s) for s in (1, 4, 5)]
+    def matrix():
+        return grid(rows=[1, 4, 5], graphs=bench_graph, strategies=WEAK_STRATEGIES,
+                    f="max", seeds=3).run()
 
-    def grid():
-        return strategy_matrix(rows, bench_graph, WEAK_STRATEGIES, seed=3)
-
-    records = benchmark.pedantic(grid, rounds=1, iterations=1)
+    records = benchmark.pedantic(matrix, rounds=1, iterations=1)
     assert all(r["success"] for r in records), [
         (r["serial"], r["strategy"]) for r in records if not r["success"]
     ]

@@ -10,8 +10,9 @@ tolerates literally n−1.
 import pytest
 
 from conftest import attach
-from repro.analysis import success_rate, tolerance_sweep
+from repro.analysis import success_rate
 from repro.core import get_row
+from repro.scenarios import tolerance_grid
 
 WEAK_STRATEGY = "ghost_squatter"
 STRONG_STRATEGY = "impersonator"
@@ -24,7 +25,7 @@ def bench_tolerance_weak_rows(benchmark, bench_graph, serial):
     fs = sorted({0, 1, f_max // 2, f_max, f_max + 1, bench_graph.n - 1})
 
     def sweep():
-        return tolerance_sweep(row, bench_graph, fs, WEAK_STRATEGY, seed=1)
+        return tolerance_grid(serial, bench_graph, fs, WEAK_STRATEGY, seed=1).run()
 
     records = benchmark.pedantic(sweep, rounds=1, iterations=1)
     ran = [r for r in records if not r.get("rejected")]
@@ -45,7 +46,7 @@ def bench_tolerance_strong_row(benchmark, bench_graph):
     fs = list(range(0, f_max + 2))
 
     def sweep():
-        return tolerance_sweep(row, bench_graph, fs, STRONG_STRATEGY, seed=2)
+        return tolerance_grid(7, bench_graph, fs, STRONG_STRATEGY, seed=2).run()
 
     records = benchmark.pedantic(sweep, rounds=1, iterations=1)
     ran = [r for r in records if not r.get("rejected")]

@@ -13,9 +13,9 @@ Run:  python examples/scaling_study.py [n1,n2,...]
 
 import sys
 
-from repro.analysis import fit_power_law, render_table, scaling_sweep
-from repro.core import get_row
+from repro.analysis import fit_power_law, render_table
 from repro.graphs import ring
+from repro.scenarios import scaling_grid
 
 sizes = (
     tuple(int(x) for x in sys.argv[1].split(",")) if len(sys.argv) > 1
@@ -28,7 +28,7 @@ fits = {}
 for serial, label in ((4, "row 4 / Thm 3 (pairing, O(n^4))"),
                       (5, "row 5 / Thm 4 (3 groups, O(n^3))"),
                       (7, "row 7 / Thm 6 (strong, O(n^3))")):
-    records = scaling_sweep(get_row(serial), graphs, "squatter", seed=1)
+    records = scaling_grid(serial, graphs, "squatter", seed=1).run()
     assert all(r["success"] for r in records)
     ns = [r["n"] for r in records]
     totals = [r["rounds_total"] for r in records]

@@ -103,7 +103,6 @@ from .scenarios import (
     ScenarioGrid,
     grid,
     run_scenarios,
-    scheduler_matrix_grid,
 )
 from .sim import (
     SCHEDULERS,
@@ -115,7 +114,7 @@ from .sim import (
     parse_scheduler,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",
@@ -126,7 +125,6 @@ __all__ = [
     "ResultSet",
     "grid",
     "run_scenarios",
-    "scheduler_matrix_grid",
     "RunStore",
     "ExecutionPolicy",
     "DEFAULT_POLICY",

@@ -1,8 +1,9 @@
-"""Analysis: validation, metrics, complexity fits, tables, experiment sweeps.
+"""Analysis: validation, metrics, complexity fits, tables, plan execution.
 
-The four sweep entry points here are compatibility presets over the
-declarative Scenario API in :mod:`repro.scenarios` — new experiment code
-should build :class:`~repro.scenarios.ScenarioGrid`s directly.
+Sweeps are built with the declarative Scenario API in
+:mod:`repro.scenarios` (``grid()`` and its presets) and run through
+:func:`execute_plan`, re-exported here with its store and fault
+machinery.
 """
 
 from ..sim.report import dispersion_violations, is_dispersed, settlement_histogram
@@ -13,12 +14,6 @@ from .experiments import (
     SweepCell,
     cell_key_of,
     execute_plan,
-    run_table1,
-    run_table1_row,
-    scaling_sweep,
-    scheduler_matrix,
-    strategy_matrix,
-    tolerance_sweep,
 )
 from .faults import FaultPlan, FaultSpec
 from .metrics import record_from_report, success_rate, summarize
@@ -46,10 +41,4 @@ __all__ = [
     "dispersion_violations",
     "is_dispersed",
     "settlement_histogram",
-    "run_table1",
-    "run_table1_row",
-    "tolerance_sweep",
-    "scaling_sweep",
-    "scheduler_matrix",
-    "strategy_matrix",
 ]

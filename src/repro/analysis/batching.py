@@ -32,9 +32,13 @@ Fallback triggers (cells that stay on the per-cell oracle path):
   owns those rejections so error messages and ``rejected`` records stay
   bit-for-bit.
 
-Any unexpected engine error also falls back (the serial path recomputes
-the group), unless :data:`STRICT` is set — tests flip it so a batch bug
-fails loudly instead of hiding behind the fallback.
+Any unexpected engine error also falls back: the per-cell path
+recomputes the group, and ``execute_plan`` issues a ``RuntimeWarning``
+naming the group and the exception, so a fallback is never silent (the
+test suite turns that warning into an error).
+
+Records are built by :func:`repro.analysis.experiments._record`, the same
+function the per-cell path uses.
 """
 
 from __future__ import annotations
@@ -59,20 +63,13 @@ from ..sim.batch import (
     Theorem1BatchProgram,
 )
 from ..sim.report import RunReport, dispersion_violations
-from .metrics import record_from_report
+from .experiments import _record, _resolve_payload
 
 __all__ = [
-    "STRICT",
     "batchable",
     "plan_groups",
     "run_batch_group",
 ]
-
-#: When True, an engine error inside a batch group raises instead of
-#: falling back to the per-cell path.  Production default is False
-#: (batching must never turn a recoverable sweep into a crash); the
-#: batch test-suite flips it so the fallback cannot mask engine bugs.
-STRICT = False
 
 #: Strategy registry names whose observable behaviour is deterministic
 #: and position-free (never move, never consume their RNG stream) —
@@ -84,9 +81,8 @@ SUPPORTED_STRATEGIES: Dict[str, int] = {
     "flag_spammer": BYZ_FLAG_SPAMMER,
 }
 
-#: Cell kinds whose record assembly the batch path replicates exactly.
-#: ``scaling`` is excluded only because its graphs are all distinct —
-#: its groups would always be singletons.
+#: Cell kinds the batch path runs.  ``scaling`` is excluded only because
+#: its graphs are all distinct — its groups would always be singletons.
 BATCHABLE_KINDS = frozenset({"table1", "tolerance"})
 
 #: Table 1 rows with a vectorized program (row 1: Dispersion-Using-Map).
@@ -169,9 +165,6 @@ def run_batch_group(
     serial path owns rejection records and error messages), and groups
     that shrink below two runnable cells.
     """
-    # Function-local import: experiments imports this module's planner.
-    from .experiments import _resolve_payload
-
     first = cells[indices[0]]
     graph = _resolve_payload(first.payload)
     n = graph.n
@@ -264,31 +257,4 @@ def _run_theorem1_batch(
                       byz_ids=byz_ids_of[s]),
             activations=int(world.activations[s]),
         )
-        if cell.kind == "table1":
-            recs = [
-                record_from_report(
-                    report,
-                    serial=row.serial,
-                    theorem=row.theorem,
-                    running_time=row.running_time,
-                    start=row.start,
-                    strong=row.strong,
-                    strategy=cell.strategy,
-                    f=f_used,
-                    n=n,
-                    paper_bound=row.paper_bound(graph, f_used),
-                )
-            ]
-        else:  # tolerance
-            recs = [
-                record_from_report(
-                    report,
-                    serial=row.serial,
-                    theorem=row.theorem,
-                    f=cell.f,
-                    n=n,
-                    strategy=cell.strategy,
-                    rejected=False,
-                )
-            ]
-        finish(i, recs)
+        finish(i, [_record(cell.kind, row, graph, cell.strategy, f_used, report)])

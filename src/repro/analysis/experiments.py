@@ -1,26 +1,26 @@
-"""Experiment sweeps: the code behind every benchmark table and figure.
+"""The plan executor behind every sweep.
 
-Each function returns a list of flat records (see
-:mod:`repro.analysis.metrics`) that the benchmarks print via
-:mod:`repro.analysis.tables` and EXPERIMENTS.md quotes.  Keeping sweeps
-here — not in the benchmark files — makes them unit-testable and
-reusable from the examples.
+A sweep is a :class:`~repro.scenarios.ScenarioGrid` — built with
+:func:`repro.scenarios.grid` or one of its presets — that compiles to a
+list of :class:`SweepCell` values; :func:`execute_plan` runs them and
+returns each cell's flat records (see :mod:`repro.analysis.metrics`).
+A cell's ``kind`` picks its record shape, and :func:`_record` is the
+one place that knows those shapes: the per-cell path and the batch
+engine both call it, so their records cannot drift apart.
 
 Parallel execution
 ------------------
-Every sweep takes an opt-in ``workers=`` argument.  ``workers`` of
-``None``/``0``/``1`` runs serially (the default, zero overhead); larger
-values fan the sweep's independent cells out over a
+``workers`` of ``None``/``0``/``1`` runs serially (the default, zero
+overhead); larger values fan the plan's independent cells out over a
 ``concurrent.futures.ProcessPoolExecutor``.  Records come back in the
 **same order with the same values** as a serial run: cells are mapped in
-submission order (``Executor.map`` preserves it) and every cell is a
-pure function of picklable inputs (graph, row serial, strategy, seed).
+submission order and every cell is a pure function of picklable inputs
+(graph, row serial, strategy, seed).
 
 Rows are shipped to workers by *serial number* and re-resolved from the
 :data:`~repro.core.runner.TABLE1` registry in the child process (row
-objects hold lambdas, which do not pickle).  A row object that is not
-the registry's — e.g. a hand-built ``Table1Row`` in a test — silently
-falls back to serial execution for correctness.
+objects hold lambdas, which do not pickle); scenarios only name registry
+rows.
 
 Graphs are shipped the same way: a generator-built graph carries a
 :class:`~repro.graphs.specs.GraphSpec` (family name + bound arguments +
@@ -30,18 +30,23 @@ Workers resolve specs through a per-process memo cache
 graph constructs it **once per worker**, not once per cell.  Generators
 are deterministic in their arguments, so the resolved graph is ``==``
 the parent's and records stay identical to a serial run.  Hand-built
-graphs (no spec) fall back to being pickled whole, exactly the PR-1
-behaviour (that path is pinned by ``tests/test_parallel_sweeps.py``).
-``scaling_sweep`` always ships graphs: each of its graphs appears in
-exactly one cell, so the memo cannot hit and reconstructing (e.g.
-resampling a random family) in the worker would cost more than
-unpickling the CSR bytes.
+graphs (no spec) are pickled whole.  Scaling cells always ship graphs:
+each of their graphs appears in exactly one cell, so the memo cannot hit
+and reconstructing (e.g. resampling a random family) in the worker would
+cost more than unpickling the CSR bytes.
+
+Batched execution
+-----------------
+Before the per-cell paths run, compatible pending cells go through the
+struct-of-arrays engine, one group per step loop (grouping rules in
+:mod:`repro.analysis.batching`).  Batched records are byte-identical to
+per-cell ones.  If the engine raises on a group, a ``RuntimeWarning``
+names the group and the exception, and the group is recomputed per
+cell.
 
 Sweep plans and the run store
 -----------------------------
-All four public sweeps are thin wrappers that compile their grid into an
-explicit list of :class:`SweepCell` values and hand it to
-:func:`execute_plan`.  The executor optionally carries a
+The executor optionally carries a
 :class:`~repro.analysis.store.RunStore`: completed cells are streamed to
 the store **as they finish** (chunked sliding-window submission, results
 reassembled in submission order), and on a re-run with ``resume=True``
@@ -81,6 +86,7 @@ recomputes zero persisted cells.
 from __future__ import annotations
 
 import time
+import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -88,10 +94,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..byzantine.adversary import Adversary
-from ..core.runner import Table1Row, get_row, row_applicable
+from ..core.runner import Table1Row, get_row
 from ..errors import ConfigurationError, ReproError, SweepFaultError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.specs import GraphSpec, canonical_spec, graph_fingerprint, resolve_spec, spec_of
+from ..sim.report import RunReport
 from .faults import FaultPlan, FaultSpec, inject
 from .metrics import record_from_report
 from .store import RunStore, cell_key
@@ -102,13 +109,10 @@ __all__ = [
     "SweepCell",
     "cell_key_of",
     "execute_plan",
-    "run_table1_row",
-    "run_table1",
-    "tolerance_sweep",
-    "scaling_sweep",
-    "scheduler_matrix",
-    "strategy_matrix",
 ]
+
+#: Record shapes a cell can produce (see ``SweepCell.kind``).
+KINDS = ("table1", "tolerance", "scaling")
 
 #: Default ``Executor.map`` chunksize for plan execution.  1 keeps cell
 #: dispatch maximally load-balanced (the PR-1/2 behaviour); larger
@@ -117,12 +121,9 @@ __all__ = [
 DEFAULT_CHUNK = 1
 
 
-def _solver_extras(
-    placement: str, max_rounds: Optional[int], scheduler: str = "synchronous"
-) -> Dict:
-    """Non-default solver kwargs only: the default call stays bit-for-bit
-    the historical one, and hand-built rows whose solvers predate the
-    ``byz_placement``/``max_rounds``/``scheduler`` kwargs keep working."""
+def _solver_extras(placement: str, max_rounds: Optional[int], scheduler: str) -> Dict:
+    """Non-default solver kwargs only, so the default call stays
+    bit-for-bit the historical one."""
     extras: Dict = {}
     if placement != "lowest":
         extras["byz_placement"] = placement
@@ -133,60 +134,34 @@ def _solver_extras(
     return extras
 
 
-def run_table1_row(
-    row: Table1Row,
-    graph: PortLabeledGraph,
-    strategies: Sequence[str],
-    seed: int = 0,
-    f: Optional[int] = None,
-    placement: str = "lowest",
-    max_rounds: Optional[int] = None,
-    scheduler: str = "synchronous",
-) -> List[Dict]:
-    """Run one Table 1 row at its tolerance bound under several strategies."""
-    extras = _solver_extras(placement, max_rounds, scheduler)
-    f_used = row.f_max(graph) if f is None else f
-    records = []
-    for strat in strategies:
-        report = row.solver(
-            graph, f=f_used, adversary=Adversary(strat, seed=seed), seed=seed,
-            **extras,
+def _record(
+    kind: str, row: Table1Row, graph: PortLabeledGraph, strategy: str,
+    f: int, report: RunReport,
+) -> Dict:
+    """The flat record of one cell's run: the one place that knows each
+    kind's record shape, key order included.  The per-cell path and the
+    batch engine both build their records here."""
+    if kind == "table1":
+        return record_from_report(
+            report, serial=row.serial, theorem=row.theorem,
+            running_time=row.running_time, start=row.start, strong=row.strong,
+            strategy=strategy, f=f, n=graph.n,
+            paper_bound=row.paper_bound(graph, f),
         )
-        records.append(
-            record_from_report(
-                report,
-                serial=row.serial,
-                theorem=row.theorem,
-                running_time=row.running_time,
-                start=row.start,
-                strong=row.strong,
-                strategy=strat,
-                f=f_used,
-                n=graph.n,
-                paper_bound=row.paper_bound(graph, f_used),
-            )
+    if kind == "tolerance":
+        return record_from_report(
+            report, serial=row.serial, theorem=row.theorem, f=f, n=graph.n,
+            strategy=strategy, rejected=False,
         )
-    return records
+    return record_from_report(  # scaling
+        report, serial=row.serial, theorem=row.theorem, f=f, n=graph.n,
+        m=graph.m, strategy=strategy, paper_bound=row.paper_bound(graph, f),
+    )
 
 
 # --------------------------------------------------------------------- #
 # Process-parallel cell execution
 # --------------------------------------------------------------------- #
-
-def _registry_serial(row: Table1Row) -> Optional[int]:
-    """The row's serial iff it is the registry's own object (picklable by
-    reference in a worker via :func:`get_row`); ``None`` otherwise."""
-    try:
-        registered = get_row(row.serial)
-    except KeyError:
-        return None
-    return row.serial if registered is row else None
-
-
-#: When True (default), generator-built graphs are shipped to workers as
-#: their :class:`GraphSpec` instead of being pickled.  Tests flip this to
-#: pin that the PR-1 graph-pickling path still produces identical records.
-SHIP_GRAPH_SPECS = True
 
 #: What a job tuple's graph slot may hold.
 GraphPayload = Union[PortLabeledGraph, GraphSpec]
@@ -196,9 +171,7 @@ def _graph_payload(graph: PortLabeledGraph) -> GraphPayload:
     """The cheapest picklable handle for ``graph``: its spec if it came
     from a registered generator, the graph itself otherwise."""
     spec = spec_of(graph)
-    if SHIP_GRAPH_SPECS and spec is not None:
-        return spec
-    return graph
+    return graph if spec is None else spec
 
 
 def _resolve_payload(payload: GraphPayload) -> PortLabeledGraph:
@@ -217,9 +190,9 @@ def _resolve_payload(payload: GraphPayload) -> PortLabeledGraph:
 class SweepCell:
     """One independent solver invocation in a sweep plan.
 
-    ``kind`` selects the record shape: ``"table1"`` (also used by the
-    strategy matrix), ``"tolerance"`` (rejection-aware), or
-    ``"scaling"`` (adds ``m``).  ``payload`` is the graph itself or its
+    ``kind`` selects the record shape (one of :data:`KINDS`):
+    ``"table1"``, ``"tolerance"`` (rejection-aware), or ``"scaling"``
+    (adds ``m``).  ``payload`` is the graph itself or its
     :class:`GraphSpec`; the content key is identical either way, so a
     cell computed serially (graph payload) is found by a later parallel
     run (spec payload) and vice versa.  ``f=None`` means "the row's
@@ -272,33 +245,43 @@ def cell_key_of(cell: SweepCell, fingerprint=None) -> str:
 
 
 def _cell_records(cell: SweepCell) -> List[Dict]:
-    """Run one cell; module-level for pickling.  Always returns the
-    cell's record *list* (single-record kinds wrap theirs)."""
+    """Run one cell; module-level for pickling.  Returns the cell's
+    record list (one record).
+
+    A :class:`~repro.errors.ReproError` from the solver — the driver
+    enforcing its theorem's bound — becomes a ``rejected`` record for
+    the tolerance kind and propagates for the others.  Only the repro
+    hierarchy counts as a rejection: an unexpected ``TypeError`` is an
+    engine bug and must propagate, not masquerade as an out-of-tolerance
+    result.
+    """
+    if cell.kind not in KINDS:
+        raise ValueError(f"unknown cell kind {cell.kind!r}")
     row = get_row(cell.serial)
     graph = _resolve_payload(cell.payload)
-    if cell.kind == "table1":
-        return run_table1_row(
-            row, graph, [cell.strategy], seed=cell.seed, f=cell.f,
-            placement=cell.placement, max_rounds=cell.rounds,
-            scheduler=cell.scheduler,
+    f = row.f_max(graph) if cell.f is None else cell.f
+    try:
+        report = row.solver(
+            graph, f=f, adversary=Adversary(cell.strategy, seed=cell.seed),
+            seed=cell.seed,
+            **_solver_extras(cell.placement, cell.rounds, cell.scheduler),
         )
-    if cell.kind == "tolerance":
-        return [
-            _tolerance_record(
-                row, graph, cell.f, cell.strategy, cell.seed,
-                placement=cell.placement, max_rounds=cell.rounds,
-                scheduler=cell.scheduler,
-            )
-        ]
-    if cell.kind == "scaling":
-        return [
-            _scaling_record(
-                row, graph, cell.f, cell.strategy, cell.seed,
-                placement=cell.placement, max_rounds=cell.rounds,
-                scheduler=cell.scheduler,
-            )
-        ]
-    raise ValueError(f"unknown cell kind {cell.kind!r}")
+    except ReproError as exc:
+        if cell.kind != "tolerance":
+            raise
+        rec = dict(
+            serial=row.serial, theorem=row.theorem, f=f, n=graph.n,
+            strategy=cell.strategy, rejected=True, success=False,
+            rounds_simulated=0, rounds_charged=0, rounds_total=0,
+            n_violations=0, reason=type(exc).__name__,
+        )
+        if cell.scheduler != "synchronous":
+            # Keep the scheduler axis on rejections too (zero activations
+            # were granted), so per-scheduler summaries group correctly.
+            rec["scheduler"] = cell.scheduler
+            rec["activations"] = 0
+        return [rec]
+    return [_record(cell.kind, row, graph, cell.strategy, f, report)]
 
 
 def _wire_cell(cell: SweepCell) -> SweepCell:
@@ -727,7 +710,6 @@ def execute_plan(
     chunk: int = DEFAULT_CHUNK,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    batch: bool = True,
 ) -> List[List[Dict]]:
     """Execute a sweep plan; returns one record list per cell, in order.
 
@@ -741,16 +723,17 @@ def execute_plan(
     reassembled in submission order — record values and order are
     deterministic regardless of scheduling.
 
-    ``batch=True`` (default) first routes *compatible* pending cells —
-    same graph fingerprint, solver serial, strategy, scheduler, and
-    round budget, differing only in seed/``f``/placement — through the
-    struct-of-arrays engine (:mod:`repro.sim.batch`), stepping a whole
-    group per round instead of one robot at a time.  Batched records
-    are byte-identical to the per-cell path (pinned by
-    ``tests/test_batch.py``); singletons, fault-injected cells, and
-    anything :mod:`repro.analysis.batching` rules out fall back to the
-    per-cell path automatically, as does a whole group on an unexpected
-    engine error.  ``batch=False`` forces per-cell execution.
+    Compatible pending cells — same graph fingerprint, solver serial,
+    strategy, scheduler, and round budget, differing only in
+    seed/``f``/placement — first go through the struct-of-arrays engine
+    (:mod:`repro.sim.batch`), stepping a whole group per round instead
+    of one robot at a time.  Batched records are byte-identical to the
+    per-cell path (pinned by ``tests/test_batch.py`` and
+    ``tests/test_record_golden.py``); singletons, fault-injected cells,
+    and anything :mod:`repro.analysis.batching` rules out run per cell.
+    If the engine raises on a group, a ``RuntimeWarning`` names the
+    group's size, its first cell key, and the exception, and the whole
+    group is recomputed per cell.
 
     ``policy`` (default :data:`DEFAULT_POLICY`) governs the failure
     paths: per-cell timeouts, bounded retries with backoff, pool respawn
@@ -797,8 +780,8 @@ def execute_plan(
             )
         results[i] = _failure_records(cells[i], keys[i], reason, message, attempts)
 
-    if batch and len(pending) > 1:
-        from .batching import STRICT, plan_groups, run_batch_group
+    if len(pending) > 1:
+        from .batching import plan_groups, run_batch_group
 
         groups, rest = plan_groups(
             cells, pending, keys,
@@ -808,14 +791,18 @@ def execute_plan(
         for group in groups:
             try:
                 leftovers.extend(run_batch_group(cells, group, _finish))
-            # Engine trouble must never fail a sweep the per-cell
-            # path can finish: recompute the whole group serially
-            # (where ReproErrors land on their historical per-kind
-            # paths — propagate for table1, reject for tolerance).
+            # Engine trouble must never fail a sweep the per-cell path
+            # can finish: say so, then recompute the whole group per
+            # cell (where ReproErrors land on their per-kind paths —
+            # propagate for table1, reject for tolerance).
             # repro: allow-broad-except — batch-engine fallback boundary
-            except Exception:
-                if STRICT:
-                    raise
+            except Exception as exc:
+                warnings.warn(
+                    f"batch engine fallback: group of {len(group)} cell(s) "
+                    f"starting at cell {keys[group[0]]} raised "
+                    f"{type(exc).__name__}: {exc}; recomputing it per cell",
+                    RuntimeWarning, stacklevel=2,
+                )
                 leftovers.extend(group)
         pending = sorted(rest + leftovers)
 
@@ -828,240 +815,3 @@ def execute_plan(
         _execute_serial(cells, pending, keys, policy, faults,
                         _finish, _quarantine)
     return results
-
-
-def _scaling_record(
-    row: Table1Row, graph: PortLabeledGraph, f: int, strategy: str, seed: int,
-    placement: str = "lowest", max_rounds: Optional[int] = None,
-    scheduler: str = "synchronous",
-) -> Dict:
-    """One scaling-sweep record (shared by the serial and worker paths so
-    the parallel-equals-serial guarantee cannot drift)."""
-    report = row.solver(
-        graph, f=f, adversary=Adversary(strategy, seed=seed), seed=seed,
-        **_solver_extras(placement, max_rounds, scheduler),
-    )
-    return record_from_report(
-        report, serial=row.serial, theorem=row.theorem, f=f,
-        n=graph.n, m=graph.m, strategy=strategy,
-        paper_bound=row.paper_bound(graph, f),
-    )
-
-
-def _tolerance_record(
-    row: Table1Row, graph: PortLabeledGraph, f: int, strategy: str, seed: int,
-    placement: str = "lowest", max_rounds: Optional[int] = None,
-    scheduler: str = "synchronous",
-) -> Dict:
-    """Run one ``f`` value, mapping in-bound driver rejections to a
-    ``rejected`` record.  Only the repro error hierarchy is treated as a
-    rejection — an unexpected ``TypeError``/``KeyError`` is an engine bug
-    and must propagate, not masquerade as an out-of-tolerance result."""
-    try:
-        report = row.solver(
-            graph, f=f, adversary=Adversary(strategy, seed=seed), seed=seed,
-            **_solver_extras(placement, max_rounds, scheduler),
-        )
-        return record_from_report(
-            report, serial=row.serial, theorem=row.theorem, f=f,
-            n=graph.n, strategy=strategy, rejected=False,
-        )
-    except ReproError as exc:  # driver enforces the theorem's bound
-        rec = dict(
-            serial=row.serial, theorem=row.theorem, f=f, n=graph.n,
-            strategy=strategy, rejected=True, success=False,
-            rounds_simulated=0, rounds_charged=0, rounds_total=0,
-            n_violations=0, reason=type(exc).__name__,
-        )
-        if scheduler != "synchronous":
-            # Keep the scheduler axis on rejections too (zero activations
-            # were granted), so per-scheduler summaries group correctly;
-            # synchronous rejections stay byte-identical to the legacy
-            # record shape.
-            rec["scheduler"] = scheduler
-            rec["activations"] = 0
-        return rec
-
-
-# --------------------------------------------------------------------- #
-# Sweeps — compatibility presets over the Scenario API
-# --------------------------------------------------------------------- #
-#
-# The four public sweeps are kept as deprecation shims: each compiles its
-# historical signature into a ScenarioGrid preset (repro.scenarios) and
-# runs it through execute_plan, producing byte-identical records to the
-# pre-Scenario implementations.  New code should build grids directly —
-# `from repro import grid` — where every workload axis (placement, round
-# budgets, multiple graphs/seeds) is declarative instead of a new
-# parameter list.  (Imports are function-local: repro.scenarios imports
-# this module's executor.)
-
-def run_table1(
-    graph: PortLabeledGraph,
-    strategies: Sequence[str],
-    seed: int = 0,
-    serials: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
-    policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    batch: bool = True,
-) -> List[Dict]:
-    """Reproduce every applicable Table 1 row on one graph.
-
-    Deprecation shim for ``table1_grid(graph, strategies, ...).run()``.
-    ``workers > 1`` fans the (row × strategy) cells out over processes;
-    a ``store`` makes the sweep resumable and ``policy`` governs the
-    failure paths (see :func:`execute_plan`).  Record order and values
-    match a serial, store-less run exactly.
-    """
-    from ..scenarios import table1_grid
-
-    return table1_grid(graph, strategies, seed=seed, serials=serials).run(
-        workers=workers, store=store, resume=resume, chunk=chunk,
-        policy=policy, faults=faults, batch=batch,
-    )
-
-
-def tolerance_sweep(
-    row: Table1Row,
-    graph: PortLabeledGraph,
-    f_values: Sequence[int],
-    strategy: str,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
-    policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    batch: bool = True,
-) -> List[Dict]:
-    """Success vs ``f`` for one algorithm (at, below, and — where the
-    driver allows — beyond its bound; out-of-range values are recorded as
-    ``rejected`` instead of run).
-
-    Deprecation shim for ``tolerance_grid(row, graph, f_values, ...)``.
-    """
-    from ..scenarios import ResultSet, tolerance_grid
-
-    serial = _registry_serial(row)
-    if serial is None:
-        # Hand-built row: lambdas do not pickle and the registry cannot
-        # re-resolve it, so it can be neither parallelised nor cached —
-        # and this direct path bypasses the executor, so ``policy`` and
-        # ``faults`` do not apply (errors propagate as they always did).
-        return ResultSet(
-            _tolerance_record(row, graph, f, strategy, seed) for f in f_values
-        )
-    return tolerance_grid(serial, graph, f_values, strategy, seed=seed).run(
-        workers=workers, store=store, resume=resume, chunk=chunk,
-        policy=policy, faults=faults, batch=batch,
-    )
-
-
-def scaling_sweep(
-    row: Table1Row,
-    graphs: Sequence[PortLabeledGraph],
-    strategy: str,
-    seed: int = 0,
-    f_fraction_of_max: float = 1.0,
-    workers: Optional[int] = None,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
-    policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    batch: bool = True,
-) -> List[Dict]:
-    """Measured rounds vs ``n`` across a graph family, at a fixed fraction
-    of the row's tolerance (for power-law fitting against the bound).
-
-    Deprecation shim for ``scaling_grid(row, graphs, strategy, ...)``.
-    """
-    from ..scenarios import ResultSet, scaling_grid
-
-    serial = _registry_serial(row)
-    if serial is None:
-        # Hand-built row: direct serial path, no executor — ``policy``
-        # and ``faults`` do not apply (see :func:`tolerance_sweep`).
-        applicable = [g for g in graphs if row_applicable(row, g)]
-        fs = [int(row.f_max(g) * f_fraction_of_max) for g in applicable]
-        return ResultSet(
-            _scaling_record(row, g, f, strategy, seed)
-            for g, f in zip(applicable, fs)
-        )
-    return scaling_grid(
-        serial, graphs, strategy, seed=seed, f_fraction_of_max=f_fraction_of_max
-    ).run(workers=workers, store=store, resume=resume, chunk=chunk,
-          policy=policy, faults=faults, batch=batch)
-
-
-def scheduler_matrix(
-    rows: Sequence[Union[int, str, Table1Row]],
-    graph: PortLabeledGraph,
-    schedulers: Sequence[str],
-    strategy: str = "squatter",
-    seed: int = 0,
-    workers: Optional[int] = None,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
-    policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    batch: bool = True,
-) -> List[Dict]:
-    """Algorithms × activation schedulers at each row's tolerance bound.
-
-    The timing analogue of :func:`strategy_matrix`: one adversary
-    strategy, the scheduler axis varying (canonical spec strings — see
-    :mod:`repro.sim.schedulers`).  ``synchronous`` cells share their
-    store entries with every legacy sweep; non-default schedulers land
-    in distinct cells.  Summarize the result grouped by scheduler::
-
-        records = scheduler_matrix([4, 5], g,
-                                   ["synchronous", "semi_synchronous(p=0.5)"])
-        records.summarize("scheduler", missing="synchronous")
-    """
-    from ..scenarios import scheduler_matrix_grid
-
-    return scheduler_matrix_grid(
-        rows, graph, schedulers, strategy=strategy, seed=seed
-    ).run(workers=workers, store=store, resume=resume, chunk=chunk,
-          policy=policy, faults=faults, batch=batch)
-
-
-def strategy_matrix(
-    rows: Sequence[Table1Row],
-    graph: PortLabeledGraph,
-    strategies: Sequence[str],
-    seed: int = 0,
-    workers: Optional[int] = None,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
-    policy: Optional[ExecutionPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    batch: bool = True,
-) -> List[Dict]:
-    """Algorithms × strategies grid at each row's tolerance bound.
-
-    Deprecation shim for ``strategy_matrix_grid(rows, graph, ...)``.
-    """
-    from ..scenarios import ResultSet, strategy_matrix_grid
-
-    applicable = [row for row in rows if row_applicable(row, graph)]
-    if all(_registry_serial(row) is not None for row in applicable):
-        # Applicability is already filtered above; tell the grid not to
-        # redo it (for row 1 that is an O(n·m) quotient-isomorphism check).
-        return strategy_matrix_grid(
-            [row.serial for row in applicable], graph, strategies, seed=seed,
-            applicable_only=False,
-        ).run(workers=workers, store=store, resume=resume, chunk=chunk,
-              policy=policy, faults=faults, batch=batch)
-    records = ResultSet()
-    for row in applicable:
-        records.extend(run_table1_row(row, graph, strategies, seed=seed))
-    return records

@@ -7,7 +7,7 @@ configuration **plus the record-schema version**, and maps to the list
 of records the cell produced.  The executor in
 :mod:`repro.analysis.experiments` streams completed cells into the store
 as they finish and, on a re-run, skips every cell whose key is already
-present — so an interrupted ``run_table1`` over a big grid resumes where
+present — so an interrupted sweep over a big grid resumes where
 it died instead of recomputing, and a warm store answers the whole sweep
 with zero solver calls.
 

@@ -24,15 +24,18 @@ Commands
                  ``benchmarks/EVAL_<suite>.json`` results
 
 Every solver-running command (``table1``, ``run``, ``tolerance``,
-``sweep``, ``scenario``) goes through the same plan executor and accepts
-the same plan flags: ``--workers N`` fans independent cells out over
-``N`` processes (records identical to, and ordered like, a serial run);
-``--store DIR`` caches completed cells in a content-addressed run store;
-``--resume/--no-resume`` and ``--chunk`` control replay and dispatch;
-``--batch/--no-batch`` toggles the struct-of-arrays batched engine for
-compatible cells (on by default; records are byte-identical either
-way).  A re-run of any of them against a warm store answers entirely
-from disk with zero solver calls.
+``sweep``, ``scenario``) builds a scenario grid and runs it through one
+helper with the same plan flags: ``--workers N`` fans independent cells
+out over ``N`` processes (records identical to, and ordered like, a
+serial run); ``--store DIR`` caches completed cells in a
+content-addressed run store; ``--resume/--no-resume`` and ``--chunk``
+control replay and dispatch; ``--timeout``/``--retries``/``--strict``
+set the fault policy.  Compatible cells always go through the batched
+engine (records are byte-identical to per-cell runs).  A re-run of any
+of them against a warm store answers entirely from disk with zero
+solver calls.  Input the library rejects (``f`` beyond a row's bound, a
+bad flag value) exits with one ``<command> rejected: ...`` line, never
+a traceback.
 
 ``scenario`` takes a JSON file holding one scenario object or a list —
 the serialized form of :class:`repro.scenarios.Scenario` — and hits
@@ -72,15 +75,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .analysis import ExecutionPolicy, render_table, run_table1, tolerance_sweep
+from .analysis import ExecutionPolicy, render_table
 from .analysis.store import RunStore
 from .byzantine import STRATEGIES, STRONG_STRATEGIES, WEAK_STRATEGIES, Adversary
 from .core import TABLE1, demonstrate_impossibility, get_row
-from .errors import ReproError
+from .errors import ReproError, SweepFaultError
 from .graphs import is_quotient_isomorphic, random_connected
-from .scenarios import ResultSet, Scenario, ScenarioGrid, grid, run_scenarios
+from .scenarios import ResultSet, Scenario, ScenarioGrid, grid, table1_grid, tolerance_grid
 from .sim.schedulers import SCHEDULERS, parse_scheduler
 
 __all__ = ["main"]
@@ -122,6 +125,16 @@ def _policy_of(args) -> ExecutionPolicy:
     )
 
 
+def _run_grid(args, plan: ScenarioGrid) -> Tuple[ResultSet, Optional[RunStore]]:
+    """Run ``plan`` with the command's plan flags; returns the records and
+    the store they went through (``None`` without ``--store``)."""
+    policy = _policy_of(args)
+    store = _store_of(args)
+    records = plan.run(workers=args.workers, store=store, resume=args.resume,
+                       chunk=args.chunk, policy=policy)
+    return records, store
+
+
 def _print_failures(records) -> int:
     """Print the quarantine summary table for a record list; returns the
     failure count (0 on a healthy sweep, which prints nothing)."""
@@ -151,12 +164,7 @@ def _print_store_traffic(store: Optional[RunStore]) -> None:
 
 def _cmd_table1(args) -> int:
     graph = _sample_graph(args.n, require_view_distinct=True, seed=args.seed)
-    store = _store_of(args)
-    records = run_table1(
-        graph, strategies=[args.strategy], seed=args.seed, workers=args.workers,
-        store=store, resume=args.resume, chunk=args.chunk,
-        policy=_policy_of(args), batch=args.batch,
-    )
+    records, store = _run_grid(args, table1_grid(graph, [args.strategy], seed=args.seed))
     print(
         render_table(
             records,
@@ -206,11 +214,7 @@ def _cmd_run(args) -> int:
         f="max" if args.f is None else args.f, seed=args.seed,
         scheduler=scheduler,
     )
-    store = _store_of(args)
-    records = scenario.run(
-        workers=args.workers, store=store, resume=args.resume, chunk=args.chunk,
-        policy=_policy_of(args), batch=args.batch,
-    )
+    records, store = _run_grid(args, ScenarioGrid([scenario]))
     rec = records[0]
     if rec.get("failed"):
         print(f"row {row.serial} (Theorem {row.theorem}), n={graph.n}, "
@@ -238,12 +242,8 @@ def _cmd_tolerance(args) -> int:
     graph = _sample_graph(args.n, require_view_distinct=(args.row == 1), seed=args.seed)
     f_max = row.f_max(graph)
     fs = list(range(0, min(f_max + 3, graph.n)))
-    store = _store_of(args)
-    records = tolerance_sweep(
-        row, graph, fs, args.strategy, seed=args.seed, workers=args.workers,
-        store=store, resume=args.resume, chunk=args.chunk,
-        policy=_policy_of(args), batch=args.batch,
-    )
+    records, store = _run_grid(
+        args, tolerance_grid(row.serial, graph, fs, args.strategy, seed=args.seed))
     print(
         render_table(
             records,
@@ -287,42 +287,29 @@ def _cmd_sweep(args) -> int:
             f"(choose from: {', '.join(sorted(STRATEGIES))})"
         )
     schedulers = _parse_schedulers(args.scheduler)
-    serials = (
-        [int(s) for s in args.serials.split(",") if s.strip()]
-        if args.serials else None
-    )
+    try:
+        serials = (
+            [int(s) for s in args.serials.split(",") if s.strip()]
+            if args.serials else None
+        )
+    except ValueError:
+        raise SystemExit(
+            f"bad --serials value {args.serials!r}: expected comma-separated "
+            f"Table 1 serials, e.g. 4,5"
+        )
     graph = _sample_graph(args.n, require_view_distinct=True, seed=args.seed)
-    store = _store_of(args)
-    if schedulers == ["synchronous"]:
-        # The legacy sweep verbatim: identical cells, identical store keys.
-        records = run_table1(
-            graph,
-            strategies=strategies,
-            seed=args.seed,
-            serials=serials,
-            workers=args.workers,
-            store=store,
-            resume=args.resume,
-            chunk=args.chunk,
-            policy=_policy_of(args),
-            batch=args.batch,
-        )
-    else:
-        # Same (row, strategy) plan with the scheduler axis crossed in;
-        # the rows keep TABLE1 order exactly like the legacy preset.
-        rows = [
-            row.serial for row in TABLE1
-            if serials is None or row.serial in serials
-        ]
-        records = (
-            grid(rows=rows, graphs=graph, strategies=strategies,
-                 f="max", schedulers=schedulers, seeds=args.seed).run(
-                workers=args.workers, store=store, resume=args.resume,
-                chunk=args.chunk, policy=_policy_of(args), batch=args.batch,
-            )
-            if rows
-            else ResultSet()
-        )
+    # Rows keep TABLE1 order; with the default scheduler axis this is
+    # exactly table1_grid's plan (same cells, same store keys).
+    rows = [
+        row.serial for row in TABLE1
+        if serials is None or row.serial in serials
+    ]
+    plan = (
+        grid(rows=rows, graphs=graph, strategies=strategies, f="max",
+             schedulers=schedulers, seeds=args.seed)
+        if rows else ScenarioGrid([])
+    )
+    records, store = _run_grid(args, plan)
     if not records:
         print(
             f"no applicable (row x strategy) cells for n={graph.n}, "
@@ -378,18 +365,7 @@ def _cmd_scenario(args) -> int:
         print(f"  key: {scenario.key()}")
     if args.key:
         return 0
-    store = _store_of(args)
-    try:
-        records = scenario_grid.run(
-            workers=args.workers, store=store, resume=args.resume,
-            chunk=args.chunk, policy=_policy_of(args), batch=args.batch,
-        )
-    except ReproError as exc:
-        # Predictable run-time rejections (f beyond the row's bound, a
-        # graph outside the row's class) get the same clean exit as a
-        # malformed file, not a traceback.  (Tolerance-kind scenarios
-        # *record* driver rejections instead of raising.)
-        raise SystemExit(f"scenario rejected: {type(exc).__name__}: {exc}")
+    records, store = _run_grid(args, scenario_grid)
     if args.json:
         print(records.to_json(indent=2))
     else:
@@ -582,7 +558,6 @@ def _cmd_eval(args) -> int:
         report = run_suite(
             args.suite, store=store, workers=args.workers, solvers=solvers,
             resume=args.resume, chunk=args.chunk, policy=_policy_of(args),
-            batch=args.batch,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -632,13 +607,6 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict", action="store_true",
                         help="raise on a quarantined cell instead of "
                              "recording a structured failure")
-    parser.add_argument("--batch", dest="batch", action="store_true",
-                        default=True,
-                        help="group compatible cells through the batched "
-                             "struct-of-arrays engine (default; records "
-                             "byte-identical to per-cell execution)")
-    parser.add_argument("--no-batch", dest="batch", action="store_false",
-                        help="force per-cell execution for every cell")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -847,9 +815,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ReproError` — input the library rejects, such
+    as ``f`` beyond a row's bound or a non-positive ``--timeout`` — exits
+    with a one-line ``<command> rejected: <Type>: <message>``, never a
+    traceback.  The exception is :class:`~repro.errors.SweepFaultError`,
+    a cell that kept failing under ``--strict``: that flag asks for a
+    hard failure, so it propagates.  (``eval`` reports its own errors
+    with exit code 2.)
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SweepFaultError:
+        raise
+    except ReproError as exc:
+        raise SystemExit(f"{args.command} rejected: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

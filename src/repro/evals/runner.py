@@ -68,13 +68,12 @@ def run_suite(
     resume: bool = True,
     chunk: int = DEFAULT_CHUNK,
     policy: Optional[ExecutionPolicy] = None,
-    batch: bool = True,
 ) -> EvalReport:
     """Run one registered suite and aggregate it into an :class:`EvalReport`.
 
     ``solvers`` restricts the suite to a subset of its serials (see
-    :func:`resolve_solvers`); ``store``/``workers``/``chunk``/``policy``/
-    ``batch`` pass straight through to the executor with sweep semantics.
+    :func:`resolve_solvers`); ``store``/``workers``/``chunk``/``policy``
+    pass straight through to the executor with sweep semantics.
     """
     suite = get_suite(name)
     suite_grid = suite.build()
@@ -90,8 +89,7 @@ def run_suite(
         # repro: allow-wallclock — display-only per-solver timing, never pinned
         start = time.perf_counter()
         records = run_scenarios(sub, workers=workers, store=store,
-                                resume=resume, chunk=chunk, policy=policy,
-                                batch=batch)
+                                resume=resume, chunk=chunk, policy=policy)
         # repro: allow-wallclock — closes the display-only span opened above
         wall[serial] = time.perf_counter() - start
         results.extend(records)

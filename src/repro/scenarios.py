@@ -17,12 +17,14 @@ API instead of four divergent entry layers:
 
 * :class:`ScenarioGrid` — an explicit scenario list with a declarative
   builder (:func:`grid`) that expands ``rows × graphs × strategies × f ×
-  seeds`` deterministically and compiles straight into
+  schedulers × seeds`` deterministically and compiles straight into
   :func:`~repro.analysis.experiments.execute_plan`'s
-  :class:`~repro.analysis.experiments.SweepCell` lists.  The four public
-  sweeps (``run_table1``, ``tolerance_sweep``, ``scaling_sweep``,
-  ``strategy_matrix``) are thin presets over this builder and produce
-  records byte-identical to their historical implementations.
+  :class:`~repro.analysis.experiments.SweepCell` lists.  ``grid()`` →
+  :meth:`ScenarioGrid.run` → ``execute_plan`` is the one way to build
+  and run a sweep; three presets cover the shapes the paper's figures
+  need (:func:`table1_grid`, :func:`tolerance_grid`, and
+  :func:`scaling_grid`, which zips ``f`` with the graphs where
+  :func:`grid` only crosses axes).
 
 * :class:`ResultSet` — the record-list type every sweep returns.  It IS
   a ``list`` of flat record dicts (so every existing consumer keeps
@@ -69,6 +71,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .analysis.experiments import (
     DEFAULT_CHUNK,
+    KINDS,
     ExecutionPolicy,
     SweepCell,
     cell_key_of,
@@ -81,7 +84,7 @@ from .analysis.store import RunStore
 from .analysis.tables import infer_columns, render_table
 from .byzantine import STRATEGIES
 from .core.runner import TABLE1, Table1Row, get_row, row_applicable
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, GraphStructureError, ValidationError
 from .graphs.port_labeled import PortLabeledGraph
 from .graphs.specs import GraphSpec, canonicalize_spec, resolve_spec, spec_of
 from .sim.schedulers import canonical_scheduler
@@ -95,14 +98,9 @@ __all__ = [
     "grid",
     "run_scenarios",
     "scaling_grid",
-    "scheduler_matrix_grid",
-    "strategy_matrix_grid",
     "table1_grid",
     "tolerance_grid",
 ]
-
-#: Record shapes a scenario can produce (see ``SweepCell.kind``).
-KINDS = ("table1", "tolerance", "scaling")
 
 #: Byzantine placements understood by the drivers.
 PLACEMENTS = ("lowest", "highest", "random")
@@ -244,7 +242,7 @@ def _normalize_algorithm(algorithm: Union[int, str, Table1Row]) -> int:
             raise ConfigurationError(
                 f"Table1Row with serial {algorithm.serial} is not the registry's "
                 f"row; scenarios only run registered algorithms (call its "
-                f"solver directly, or use run_table1_row for custom rows)"
+                f"solver directly)"
             )
         algorithm = algorithm.serial
     if isinstance(algorithm, bool):
@@ -293,11 +291,15 @@ def _graph_from_dict(payload: Dict) -> Union[PortLabeledGraph, GraphSpec]:
     rebuilds a hand-built graph through the validating constructor.
     """
     if "family" in payload:
+        family = payload["family"]
+        if not isinstance(family, str):
+            raise ConfigurationError(
+                f"graph spec 'family' must be a string, got {type(family).__name__}"
+            )
         args = payload.get("args", {})
         if not isinstance(args, dict):
             raise ConfigurationError("graph spec 'args' must be an object")
-        spec = GraphSpec(payload["family"],
-                         tuple((k, _hashable(v)) for k, v in args.items()))
+        spec = GraphSpec(family, tuple((k, _hashable(v)) for k, v in args.items()))
         # Canonicalize (bind defaults, fixed order) instead of building:
         # deserialization stays lazy, bad families/args surface as
         # ConfigurationError, and the key matches a generator-tagged spec.
@@ -313,7 +315,10 @@ def _graph_from_dict(payload: Dict) -> Union[PortLabeledGraph, GraphSpec]:
             raise ConfigurationError(
                 f"malformed port_table (expected node -> port -> [dest, in_port]): {exc}"
             )
-        return PortLabeledGraph(port_map)
+        try:
+            return PortLabeledGraph(port_map)
+        except GraphStructureError as exc:
+            raise ConfigurationError(f"invalid port_table: {exc}")
     raise ConfigurationError(
         "a scenario graph must be {'family': ..., 'args': {...}} or "
         "{'port_table': {...}}"
@@ -380,7 +385,8 @@ class Scenario:
 
     ``key()`` is definitionally the run-store cell key of the compiled
     cell, and defaults canonicalise out of the hash — a default-valued
-    scenario addresses exactly the cache entry the legacy sweeps wrote.
+    scenario addresses exactly the cache entry it had before the
+    non-default axes existed.
     """
 
     algorithm: Union[int, str, Table1Row]
@@ -533,14 +539,13 @@ class Scenario:
         chunk: int = DEFAULT_CHUNK,
         policy: Optional[ExecutionPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        batch: bool = True,
     ) -> ResultSet:
         """Execute this scenario through the plan executor (so stores,
         resume, workers, and fault tolerance behave exactly as in a
         sweep)."""
         return run_scenarios([self], workers=workers, store=store,
                              resume=resume, chunk=chunk,
-                             policy=policy, faults=faults, batch=batch)
+                             policy=policy, faults=faults)
 
     # -- serialization ------------------------------------------------- #
 
@@ -701,7 +706,6 @@ def run_scenarios(
     chunk: int = DEFAULT_CHUNK,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    batch: bool = True,
 ) -> ResultSet:
     """Compile scenarios to cells, execute the plan, flatten the records.
 
@@ -710,14 +714,13 @@ def run_scenarios(
     determinism, streaming store writes, warm-store zero-solver-call
     replays, spec-shipped parallel dispatch, retry/quarantine fault
     tolerance under ``policy``, batched struct-of-arrays execution of
-    compatible cells under ``batch`` — records byte-identical either
-    way).  Quarantined cells surface in the returned set as failure
+    compatible cells — records byte-identical to per-cell runs).  Quarantined cells surface in the returned set as failure
     records — :meth:`ResultSet.failures` selects them.
     """
     cells = [s.cell() for s in scenarios]
     lists = execute_plan(cells, workers=workers, store=store,
                          resume=resume, chunk=chunk,
-                         policy=policy, faults=faults, batch=batch)
+                         policy=policy, faults=faults)
     return ResultSet(rec for recs in lists for rec in recs)
 
 
@@ -838,12 +841,11 @@ class ScenarioGrid:
         chunk: int = DEFAULT_CHUNK,
         policy: Optional[ExecutionPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        batch: bool = True,
     ) -> ResultSet:
         """Execute the whole grid as one plan (see :func:`run_scenarios`)."""
         return run_scenarios(self.scenarios, workers=workers, store=store,
                              resume=resume, chunk=chunk,
-                             policy=policy, faults=faults, batch=batch)
+                             policy=policy, faults=faults)
 
     def to_dicts(self) -> List[Dict]:
         """JSON-safe form: the scenario dicts, in order."""
@@ -894,13 +896,15 @@ def grid(
     ``seeds``) accept a scalar or a sequence; ``rows=None`` means every
     Table 1 row.  Expansion order is fixed and documented: **rows, then
     graphs, then strategies, then f, then schedulers, then seeds** (rows
-    outermost, seeds innermost) — the order every legacy sweep used
-    (the scheduler axis sits where its singleton default leaves legacy
-    record streams untouched), so grid presets replay those streams
-    exactly.  ``schedulers`` takes activation-scheduler spec strings
-    (:mod:`repro.sim.schedulers`).  ``applicable_only`` (default) drops
-    scenarios whose row does not admit their graph, mirroring
-    ``run_table1``/``strategy_matrix``.
+    outermost, seeds innermost).  The scheduler axis sits where its
+    singleton default leaves record streams and store keys exactly those
+    of a grid without it.  ``schedulers`` takes activation-scheduler
+    spec strings (:mod:`repro.sim.schedulers`).  ``applicable_only``
+    (default) drops scenarios whose row does not admit their graph.
+
+    The rows × strategies matrix at each row's bound is
+    ``grid(rows=..., graphs=g, strategies=[...], f="max")``; the
+    rows × schedulers matrix crosses ``schedulers=[...]`` the same way.
     """
     row_axis = tuple(r.serial for r in TABLE1) if rows is None else _axis(rows, "rows")
     graph_axis = _axis(graphs, "graphs")
@@ -926,7 +930,7 @@ def grid(
 
 
 # --------------------------------------------------------------------- #
-# Presets: the four legacy sweeps as grids
+# Presets: the sweep shapes the paper's table and figures need
 # --------------------------------------------------------------------- #
 
 def table1_grid(
@@ -935,12 +939,11 @@ def table1_grid(
     seed: int = 0,
     serials: Optional[Sequence[int]] = None,
 ) -> ScenarioGrid:
-    """``run_table1`` as a grid: every applicable row × strategy at the
-    row's tolerance bound.
+    """Table 1 on one graph: every applicable row × strategy at the row's
+    tolerance bound, rows in registry order.
 
-    Unlike a direct :func:`grid` call (which rejects empty axes), the
-    preset keeps the legacy sweep contract: a serial filter matching
-    nothing yields an empty grid, and the CLI reports "nothing ran".
+    Unlike a direct :func:`grid` call (which rejects empty axes), a
+    serial filter matching nothing yields an empty grid.
     """
     strategies = list(strategies)
     serials = None if serials is None else list(serials)
@@ -961,10 +964,9 @@ def tolerance_grid(
     strategy: str,
     seed: int = 0,
 ) -> ScenarioGrid:
-    """``tolerance_sweep`` as a grid: one row, one strategy, ``f``
-    varying (out-of-bound values run and are *recorded* as rejected, so
-    applicability is deliberately not filtered).  An empty ``f_values``
-    keeps the legacy contract: empty grid, empty records."""
+    """Success vs ``f`` for one row and strategy: out-of-bound values run
+    and are *recorded* as rejected, so applicability is deliberately not
+    filtered.  An empty ``f_values`` yields an empty grid."""
     f_values = list(f_values)  # may be an iterator; the guard below must not eat it
     if not f_values:
         return ScenarioGrid([])
@@ -980,9 +982,10 @@ def scaling_grid(
     seed: int = 0,
     f_fraction_of_max: float = 1.0,
 ) -> ScenarioGrid:
-    """``scaling_sweep`` as a grid: one scenario per applicable graph at
-    a fixed fraction of the row's bound (``f`` is *zipped* with the
-    graphs, not crossed — the one non-product sweep)."""
+    """Measured rounds vs ``n`` across a graph family: one scenario per
+    applicable graph at a fixed fraction of the row's bound (``f`` is
+    *zipped* with the graphs, not crossed — the one sweep :func:`grid`
+    cannot express)."""
     serial = _normalize_algorithm(row)
     table_row = get_row(serial)
     applicable = [g for g in graphs if row_applicable(table_row, g)]
@@ -994,49 +997,3 @@ def scaling_grid(
         )
         for g in applicable
     ])
-
-
-def scheduler_matrix_grid(
-    rows: Sequence[Union[int, str, Table1Row]],
-    graph: PortLabeledGraph,
-    schedulers: Sequence[str],
-    strategy: str = "squatter",
-    seed: int = 0,
-    applicable_only: bool = True,
-) -> ScenarioGrid:
-    """The scheduler matrix as a grid: given rows × activation schedulers
-    at each row's tolerance bound, one adversary strategy.
-
-    The timing analogue of :func:`strategy_matrix_grid`: ``schedulers``
-    are canonical spec strings (:mod:`repro.sim.schedulers`), and the
-    ``synchronous`` column compiles to exactly the cells — same store
-    keys, same records — a legacy Table 1 sweep produces.  Empty
-    rows/schedulers keep the sweep-preset contract (empty grid) rather
-    than raising as a direct :func:`grid` call would.
-    """
-    rows, schedulers = list(rows), list(schedulers)  # may be iterators
-    if not rows or not schedulers:
-        return ScenarioGrid([])
-    return grid(rows=rows, graphs=graph, strategies=strategy,
-                f="max", schedulers=schedulers, seeds=seed, kind="table1",
-                applicable_only=applicable_only)
-
-
-def strategy_matrix_grid(
-    rows: Sequence[Union[int, str, Table1Row]],
-    graph: PortLabeledGraph,
-    strategies: Sequence[str],
-    seed: int = 0,
-    applicable_only: bool = True,
-) -> ScenarioGrid:
-    """``strategy_matrix`` as a grid: given rows × strategies at each
-    row's bound.  Empty rows/strategies keep the legacy contract (empty
-    grid) rather than raising as a direct :func:`grid` call would.
-    Callers that already filtered applicability (the legacy shim) pass
-    ``applicable_only=False`` to skip the second pass."""
-    rows, strategies = list(rows), list(strategies)  # may be iterators
-    if not rows or not strategies:
-        return ScenarioGrid([])
-    return grid(rows=rows, graphs=graph, strategies=strategies,
-                f="max", seeds=seed, kind="table1",
-                applicable_only=applicable_only)

@@ -293,7 +293,6 @@ class DispersionService:
                     resume=True,
                     policy=self.policy,
                     faults=self.faults,
-                    batch=False,
                 )
         except ReproError as exc:
             return RunOutcome(

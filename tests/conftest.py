@@ -30,6 +30,15 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_configure(config):
+    # A batch-engine fallback must never let a test pass silently: the
+    # executor's fallback RuntimeWarning fails whichever test triggers
+    # it (tests that mean to trigger it catch it with pytest.warns).
+    config.addinivalue_line(
+        "filterwarnings", "error:batch engine fallback:RuntimeWarning"
+    )
+
+
 @pytest.fixture
 def rc8():
     """A view-distinguishable random connected graph on 8 nodes."""

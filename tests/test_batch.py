@@ -8,20 +8,23 @@ The contracts under test:
   and that singletons, ineligible cells (``ghost_squatter``,
   non-synchronous schedulers, other solver rows, scaling cells), and
   fault-targeted cells always stay on the per-cell path;
-* batch-produced records are **byte-identical** to ``batch=False`` —
-  same record JSON, same store cell keys, same stored bytes — across
+* batch-produced records are **byte-identical** to the per-cell path
+  (each cell run as its own one-cell plan, which never batches) — same
+  record JSON, same store cell keys, same stored bytes — across
   strategies, placements, ``f`` values (including out-of-range
   rejections), round budgets, both batchable kinds, and under an
   injected :class:`FaultPlan`;
 * a store warmed by a batched run answers a later serial run entirely
   from cache (poison faults on every key prove zero recomputes);
 * the batch engine genuinely runs (a spy on ``run_batch_group`` catches
-  a regression where everything silently falls back), and graphs
-  outside the Theorem 1 class are *returned* to the serial path, not
-  simulated.
+  a regression where everything falls back), and graphs outside the
+  Theorem 1 class are *returned* to the serial path, not simulated;
+* an engine error on a group is never silent: ``execute_plan`` warns,
+  naming the group, and recomputes it per cell with identical records.
 
-Every test runs with :data:`repro.analysis.batching.STRICT` flipped on,
-so an engine bug raises instead of hiding behind the serial fallback.
+``tests/conftest.py`` turns the fallback warning into an error for the
+whole suite, so an engine bug fails its test instead of hiding behind
+the per-cell fallback.
 """
 
 import json
@@ -46,12 +49,6 @@ from repro.graphs import random_connected, ring
 QI_SEED = 0
 
 
-@pytest.fixture(autouse=True)
-def _strict(monkeypatch):
-    """Fail loudly on engine errors instead of falling back serially."""
-    monkeypatch.setattr(batching, "STRICT", True)
-
-
 @pytest.fixture(scope="module")
 def g():
     return random_connected(12, seed=QI_SEED)
@@ -73,13 +70,19 @@ def _plan(cells, faults=None):
     )
 
 
+def _per_cell(cells, store=None, faults=None):
+    """The per-cell reference: each cell as its own one-cell plan (a
+    plan batches only when it has more than one pending cell)."""
+    return [execute_plan([cell], store=store, faults=faults)[0] for cell in cells]
+
+
 def _run_both(cells, tmp_path, faults_a=None, faults_b=None):
-    """Run ``cells`` batched and serially into fresh stores; assert
-    byte-identical records, key sets, and stored bytes."""
+    """Run ``cells`` as one (batching) plan and cell by cell into fresh
+    stores; assert byte-identical records, key sets, and stored bytes."""
     sa = RunStore(str(tmp_path / "a"))
     sb = RunStore(str(tmp_path / "b"))
-    ra = execute_plan(cells, store=sa, batch=True, faults=faults_a)
-    rb = execute_plan(cells, store=sb, batch=False, faults=faults_b)
+    ra = execute_plan(cells, store=sa, faults=faults_a)
+    rb = _per_cell(cells, store=sb, faults=faults_b)
     assert json.dumps(ra) == json.dumps(rb)
     keys_a, keys_b = sorted(sa.keys()), sorted(sb.keys())
     assert keys_a == keys_b
@@ -270,7 +273,7 @@ class TestByteIdentity:
         cells = [
             SweepCell("table1", 1, g, "squatter", seed, f=4) for seed in range(4)
         ]
-        execute_plan(cells, batch=True)
+        execute_plan(cells)
         assert ran == [([0, 1, 2, 3], [])]
 
     def test_non_theorem1_graph_returned_to_serial(self, g):
@@ -296,12 +299,34 @@ class TestByteIdentity:
             for seed in range(3)
         ]
         store = RunStore(str(tmp_path / "warm"))
-        first = execute_plan(cells, store=store, batch=True)
+        first = execute_plan(cells, store=store)
         poison = FaultPlan({
             cell_key_of(c): FaultSpec("error", attempts=None) for c in cells
         })
-        replay = execute_plan(
-            cells, store=store, batch=False, faults=poison
-        )
+        replay = _per_cell(cells, store=store, faults=poison)
         assert json.dumps(replay) == json.dumps(first)
         assert not any(r.get("failed") for recs in replay for r in recs)
+
+
+class TestFallback:
+    def test_engine_error_warns_and_recomputes_per_cell(self, g, monkeypatch):
+        """An engine error on a group is never silent: the plan warns,
+        naming the group's size, its first cell key and the exception,
+        and still returns the per-cell records byte for byte."""
+        cells = [
+            SweepCell("table1", 1, g, "squatter", seed, f=4) for seed in range(4)
+        ]
+        reference = _per_cell(cells)
+
+        def broken(cells, indices, finish):
+            raise RuntimeError("engine exploded")
+
+        monkeypatch.setattr(batching, "run_batch_group", broken)
+        with pytest.warns(RuntimeWarning, match="batch engine fallback") as caught:
+            records = execute_plan(cells)
+        assert json.dumps(records) == json.dumps(reference)
+        [warning] = caught.list
+        message = str(warning.message)
+        assert "group of 4 cell(s)" in message
+        assert cell_key_of(cells[0]) in message
+        assert "RuntimeError: engine exploded" in message

@@ -20,11 +20,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--row", "1", "--strategy", "teleporter"])
 
-    def test_plan_commands_expose_no_batch(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--help"])
-        assert "--no-batch" in capsys.readouterr().out
-
     def test_eval_pins_default_to_checked_in_files(self):
         """`eval --update-expected` without `--expected` must target the
         pin `benchmarks/check_evals.py` gates from any CWD, not a
@@ -81,6 +76,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Table 1 reproduction" in out
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["run", "--row", "4", "--n", "9", "--f", "8"],
+             "run rejected: ConfigurationError: Theorem 3 tolerates 0 <= f <= 3"),
+            (["run", "--row", "4", "--n", "9", "--f", "8", "--detail"],
+             "run rejected: ConfigurationError: Theorem 3 tolerates 0 <= f <= 3"),
+            (["table1", "--n", "8", "--timeout", "0"],
+             "table1 rejected: ConfigurationError: timeout must be positive"),
+            (["tolerance", "--row", "5", "--n", "8", "--retries", "-1"],
+             "tolerance rejected: ConfigurationError: max_retries must be"),
+            (["sweep", "--n", "8", "--serials", "4,x"],
+             "bad --serials value '4,x'"),
+        ],
+    )
+    def test_exits_with_one_line_not_a_traceback(self, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert needle in str(exc.value)
 
 
 class TestSweep:

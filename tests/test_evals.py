@@ -52,15 +52,13 @@ CHEAP = "torus_strong"
 
 
 def _solver_ban(monkeypatch):
-    """Make every per-cell solver entry point raise: any call proves a
-    warm-store run recomputed instead of answering from disk."""
+    """Make the per-cell entry point raise: any call proves a warm-store
+    run recomputed instead of answering from disk."""
 
     def boom(*args, **kwargs):
         raise AssertionError("solver invoked despite warm store")
 
-    monkeypatch.setattr(experiments, "run_table1_row", boom)
-    monkeypatch.setattr(experiments, "_tolerance_record", boom)
-    monkeypatch.setattr(experiments, "_scaling_record", boom)
+    monkeypatch.setattr(experiments, "_cell_records", boom)
 
 
 def _load_evals_gate():
@@ -173,9 +171,11 @@ class TestEvalDeterminism:
         assert warm.json_payload() == cold.json_payload()
 
     def test_batched_matches_per_cell(self):
-        batched = run_suite("batch_scale", batch=True)
-        per_cell = run_suite("batch_scale", batch=False)
-        assert batched.json_payload() == per_cell.json_payload()
+        """The suite's batched records equal each scenario run as its own
+        one-cell plan (a plan batches only with several pending cells)."""
+        batched = run_suite("batch_scale")
+        per_cell = [rec for s in get_suite("batch_scale").build() for rec in s.run()]
+        assert json.dumps(list(batched.results)) == json.dumps(per_cell)
 
     def test_wall_time_never_in_comparable_payloads(self, serial_report):
         text = json.dumps(serial_report.json_payload())

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.analysis import run_table1, run_table1_row, scaling_sweep, tolerance_sweep
 from repro.core import TABLE1, get_row, row_applicable
 from repro.graphs import random_connected, ring
+from repro.scenarios import grid, scaling_grid, table1_grid, tolerance_grid
 
 
 class TestRegistryShape:
@@ -47,38 +47,37 @@ class TestRegistryShape:
 
 class TestRunTable1:
     def test_full_table_succeeds(self, rc8):
-        recs = run_table1(rc8, strategies=["squatter"], seed=1)
+        recs = table1_grid(rc8, ["squatter"], seed=1).run()
         assert len(recs) == 7
         assert all(r["success"] for r in recs)
 
     def test_row1_skipped_on_symmetric_graph(self):
-        recs = run_table1(ring(8), strategies=["idle"], seed=1, serials=[1, 5])
+        recs = table1_grid(ring(8), ["idle"], seed=1, serials=[1, 5]).run()
         assert {r["serial"] for r in recs} == {5}
 
     def test_single_row_multiple_strategies(self, rc8):
-        row = get_row(5)
-        recs = run_table1_row(row, rc8, ["squatter", "idle", "crash"], seed=2)
+        recs = grid(rows=5, graphs=rc8, strategies=["squatter", "idle", "crash"],
+                    seeds=2).run()
         assert len(recs) == 3
         assert all(r["success"] for r in recs)
         assert {r["strategy"] for r in recs} == {"squatter", "idle", "crash"}
 
     def test_explicit_f(self, rc8):
-        recs = run_table1_row(get_row(4), rc8, ["idle"], f=1)
+        recs = grid(rows=4, graphs=rc8, strategies="idle", f=1).run()
         assert recs[0]["f"] == 1
 
 
 class TestSweeps:
     def test_tolerance_sweep_accepts_and_rejects(self, rc8):
-        row = get_row(5)  # Thm 4: f_max = 1 at n=8
-        recs = tolerance_sweep(row, rc8, [0, 1, 2, 5], "squatter", seed=1)
+        # Row 5 (Thm 4): f_max = 1 at n=8.
+        recs = tolerance_grid(5, rc8, [0, 1, 2, 5], "squatter", seed=1).run()
         by_f = {r["f"]: r for r in recs}
         assert by_f[0]["success"] and by_f[1]["success"]
         assert by_f[2]["rejected"] and by_f[5]["rejected"]
 
     def test_scaling_sweep_monotone_bounds(self):
         graphs = [random_connected(n, seed=n) for n in (6, 9, 12)]
-        row = get_row(5)
-        recs = scaling_sweep(row, graphs, "idle", seed=0)
+        recs = scaling_grid(5, graphs, "idle", seed=0).run()
         assert [r["n"] for r in recs] == [6, 9, 12]
         bounds = [r["paper_bound"] for r in recs]
         assert bounds == sorted(bounds)

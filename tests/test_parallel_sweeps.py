@@ -1,32 +1,28 @@
 """Parallel sweep execution: identical records, deterministic order.
 
-The experiments layer fans sweep cells out over processes when
+The plan executor fans a grid's cells out over processes when
 ``workers > 1``; the contract is that the returned record list is
 *exactly* the serial one (same order, same values).  Also covers the
-tolerance sweep's narrowed exception handling: only the repro error
+tolerance kind's narrowed exception handling: only the repro error
 hierarchy is a legitimate "rejected" outcome — anything else is an
 engine bug and must propagate.
 
 Graph dispatch has two wire formats: generator-built graphs ship as
 their :class:`GraphSpec` (resolved through a per-worker memo cache);
-spec-less graphs fall back to being pickled whole (the PR-1 path).
-Both must return records identical to serial — and to each other.
+spec-less graphs — hand-built ones, or a ``PortLabeledGraph`` rebuilt
+from a generator graph's port table — are pickled whole.  Both must
+return records identical to serial, and to each other.
 """
 
 import pytest
 
-from repro.analysis import (
-    run_table1,
-    scaling_sweep,
-    strategy_matrix,
-    tolerance_sweep,
-)
 from repro.analysis import experiments
-from repro.analysis.experiments import _graph_payload
-from repro.core import TABLE1, get_row
+from repro.analysis.experiments import SweepCell, _cell_records, _graph_payload
+from repro.core import get_row
 from repro.core.runner import Table1Row
 from repro.errors import ConfigurationError
 from repro.graphs import GraphSpec, PortLabeledGraph, random_connected, spec_of
+from repro.scenarios import grid, scaling_grid, table1_grid, tolerance_grid
 
 
 @pytest.fixture(scope="module")
@@ -34,81 +30,69 @@ def g():
     return random_connected(8, seed=5)
 
 
+@pytest.fixture(scope="module")
+def spec_less(g):
+    """``g`` without its spec: the same graph, shipped pickled."""
+    copy = PortLabeledGraph(g.port_table())
+    assert copy == g and spec_of(copy) is None
+    return copy
+
+
 class TestParallelMatchesSerial:
     def test_run_table1(self, g):
-        serial = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5])
-        parallel = run_table1(
-            g, strategies=["squatter", "idle"], serials=[4, 5], workers=2
-        )
-        assert parallel == serial
+        plan = table1_grid(g, ["squatter", "idle"], serials=[4, 5])
+        assert plan.run(workers=2) == plan.run()
 
     def test_tolerance_sweep(self, g):
-        row = get_row(5)
-        serial = tolerance_sweep(row, g, [0, 1, 2], "squatter")
-        parallel = tolerance_sweep(row, g, [0, 1, 2], "squatter", workers=3)
-        assert parallel == serial
+        plan = tolerance_grid(5, g, [0, 1, 2], "squatter")
+        assert plan.run(workers=3) == plan.run()
 
     def test_scaling_sweep(self):
-        row = get_row(5)
         graphs = [random_connected(n, seed=1) for n in (6, 8)]
-        serial = scaling_sweep(row, graphs, "idle")
-        parallel = scaling_sweep(row, graphs, "idle", workers=2)
-        assert parallel == serial
+        plan = scaling_grid(5, graphs, "idle")
+        assert plan.run(workers=2) == plan.run()
 
     def test_strategy_matrix(self, g):
-        rows = [get_row(4), get_row(5)]
-        serial = strategy_matrix(rows, g, ["squatter", "idle"])
-        parallel = strategy_matrix(rows, g, ["squatter", "idle"], workers=2)
-        assert parallel == serial
+        plan = grid(rows=[4, 5], graphs=g, strategies=["squatter", "idle"], f="max")
+        assert plan.run(workers=2) == plan.run()
 
     def test_workers_one_is_serial(self, g):
-        assert run_table1(g, strategies=["idle"], serials=[5], workers=1) == \
-            run_table1(g, strategies=["idle"], serials=[5])
+        plan = table1_grid(g, ["idle"], serials=[5])
+        assert plan.run(workers=1) == plan.run()
 
 
 class TestSpecDispatch:
-    """Spec-shipped parallel runs must equal serial runs AND the PR-1
-    graph-pickling runs, for every sweep entry point."""
+    """Spec-shipped parallel runs must equal serial runs AND the
+    graph-pickling runs of a spec-less copy of the same graph."""
 
     def test_generator_graph_ships_as_spec(self, g):
         payload = _graph_payload(g)
         assert isinstance(payload, GraphSpec)
         assert payload == spec_of(g)
 
-    def test_hand_built_graph_ships_whole(self):
+    def test_hand_built_graph_ships_whole(self, spec_less):
         hand_built = PortLabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert spec_of(hand_built) is None
         assert _graph_payload(hand_built) is hand_built
+        assert _graph_payload(spec_less) is spec_less
 
-    def test_ship_specs_flag_selects_the_pickling_path(self, g, monkeypatch):
-        monkeypatch.setattr(experiments, "SHIP_GRAPH_SPECS", False)
-        assert _graph_payload(g) is g
-
-    def test_run_table1_spec_vs_pickled_vs_serial(self, g, monkeypatch):
-        serial = run_table1(g, strategies=["squatter"], serials=[4, 5])
-        spec_shipped = run_table1(
-            g, strategies=["squatter"], serials=[4, 5], workers=2
-        )
-        monkeypatch.setattr(experiments, "SHIP_GRAPH_SPECS", False)
-        graph_shipped = run_table1(
-            g, strategies=["squatter"], serials=[4, 5], workers=2
-        )
+    def test_run_table1_spec_vs_pickled_vs_serial(self, g, spec_less):
+        serial = table1_grid(g, ["squatter"], serials=[4, 5]).run()
+        spec_shipped = table1_grid(g, ["squatter"], serials=[4, 5]).run(workers=2)
+        graph_shipped = table1_grid(spec_less, ["squatter"], serials=[4, 5]).run(workers=2)
         assert spec_shipped == serial
         assert graph_shipped == serial
 
-    def test_tolerance_sweep_spec_vs_pickled_vs_serial(self, g, monkeypatch):
-        row = get_row(5)
-        serial = tolerance_sweep(row, g, [0, 1, 2], "squatter")
-        spec_shipped = tolerance_sweep(row, g, [0, 1, 2], "squatter", workers=3)
-        monkeypatch.setattr(experiments, "SHIP_GRAPH_SPECS", False)
-        graph_shipped = tolerance_sweep(row, g, [0, 1, 2], "squatter", workers=3)
+    def test_tolerance_sweep_spec_vs_pickled_vs_serial(self, g, spec_less):
+        serial = tolerance_grid(5, g, [0, 1, 2], "squatter").run()
+        spec_shipped = tolerance_grid(5, g, [0, 1, 2], "squatter").run(workers=3)
+        graph_shipped = tolerance_grid(5, spec_less, [0, 1, 2], "squatter").run(workers=3)
         assert spec_shipped == serial
         assert graph_shipped == serial
 
-    def test_scaling_sweep_mixed_payloads(self, monkeypatch):
+    def test_scaling_sweep_mixed_payloads(self):
         """A sweep mixing generator graphs (spec) and hand-built graphs
         (pickled) must still match serial exactly."""
-        row = get_row(5)
         graphs = [
             random_connected(6, seed=1),
             PortLabeledGraph.from_edges(
@@ -116,15 +100,12 @@ class TestSpecDispatch:
             ),
         ]
         assert spec_of(graphs[0]) is not None and spec_of(graphs[1]) is None
-        serial = scaling_sweep(row, graphs, "idle")
-        parallel = scaling_sweep(row, graphs, "idle", workers=2)
-        assert parallel == serial
+        plan = scaling_grid(5, graphs, "idle")
+        assert plan.run(workers=2) == plan.run()
 
     def test_strategy_matrix_spec_vs_serial(self, g):
-        rows = [get_row(4), get_row(5)]
-        serial = strategy_matrix(rows, g, ["squatter", "idle"])
-        parallel = strategy_matrix(rows, g, ["squatter", "idle"], workers=2)
-        assert parallel == serial
+        plan = grid(rows=[4, 5], graphs=g, strategies=["squatter", "idle"], f="max")
+        assert plan.run(workers=2) == plan.run()
 
 
 def _fake_row(solver):
@@ -142,15 +123,26 @@ def _fake_row(solver):
 
 
 class TestToleranceExceptionNarrowing:
-    def test_repro_errors_recorded_as_rejected(self, g):
+    """A tolerance cell records a rejection only for the repro error
+    hierarchy; the solver is swapped via the row lookup the cell runs."""
+
+    def _run(self, monkeypatch, g, solver, f_values):
+        monkeypatch.setattr(experiments, "get_row", lambda serial: _fake_row(solver))
+        return [
+            rec
+            for f in f_values
+            for rec in _cell_records(SweepCell("tolerance", 1, g, "idle", 0, f))
+        ]
+
+    def test_repro_errors_recorded_as_rejected(self, g, monkeypatch):
         def rejecting_solver(graph, f, adversary, seed):
             raise ConfigurationError("f out of range")
 
-        recs = tolerance_sweep(_fake_row(rejecting_solver), g, [0, 1], "idle")
+        recs = self._run(monkeypatch, g, rejecting_solver, [0, 1])
         assert [r["rejected"] for r in recs] == [True, True]
         assert all(r["reason"] == "ConfigurationError" for r in recs)
 
-    def test_engine_bugs_propagate(self, g):
+    def test_engine_bugs_propagate(self, g, monkeypatch):
         """A TypeError from a solver is a bug, not an out-of-bound f; the
         old bare `except Exception` silently recorded it as rejected."""
 
@@ -158,29 +150,11 @@ class TestToleranceExceptionNarrowing:
             raise TypeError("engine bug")
 
         with pytest.raises(TypeError, match="engine bug"):
-            tolerance_sweep(_fake_row(buggy_solver), g, [0], "idle")
+            self._run(monkeypatch, g, buggy_solver, [0])
 
-    def test_non_registry_row_falls_back_to_serial(self, g):
-        """A hand-built row (unpicklable lambdas) still works with
-        workers>1 by silently running serially."""
-
-        def rejecting_solver(graph, f, adversary, seed):
-            raise ConfigurationError("nope")
-
-        recs = tolerance_sweep(
-            _fake_row(rejecting_solver), g, [0, 1], "idle", workers=4
-        )
-        assert [r["rejected"] for r in recs] == [True, True]
-
-
-class TestRegistryIntrospection:
-    def test_all_registry_rows_resolve(self):
-        from repro.analysis.experiments import _registry_serial
-
-        for row in TABLE1:
-            assert _registry_serial(row) == row.serial
-
-    def test_foreign_row_does_not_resolve(self):
-        from repro.analysis.experiments import _registry_serial
-
-        assert _registry_serial(_fake_row(lambda *a, **kw: None)) is None
+    def test_other_kinds_propagate_rejections(self, g):
+        """Only the tolerance kind records a rejection; a table1 cell
+        beyond the row's bound raises the driver's error."""
+        beyond = get_row(4).f_max(g) + 1
+        with pytest.raises(ConfigurationError):
+            _cell_records(SweepCell("table1", 4, g, "idle", 0, beyond))

@@ -10,10 +10,10 @@ The contracts under test:
 * ``to_dict → from_dict → key`` is a fixed point, including through an
   actual JSON byte round-trip, for spec-built and hand-built graphs;
 * ``grid(...)`` expansion is deterministic with a documented axis order
-  (rows, graphs, strategies, f, seeds — rows outermost);
-* the four legacy sweeps re-expressed as grid presets produce
-  byte-identical records in serial, parallel, and warm-store modes, and
-  default-valued scenarios hit cells a legacy sweep wrote;
+  (rows, graphs, strategies, f, schedulers, seeds — rows outermost);
+* the grid presets return result sets whose records are identical in
+  serial, parallel, and warm-store modes (every record kind is pinned
+  byte for byte in ``tests/test_record_golden.py``);
 * round budgets and non-default placements change behaviour AND keys,
   while default values leave keys bit-identical to the PR-3 form;
 * ``repro scenario FILE.json`` hits the same store cell as the
@@ -25,7 +25,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import RunStore, run_table1, scaling_sweep, strategy_matrix, tolerance_sweep
+from repro.analysis import RunStore
 from repro.analysis.experiments import SweepCell, cell_key_of
 from repro.cli import main as cli_main
 from repro.core import TABLE1, get_row
@@ -38,7 +38,6 @@ from repro.scenarios import (
     grid,
     run_scenarios,
     scaling_grid,
-    strategy_matrix_grid,
     table1_grid,
     tolerance_grid,
 )
@@ -208,11 +207,11 @@ class TestSerialization:
             Scenario(algorithm=4, graph=GraphSpec("ring", (("bogus", 9),)))
 
     def test_iterator_arguments_accepted(self, g):
-        """The legacy sweeps accepted one-shot iterators; the grid
-        presets must not consume them twice."""
-        recs = tolerance_sweep(get_row(5), g, iter([0, 1]), "idle")
+        """The presets accept one-shot iterators and must not consume
+        them twice."""
+        recs = tolerance_grid(5, g, iter([0, 1]), "idle").run()
         assert len(recs) == 2
-        recs = strategy_matrix(iter([get_row(4), get_row(5)]), g, iter(["idle"]))
+        recs = table1_grid(g, iter(["idle"]), serials=iter([4, 5])).run()
         assert len(recs) == 2
 
     def test_partial_spec_args_pick_up_defaults(self, g):
@@ -312,53 +311,54 @@ class TestGridExpansion:
 
 
 class TestPresetsByteIdentical:
-    """Acceptance: the four legacy sweeps, re-expressed as grid presets,
-    replay their record streams exactly — serial, parallel, warm-store."""
+    """The grid presets replay identically serial, parallel, and warm
+    (the golden records pin the bytes themselves)."""
 
     def test_table1_serial(self, g):
-        legacy = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5])
-        preset = table1_grid(g, ["squatter", "idle"], serials=[4, 5]).run()
-        assert preset == legacy
+        preset = table1_grid(g, ["squatter", "idle"], serials=[4, 5])
+        direct = grid(rows=[4, 5], graphs=g, strategies=["squatter", "idle"], f="max")
+        assert preset.keys() == direct.keys()
+        assert preset.run() == direct.run()
 
     def test_table1_parallel(self, g):
-        legacy = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5])
-        preset = table1_grid(g, ["squatter", "idle"], serials=[4, 5]).run(workers=2)
-        assert preset == legacy
+        plan = table1_grid(g, ["squatter", "idle"], serials=[4, 5])
+        assert plan.run(workers=2) == plan.run()
 
     def test_table1_warm_store(self, g, store):
-        legacy = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5],
-                            store=store)
+        plan = table1_grid(g, ["squatter", "idle"], serials=[4, 5])
+        cold = plan.run(store=store)
         assert store.puts == 4
-        preset = table1_grid(g, ["squatter", "idle"], serials=[4, 5]).run(store=store)
-        assert preset == legacy
+        assert plan.run(store=store) == cold
         assert store.hits == 4 and store.puts == 4  # zero recomputes
 
     def test_tolerance(self, g, store):
-        row = get_row(5)
-        legacy = tolerance_sweep(row, g, [0, 1, 2], "squatter", store=store)
-        preset = tolerance_grid(5, g, [0, 1, 2], "squatter").run(store=store)
-        parallel = tolerance_grid(5, g, [0, 1, 2], "squatter").run(workers=3)
-        assert preset == legacy and parallel == legacy
+        plan = tolerance_grid(5, g, [0, 1, 2], "squatter")
+        cold = plan.run(store=store)
+        warm = plan.run(store=store)
+        parallel = plan.run(workers=3)
+        assert warm == cold and parallel == cold
         assert store.puts == 3 and store.hits == 3
 
     def test_scaling(self, store):
-        row = get_row(5)
         graphs = [random_connected(n, seed=1) for n in (6, 8)]
-        legacy = scaling_sweep(row, graphs, "idle", store=store)
-        preset = scaling_grid(5, graphs, "idle").run(store=store)
-        parallel = scaling_grid(5, graphs, "idle").run(workers=2)
-        assert preset == legacy and parallel == legacy
+        plan = scaling_grid(5, graphs, "idle")
+        cold = plan.run(store=store)
+        warm = plan.run(store=store)
+        parallel = plan.run(workers=2)
+        assert warm == cold and parallel == cold
         assert store.puts == 2 and store.hits == 2
 
     def test_strategy_matrix(self, g, store):
-        rows = [get_row(4), get_row(5)]
-        legacy = strategy_matrix(rows, g, ["squatter", "idle"], store=store)
-        preset = strategy_matrix_grid([4, 5], g, ["squatter", "idle"]).run(store=store)
-        assert preset == legacy
+        """The rows × strategies matrix is a plain grid at ``f="max"``,
+        sharing its store cells with the Table 1 preset."""
+        cold = table1_grid(g, ["squatter", "idle"], serials=[4, 5]).run(store=store)
+        matrix = grid(rows=[4, 5], graphs=g, strategies=["squatter", "idle"],
+                      f="max").run(store=store)
+        assert matrix == cold
         assert store.puts == 4 and store.hits == 4
 
     def test_sweeps_return_result_sets(self, g):
-        out = run_table1(g, strategies=["idle"], serials=[5])
+        out = table1_grid(g, ["idle"], serials=[5]).run()
         assert isinstance(out, ResultSet)
         assert out.success_rate() == 1.0
 

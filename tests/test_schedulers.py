@@ -22,12 +22,11 @@ The contracts under test:
 import pytest
 
 from repro import Adversary, Scenario, World, grid, solve_theorem4
-from repro.analysis import RunStore, scheduler_matrix
+from repro.analysis import RunStore
 from repro.analysis.experiments import SweepCell, cell_key_of
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs import random_connected
-from repro.scenarios import scheduler_matrix_grid
 from repro.sim import ReferenceWorld
 from repro.sim.robot import Stay
 from repro.sim.schedulers import (
@@ -302,18 +301,18 @@ class TestPipeline:
         assert all(rec["success"] is False for rec in records)
 
     def test_scheduler_matrix_preset(self, g, tmp_path):
+        """Rows × schedulers is a plain grid crossing the scheduler axis."""
         schedulers = ["synchronous", "crash_recovery(down=1,up=9)"]
-        gr = scheduler_matrix_grid([5], g, schedulers, strategy="squatter")
+        gr = grid(rows=[5], graphs=g, strategies="squatter", f="max",
+                  schedulers=schedulers)
         assert [s.scheduler for s in gr] == schedulers
         store = RunStore(tmp_path / "store")
-        records = scheduler_matrix([5], g, schedulers, strategy="squatter",
-                                   store=store)
+        records = gr.run(store=store)
         assert len(records) == 2
-        # The synchronous column shares its cell with the legacy sweep.
+        # The synchronous column shares its cell with a scheduler-free grid.
         assert gr[0].key() == Scenario(algorithm=5, graph=g, strategy="squatter").key()
         summary = records.summarize("scheduler", missing="synchronous")
         assert {row["scheduler"] for row in summary} == set(schedulers)
-        assert scheduler_matrix_grid([], g, schedulers).scenarios == ()
 
     def test_cli_sweep_scheduler(self, capsys, tmp_path):
         store = str(tmp_path / "store")

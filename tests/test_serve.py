@@ -25,11 +25,13 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.serve.service as service_module
 from repro.analysis.faults import FaultPlan, FaultSpec
 from repro.analysis.store import RunStore
 from repro.errors import ConfigurationError, ReproError, ValidationError
+from repro.graphs import PortLabeledGraph
 from repro.scenarios import Scenario, ScenarioGrid
 from repro.serve import ServerThread
 
@@ -367,6 +369,7 @@ class TestHttpSurface:
             (dict(SCENARIO, strategy="nope"), "strategy"),
             ({"algorithm": 4}, "graph"),
             (dict(SCENARIO, graph={"family": "hyperwhat", "args": {}}), "graph"),
+            (dict(SCENARIO, graph={"family": []}), "graph"),
         ]
         with ServerThread(store=RunStore(str(tmp_path / "store"))) as server:
             for payload, field in cases:
@@ -387,6 +390,92 @@ class TestHttpSurface:
                     assert response.status == expected, (method, path)
             finally:
                 conn.close()
+
+
+#: Any JSON value, nested a few levels deep.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+#: Valid values for every scenario field.
+_VALID = {
+    "version": st.just(1),
+    "kind": st.sampled_from(["table1", "tolerance", "scaling"]),
+    "algorithm": st.sampled_from([1, 4, 5, "5", "theorem3", "solve_theorem4"]),
+    "strategy": st.sampled_from(["squatter", "idle", "crash"]),
+    "f": st.sampled_from(["max", 0, 1, 2]),
+    "placement": st.sampled_from(["lowest", "highest", "random"]),
+    "seed": st.integers(0, 3),
+    "rounds": st.sampled_from([None, 0, 5]),
+    "scheduler": st.sampled_from([
+        "synchronous", "semi_synchronous(p=0.5)", "adversarial(window=4)",
+        "crash_recovery(down=2,up=6)",
+    ]),
+    "graph": st.sampled_from([
+        {"family": "ring", "args": {"n": 6}},
+        {"family": "random_connected", "args": {"n": 7, "seed": 0}},
+        {"family": "torus", "args": {"cols": 3, "rows": 3}},
+        {"port_table": {"0": {"1": [1, 1]}, "1": {"1": [0, 1]}}},
+    ]),
+}
+
+#: Per field: near misses, then any JSON value (the graph slot also gets
+#: structured junk under its two recognised keys).
+_ANY = {
+    "version": st.sampled_from([0, 2, "1"]) | _JSON,
+    "kind": st.sampled_from(["table9", ""]) | _JSON,
+    "algorithm": st.sampled_from([0, 8, "theorem99", 2.5, True]) | _JSON,
+    "strategy": st.sampled_from(["nope", ""]) | _JSON,
+    "f": st.sampled_from([9, -1, "half", 1.5, True]) | _JSON,
+    "placement": st.sampled_from(["middle", ""]) | _JSON,
+    "seed": st.sampled_from([-1, 2**70, True, "0"]) | _JSON,
+    "rounds": st.sampled_from([-1, 2.5, True]) | _JSON,
+    "scheduler": st.sampled_from([
+        "semi_synchronous(p=2)", "adversarial(window=0)", "warp(speed=9)",
+        "synchronous(", "crash_recovery(down=2)",
+    ]) | _JSON,
+    "graph": st.one_of(
+        st.fixed_dictionaries({"family": st.sampled_from(["ring", "torus", "nope"]) | _JSON},
+                              optional={"args": _JSON}),
+        st.fixed_dictionaries({"port_table": _JSON}),
+        st.fixed_dictionaries({"port_table": st.dictionaries(
+            st.sampled_from(["0", "1", "2", "x"]),
+            st.dictionaries(st.sampled_from(["0", "1", "2"]),
+                            st.lists(st.integers(-1, 3), max_size=3)),
+            max_size=3)}),
+        _JSON,
+    ),
+}
+
+_VALID_PAYLOADS = st.fixed_dictionaries(
+    {"algorithm": _VALID["algorithm"], "graph": _VALID["graph"]},
+    optional={k: v for k, v in _VALID.items() if k not in ("algorithm", "graph")},
+)
+
+
+def _with_field(base, field_value):
+    field, value = field_value
+    return {**base, field: value}
+
+
+#: Valid payloads, valid payloads with one field (or one unknown key)
+#: replaced by junk, valid payloads with a junk graph (the one nested
+#: slot, so it gets its own share), and arbitrary JSON.
+_SCENARIO_PAYLOADS = st.one_of(
+    _VALID_PAYLOADS,
+    st.builds(
+        _with_field,
+        _VALID_PAYLOADS,
+        st.sampled_from(sorted(_ANY) + ["surprise"]).flatmap(
+            lambda field: st.tuples(st.just(field), _ANY.get(field, _JSON))),
+    ),
+    st.builds(_with_field, _VALID_PAYLOADS, st.tuples(st.just("graph"), _ANY["graph"])),
+    _JSON,
+)
 
 
 class TestScenarioValidation:
@@ -432,6 +521,11 @@ class TestScenarioValidation:
           "rounds": 2.5}, "rounds"),
         ({"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}},
           "scheduler": "warp(speed=9)"}, "scheduler"),
+        ({"algorithm": 4, "graph": {"family": []}}, "graph"),
+        ({"algorithm": 4, "graph": {"family": {"ring": 6}}}, "graph"),
+        # Well-formed JSON that is not a port labeling (ports count
+        # from 1).
+        ({"algorithm": 4, "graph": {"port_table": {"0": {"0": [1, 0]}}}}, "graph"),
     ])
     def test_bad_input_names_the_field(self, payload, field):
         with pytest.raises(ValidationError) as excinfo:
@@ -442,6 +536,36 @@ class TestScenarioValidation:
     def test_valid_payload_still_parses(self):
         scenario = Scenario.from_dict(SCENARIO)
         assert scenario.serial == 4 and scenario.f == "max"
+
+    def test_grid_names_malformed_graphs(self):
+        good = {"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}}}
+        for graph in ({"family": []}, {"port_table": {"0": {"0": [1, 0]}}}):
+            with pytest.raises(ValidationError) as excinfo:
+                ScenarioGrid.from_dicts([good, dict(good, graph=graph)])
+            assert excinfo.value.field == "scenarios[1].graph"
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.data())
+    def test_from_dict_fuzz_parses_or_names_a_field(self, data):
+        """Property over untrusted JSON: every field may hold any nested
+        JSON value.  ``from_dict`` either returns a scenario whose JSON
+        round trip keeps its identity and key, or raises
+        ``ValidationError``; nothing else may escape."""
+        payload = data.draw(_SCENARIO_PAYLOADS)
+        try:
+            scenario = Scenario.from_dict(payload)
+        except ValidationError:
+            return
+        again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+        assert again == scenario
+        assert again.to_dict() == scenario.to_dict()
+        if not (scenario.f == "max" and scenario.kind != "table1"
+                and not isinstance(scenario.graph, PortLabeledGraph)):
+            # Keying a spec scenario at f="max" for the other kinds builds
+            # the graph (its bound is resolved), and generator arguments
+            # are checked only when a graph is built; every other key is
+            # computed from the JSON alone.
+            assert again.key() == scenario.key()
 
     def test_grid_prefixes_the_entry_index(self):
         good = {"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}}}

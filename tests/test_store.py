@@ -2,9 +2,9 @@
 
 The contracts under test:
 
-* every sweep routed through :func:`execute_plan` produces records
-  byte-identical to the store-less serial implementation — serial,
-  ``workers>1``, and resumed-from-partial-store;
+* every plan routed through :func:`execute_plan` produces records
+  byte-identical to a store-less serial run — serial, ``workers>1``,
+  and resumed-from-partial-store;
 * a second run against a warm store completes with **zero** solver
   calls (pinned with raising stubs);
 * a sweep killed mid-run (bounded store writes) resumes from the last
@@ -20,14 +20,7 @@ import os
 
 import pytest
 
-from repro.analysis import (
-    RunStore,
-    cell_key,
-    run_table1,
-    scaling_sweep,
-    strategy_matrix,
-    tolerance_sweep,
-)
+from repro.analysis import RunStore, cell_key
 from repro.analysis import experiments
 from repro.analysis.experiments import (
     ExecutionPolicy,
@@ -37,9 +30,9 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.store import SCHEMA_VERSION, _records_sha
 from repro.byzantine import Adversary
-from repro.core import get_row
 from repro.errors import ConfigurationError, SweepFaultError
 from repro.graphs import PortLabeledGraph, random_connected, spec_of
+from repro.scenarios import grid, scaling_grid, table1_grid, tolerance_grid
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +46,18 @@ def store(tmp_path):
 
 
 def _solver_ban(monkeypatch):
-    """Make every solver entry point raise: any call proves the sweep
+    """Make the per-cell entry point raise: any call proves the sweep
     did not run purely from the store."""
 
     def boom(*args, **kwargs):
         raise AssertionError("solver invoked despite warm store")
 
-    monkeypatch.setattr(experiments, "run_table1_row", boom)
-    monkeypatch.setattr(experiments, "_tolerance_record", boom)
-    monkeypatch.setattr(experiments, "_scaling_record", boom)
+    monkeypatch.setattr(experiments, "_cell_records", boom)
+
+
+def _table1_45(g, strategies=("squatter", "idle")):
+    """Rows 4 and 5 of Table 1 on ``g`` (cheap, always applicable)."""
+    return table1_grid(g, list(strategies), serials=[4, 5])
 
 
 class TestRunStore:
@@ -197,44 +193,41 @@ class TestKeyCanonicalisation:
 
 class TestWarmStoreZeroSolverCalls:
     def test_run_table1(self, g, store, monkeypatch):
-        fresh = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5], store=store)
+        fresh = _table1_45(g).run(store=store)
         _solver_ban(monkeypatch)
-        warm = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5], store=store)
+        warm = _table1_45(g).run(store=store)
         assert warm == fresh
         assert store.puts == 4 and store.hits == 4
 
     def test_tolerance_sweep(self, g, store, monkeypatch):
-        row = get_row(5)
-        fresh = tolerance_sweep(row, g, [0, 1, 2], "squatter", store=store)
+        fresh = tolerance_grid(5, g, [0, 1, 2], "squatter").run(store=store)
         _solver_ban(monkeypatch)
-        assert tolerance_sweep(row, g, [0, 1, 2], "squatter", store=store) == fresh
+        assert tolerance_grid(5, g, [0, 1, 2], "squatter").run(store=store) == fresh
 
     def test_scaling_sweep(self, store, monkeypatch):
-        row = get_row(5)
         graphs = [random_connected(n, seed=1) for n in (6, 8)]
-        fresh = scaling_sweep(row, graphs, "idle", store=store)
+        fresh = scaling_grid(5, graphs, "idle").run(store=store)
         _solver_ban(monkeypatch)
-        assert scaling_sweep(row, graphs, "idle", store=store) == fresh
+        assert scaling_grid(5, graphs, "idle").run(store=store) == fresh
 
     def test_strategy_matrix(self, g, store, monkeypatch):
-        rows = [get_row(4), get_row(5)]
-        fresh = strategy_matrix(rows, g, ["squatter", "idle"], store=store)
+        plan = grid(rows=[4, 5], graphs=g, strategies=["squatter", "idle"], f="max")
+        fresh = plan.run(store=store)
         _solver_ban(monkeypatch)
-        assert strategy_matrix(rows, g, ["squatter", "idle"], store=store) == fresh
+        assert plan.run(store=store) == fresh
 
     def test_parallel_run_reads_serially_written_store(self, g, store, monkeypatch):
         """Cache written by a serial run (graph payloads) must be hit by
         a parallel run (spec payloads): keys are wire-format-independent."""
-        fresh = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5], store=store)
+        fresh = _table1_45(g).run(store=store)
         _solver_ban(monkeypatch)
-        warm = run_table1(
-            g, strategies=["squatter", "idle"], serials=[4, 5], store=store, workers=2
-        )
+        warm = _table1_45(g).run(store=store, workers=2)
         assert warm == fresh
 
     def test_resume_false_recomputes(self, g, store):
-        fresh = run_table1(g, strategies=["idle"], serials=[5], store=store)
-        again = run_table1(g, strategies=["idle"], serials=[5], store=store, resume=False)
+        plan = table1_grid(g, ["idle"], serials=[5])
+        fresh = plan.run(store=store)
+        again = plan.run(store=store, resume=False)
         assert again == fresh
         assert store.hits == 0 and store.puts == 2
 
@@ -256,29 +249,23 @@ class _CrashingStore(RunStore):
 class TestCrashResume:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_killed_sweep_resumes_byte_identical(self, g, tmp_path, workers):
-        uninterrupted = run_table1(g, strategies=["squatter", "idle"], serials=[4, 5])
+        uninterrupted = _table1_45(g).run()
 
         crashing = _CrashingStore(tmp_path / "store", budget=2)
         with pytest.raises(KeyboardInterrupt):
-            run_table1(
-                g, strategies=["squatter", "idle"], serials=[4, 5],
-                store=crashing, workers=workers,
-            )
+            _table1_45(g).run(store=crashing, workers=workers)
         assert crashing.puts == 2  # bounded writes persisted before the kill
 
         resumed_store = RunStore(tmp_path / "store")
         assert len(resumed_store) == 2
-        resumed = run_table1(
-            g, strategies=["squatter", "idle"], serials=[4, 5],
-            store=resumed_store, workers=workers,
-        )
+        resumed = _table1_45(g).run(store=resumed_store, workers=workers)
         assert resumed == uninterrupted
         assert resumed_store.hits == 2 and resumed_store.puts == 2
 
     def test_resumed_run_skips_persisted_cells(self, g, tmp_path, monkeypatch):
         crashing = _CrashingStore(tmp_path / "store", budget=2)
         with pytest.raises(KeyboardInterrupt):
-            run_table1(g, strategies=["squatter", "idle"], serials=[4, 5], store=crashing)
+            _table1_45(g).run(store=crashing)
 
         calls = []
         real = experiments._cell_records
@@ -288,10 +275,7 @@ class TestCrashResume:
             return real(cell)
 
         monkeypatch.setattr(experiments, "_cell_records", counting)
-        run_table1(
-            g, strategies=["squatter", "idle"], serials=[4, 5],
-            store=RunStore(tmp_path / "store"),
-        )
+        _table1_45(g).run(store=RunStore(tmp_path / "store"))
         assert len(calls) == 2  # only the two cells the crash lost
 
 
@@ -388,8 +372,8 @@ class TestExecutePlan:
         """JSON round-tripping must not perturb values: huge paper-bound
         ints, bools, and strings all survive exactly (the byte-identical
         guarantee)."""
-        fresh = run_table1(g, strategies=["idle"], serials=[6], store=store)
-        warm = run_table1(g, strategies=["idle"], serials=[6], store=store)
+        fresh = table1_grid(g, ["idle"], serials=[6]).run(store=store)
+        warm = table1_grid(g, ["idle"], serials=[6]).run(store=store)
         assert warm == fresh
         for a, b in zip(fresh, warm):
             assert list(a.keys()) == list(b.keys())
