@@ -1,4 +1,5 @@
-"""Ablations of the paper's design choices (DESIGN.md experiment F-abl).
+"""Ablations of the paper's design choices (what each phase simulates or
+charges: EXPERIMENTS.md, "What is simulated and what is charged").
 
 1. **Pairing schedule** (Section 3.1): the paper's recursive halving vs
    the classic circle-method round robin.  Same protocol, same

@@ -274,9 +274,12 @@ class RunStore:
         # append would merge into the garbage and vanish on reload.
         prefix = b"\n" if shard in self._torn_shards else b""
         with open(shard, "ab") as fh:
-            offset = fh.tell() + len(prefix)
             fh.write(prefix + data)
             fh.flush()
+            # Taken after the append: another writer may have appended to
+            # this shard since it was opened, and an append lands at the
+            # end of the file as it is then.
+            offset = fh.tell() - len(data)
             os.fsync(fh.fileno())
         self._torn_shards.discard(shard)
         self._index[key] = (shard, offset, len(data))

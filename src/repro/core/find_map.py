@@ -7,12 +7,13 @@ possible by) other robots.  The paper's Theorem 1 runs this procedure
 independently on every robot, then requires the graph class where the
 quotient graph is isomorphic to the graph itself.
 
-Substitution (DESIGN.md §5.1): we compute the quotient graph directly —
-the provable *output* of the prior-work protocol — and charge its round
-cost through :func:`find_map_rounds`.  Each robot receives a **privately
-relabeled** copy rooted at its own position, so no global node names leak:
-two robots' maps agree only up to port-preserving isomorphism, exactly as
-in the paper.
+Substitution (EXPERIMENTS.md, "What is simulated and what is charged"):
+we compute the quotient graph directly — the provable *output* of the
+prior-work protocol — and charge its round cost through
+:func:`find_map_rounds`.  Each robot receives a **privately relabeled**
+copy rooted at its own position, so no global node names leak: two
+robots' maps agree only up to port-preserving isomorphism, exactly as in
+the paper.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def find_map_rounds(n: int, m: int, constant: int = 1) -> int:
     """Charged round cost of Find-Map.
 
     Lemma 1 states "polynomial in n" without an exponent; we charge
-    ``c·n³·⌈log₂ n⌉`` (documented in DESIGN.md §8, constant configurable).
+    ``c·n³·⌈log₂ n⌉`` (documented in EXPERIMENTS.md, "What is simulated
+    and what is charged"; constant configurable).
     Only the *shape* (a polynomial dominating the O(n) dispersion phase)
     matters for Theorem 1's statement.
     """

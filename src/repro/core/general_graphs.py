@@ -31,7 +31,7 @@ from ..gathering.oracle import (
 )
 from ..graphs.port_labeled import PortLabeledGraph
 from ..mapping.group_mapping import build_group_plan, group_phase_program, group_plan_rounds
-from ..mapping.token_mapping import plan_honest_run
+from ..mapping.token_mapping import ExplorerMemo, plan_honest_run
 from ..sim.report import RunReport, finish_report
 from ..sim.robot import Action, RobotAPI
 from ..sim.world import World
@@ -54,14 +54,18 @@ __all__ = [
 ]
 
 
-def tick_budget_for(graph: PortLabeledGraph, gather_node: int, margin: int = 2) -> int:
-    """The fixed per-run tick budget all robots share (DESIGN.md §5.4).
+def tick_budget_for(
+    graph: PortLabeledGraph, gather_node: int, memo: ExplorerMemo, margin: int = 2
+) -> int:
+    """The fixed per-run tick budget all robots share.
 
     The paper fixes the slot by the theoretical ``T2 = O(n³)`` bound; we
     fix it by the exact dry run of the deterministic explorer plus a
-    margin — a protocol-external scheduling constant either way.
+    margin — a protocol-external scheduling constant either way (see
+    "What is simulated and what is charged" in EXPERIMENTS.md).  The dry
+    run records the honest path into the solve's ``memo``.
     """
-    ticks, _ = plan_honest_run(graph, gather_node)
+    ticks, _ = plan_honest_run(graph, gather_node, memo)
     return ticks + margin
 
 
@@ -131,31 +135,35 @@ def _pairing_solver(
         graph, f, start=gather_node, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    tb = tick_budget_for(graph, gather_node)
+    memo = ExplorerMemo()
+    tb = tick_budget_for(graph, gather_node, memo)
     base = 2  # after the roster phase
 
     def honest_program_factory(rid: int):
         def factory(api: RobotAPI) -> Iterator[Action]:
-            return _pairing_program(api, tb, base, schedule)
+            return _pairing_program(api, tb, base, memo, schedule)
 
         return factory
 
     bound = (
         base + pairing_phase_rounds(n, tb, schedule) + dispersion_rounds_bound(n) + 16
     )
-    return _run_driver(
-        graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
-        pre_charges, scheduler=scheduler, theorem=theorem,
-        tick_budget=tb, gather_node=gather_node, schedule=schedule,
-    )
+    try:
+        return _run_driver(
+            graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
+            pre_charges, scheduler=scheduler, theorem=theorem,
+            tick_budget=tb, gather_node=gather_node, schedule=schedule,
+        )
+    finally:
+        memo.clear()
 
 
 def _pairing_program(
-    api: RobotAPI, tick_budget: int, base: int, schedule: str = "paper"
+    api: RobotAPI, tick_budget: int, base: int, memo: ExplorerMemo, schedule: str = "paper"
 ) -> Iterator[Action]:
     out: Dict = {}
     yield from roster_phase(api, out)
-    yield from pairing_phase(api, out, tick_budget, base, schedule)
+    yield from pairing_phase(api, out, tick_budget, base, memo, schedule)
     m = out["map"]
     if m is None:
         api.log("no_map_agreed")
@@ -163,11 +171,13 @@ def _pairing_program(
     yield from dispersion_using_map(api, m, 0)
 
 
-def _group_program(api: RobotAPI, scheme: str, tick_budget: int, base: int) -> Iterator[Action]:
+def _group_program(
+    api: RobotAPI, scheme: str, tick_budget: int, base: int, memo: ExplorerMemo
+) -> Iterator[Action]:
     out: Dict = {}
     yield from roster_phase(api, out)
     plan = build_group_plan(out["roster"], scheme, base, tick_budget, api.n)
-    yield from group_phase_program(api, plan, out)
+    yield from group_phase_program(api, plan, out, memo)
     m = out["map"]
     if m is None:
         api.log("no_map_agreed")
@@ -194,21 +204,25 @@ def _group_solver(
         graph, f, start=gather_node, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    tb = tick_budget_for(graph, gather_node)
+    memo = ExplorerMemo()
+    tb = tick_budget_for(graph, gather_node, memo)
     base = 2
 
     def honest_program_factory(rid: int):
         def factory(api: RobotAPI) -> Iterator[Action]:
-            return _group_program(api, scheme, tb, base)
+            return _group_program(api, scheme, tb, base, memo)
 
         return factory
 
     bound = base + group_plan_rounds(scheme, tb) + dispersion_rounds_bound(n) + 16
-    return _run_driver(
-        graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
-        pre_charges, scheduler=scheduler, theorem=theorem,
-        tick_budget=tb, gather_node=gather_node,
-    )
+    try:
+        return _run_driver(
+            graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
+            pre_charges, scheduler=scheduler, theorem=theorem,
+            tick_budget=tb, gather_node=gather_node,
+        )
+    finally:
+        memo.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -257,8 +271,9 @@ def solve_theorem2(
     """Theorem 2: arbitrary start, ``f ≤ ⌊n/2−1⌋`` weak, Õ(n⁹).
 
     Phase 1 is the [24] gathering, charged at ``4·n⁴·|Λgood|·X(n)`` rounds
-    and enacted at the canonical gather node (DESIGN.md §5.2); phases 2–3
-    equal Theorem 3 and are fully simulated.
+    and enacted at the canonical gather node (EXPERIMENTS.md, "What is
+    simulated and what is charged"); phases 2–3 equal Theorem 3 and are
+    fully simulated.
     """
     _check_common(graph, f, graph.n // 2 - 1, "Theorem 2")
     gather = canonical_gather_node(graph)

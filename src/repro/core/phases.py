@@ -29,6 +29,7 @@ from ..errors import ConfigurationError
 from ..mapping.map_merge import majority_map
 from ..mapping.pairing import paper_pairing_schedule, round_robin_schedule
 from ..mapping.token_mapping import (
+    ExplorerMemo,
     RunSpec,
     agent_program,
     run_slot_rounds,
@@ -89,6 +90,7 @@ def pairing_phase(
     out: Dict,
     tick_budget: int,
     base_round: int,
+    memo: ExplorerMemo,
     schedule: str = "paper",
 ) -> Iterator[Action]:
     """Section 3.1: pair with every roster member, vote over the maps.
@@ -99,7 +101,8 @@ def pairing_phase(
     the paper's "waits at the start node until the next stage begins".
 
     Writes ``out["map"]`` (decoded majority map rooted at the gathering
-    node, or ``None`` if no pairing produced a map).
+    node, or ``None`` if no pairing produced a map).  Agent runs explore
+    through the solve's ``memo``.
     """
     roster: List[int] = out["roster"]
     schedule = _schedule_fn(schedule)(roster)
@@ -127,7 +130,7 @@ def pairing_phase(
             )
             if api.id == agent:
                 my_agent_tags.append(run.tag)
-                yield from agent_program(api, run, scratch)
+                yield from agent_program(api, run, scratch, memo)
             else:
                 yield from token_program(api, run, scratch)
     # Align everyone to the end of the phase before voting/dispersing.

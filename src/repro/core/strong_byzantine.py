@@ -28,6 +28,7 @@ from ..errors import ConfigurationError
 from ..gathering.oracle import canonical_gather_node, strong_gathering_rounds
 from ..graphs.port_labeled import PortLabeledGraph
 from ..mapping.group_mapping import build_group_plan, group_phase_program, group_plan_rounds
+from ..mapping.token_mapping import ExplorerMemo
 from ..sim.report import RunReport
 from ..sim.robot import Action, RobotAPI
 from ._setup import build_population, round_budget
@@ -37,11 +38,13 @@ from .phases import rank_dispersion_phase, roster_phase
 __all__ = ["solve_theorem6", "solve_theorem7"]
 
 
-def _strong_program(api: RobotAPI, tick_budget: int, base: int) -> Iterator[Action]:
+def _strong_program(
+    api: RobotAPI, tick_budget: int, base: int, memo: ExplorerMemo
+) -> Iterator[Action]:
     out: Dict = {}
     yield from roster_phase(api, out)
     plan = build_group_plan(out["roster"], "two_groups_strong", base, tick_budget, api.n)
-    yield from group_phase_program(api, plan, out)
+    yield from group_phase_program(api, plan, out, memo)
     m = out["map"]
     if m is None:
         api.log("no_map_agreed")
@@ -66,21 +69,25 @@ def _strong_solver(
         graph, f, start=gather_node, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    tb = tick_budget_for(graph, gather_node)
+    memo = ExplorerMemo()
+    tb = tick_budget_for(graph, gather_node, memo)
     base = 2
 
     def honest_program_factory(rid: int):
         def factory(api: RobotAPI) -> Iterator[Action]:
-            return _strong_program(api, tb, base)
+            return _strong_program(api, tb, base, memo)
 
         return factory
 
     bound = base + group_plan_rounds("two_groups_strong", tb) + n + 16
-    return _run_driver(
-        graph, pop, honest_program_factory, "strong", round_budget(bound, max_rounds),
-        pre_charges, scheduler=scheduler, theorem=theorem,
-        tick_budget=tb, gather_node=gather_node,
-    )
+    try:
+        return _run_driver(
+            graph, pop, honest_program_factory, "strong", round_budget(bound, max_rounds),
+            pre_charges, scheduler=scheduler, theorem=theorem,
+            tick_budget=tb, gather_node=gather_node,
+        )
+    finally:
+        memo.clear()
 
 
 def solve_theorem6(

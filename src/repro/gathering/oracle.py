@@ -10,11 +10,11 @@ bounds:
   ``O((f + |Λall|)·X(n))`` rounds.
 * strong Byzantine (``f`` known): [24] — exponential rounds.
 
-Per DESIGN.md §5.2 we *enact the post-condition* (all honest robots
-co-located on a deterministically chosen node; Byzantine robots placed by
-the adversary) and charge the cited cost as an exact integer.  The
-theorems consume gathering strictly as a black box, so downstream
-behaviour is unchanged.
+As EXPERIMENTS.md ("What is simulated and what is charged") sets out,
+we *enact the post-condition* (all honest robots co-located on a
+deterministically chosen node; Byzantine robots placed by the adversary)
+and charge the cited cost as an exact integer.  The theorems consume
+gathering strictly as a black box, so downstream behaviour is unchanged.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ def strong_gathering_rounds(graph: PortLabeledGraph) -> int:
     """[24]'s strong-Byzantine gathering: exponential; we charge ``2ⁿ·n²``.
 
     The paper states only "exponential in n"; the stand-in formula is
-    documented in DESIGN.md §8 and configurable in experiments — only the
-    exponential-vs-polynomial contrast of Table 1 rows 6/7 matters.
+    documented in EXPERIMENTS.md ("What is simulated and what is
+    charged") — only the exponential-vs-polynomial contrast of Table 1
+    rows 6/7 matters.
     """
     n = graph.n
     return (2**n) * n * n

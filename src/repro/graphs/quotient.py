@@ -89,9 +89,10 @@ def quotient_graph(graph: PortLabeledGraph) -> QuotientGraph:
     """Compute the quotient graph of ``graph``.
 
     This is the *output* of the Czyzowicz et al. [16] single-robot map
-    construction protocol (our Find-Map substitution — see DESIGN.md §5.1);
-    the round cost of actually running that protocol is charged separately
-    by :func:`repro.core.find_map.find_map_rounds`.
+    construction protocol (our Find-Map substitution — see
+    EXPERIMENTS.md, "What is simulated and what is charged"); the round
+    cost of actually running that protocol is charged separately by
+    :func:`repro.core.find_map.find_map_rounds`.
     """
     class_of = view_partition(graph)
     num_classes = max(class_of) + 1 if class_of else 0

@@ -9,6 +9,7 @@ from .group_mapping import (
 from .map_merge import decode_canonical, majority_encoding, majority_map
 from .pairing import paper_pairing_schedule, pairs_covered, round_robin_schedule
 from .token_mapping import (
+    ExplorerMemo,
     RunSpec,
     agent_program,
     explorer_core,
@@ -20,6 +21,7 @@ from .token_mapping import (
 
 __all__ = [
     "RunSpec",
+    "ExplorerMemo",
     "explorer_core",
     "plan_honest_run",
     "agent_program",

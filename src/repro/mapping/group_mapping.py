@@ -27,7 +27,13 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..sim.robot import Action, RobotAPI
 from .map_merge import decode_canonical, majority_encoding
-from .token_mapping import RunSpec, agent_program, run_slot_rounds, token_program
+from .token_mapping import (
+    ExplorerMemo,
+    RunSpec,
+    agent_program,
+    run_slot_rounds,
+    token_program,
+)
 
 __all__ = ["GroupPlan", "build_group_plan", "group_phase_program", "group_plan_rounds"]
 
@@ -154,16 +160,18 @@ def group_phase_program(
     api: RobotAPI,
     plan: GroupPlan,
     out: Dict,
+    memo: ExplorerMemo,
 ) -> Iterator[Action]:
     """Execute all runs of ``plan`` in role order, then vote.
 
     Stores the decoded majority map into ``out["map"]`` (``None`` when no
-    believable map emerged — the beyond-tolerance failure mode).
+    believable map emerged — the beyond-tolerance failure mode).  Agent
+    runs explore through the solve's ``memo``.
     """
     scratch: Dict = {}
     for run in plan.runs:
         if api.id in run.agent_ids:
-            yield from agent_program(api, run, scratch)
+            yield from agent_program(api, run, scratch, memo)
         else:
             yield from token_program(api, run, scratch)
     encodings = [scratch.get(("exchanged", run.tag)) for run in plan.runs]

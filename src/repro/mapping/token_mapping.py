@@ -3,7 +3,7 @@
 The paper repeatedly invokes the Dieudonné–Pelc–Peleg [24] primitive: an
 *agent* and a *movable token* start co-located and cooperate so the agent
 constructs a port-preserving isomorphic map of the anonymous graph.  This
-module implements a concrete such protocol (DESIGN.md §5.4):
+module implements a concrete such protocol:
 
 **Frontier-edge testing.**  The agent maintains a partial map (every node
 identified by how it was discovered).  To explore an unknown port
@@ -27,8 +27,31 @@ commands reach every token member regardless of sub-round order.  Every
 run occupies a fixed slot of rounds (the paper's footnote 11: robots stop
 at the budget and return to the start node), with the tick budget set by
 an exact dry run of the deterministic explorer
-(:func:`plan_honest_run`) — see DESIGN.md §5.4 for why this only changes
-idle time, never behaviour.
+(:func:`plan_honest_run`) — see "What is simulated and what is charged"
+in EXPERIMENTS.md for why this only changes idle time, never behaviour.
+
+**One explorer per solve (:class:`ExplorerMemo`).**  A solve runs the
+same deterministic explorer once per pairing run, in both role orders,
+or once per group member.  :class:`ExplorerMemo` is a trie of
+:func:`explorer_core`'s outcomes, keyed by ``(n, root_degree)`` and then
+by each response; the solver's dry run records the honest path into it
+and every honest agent walks it, replaying recorded ops and running a
+private core only where its history leaves the trie.  This is exact:
+
+* the core never sees the graph — only ``n``, the root degree and the
+  agent's *own* responses — so two agents with equal histories compute
+  equal ops, and a replayed op is the op the agent's own core would
+  have yielded;
+* no information passes between robots: the trie caches a pure
+  function of the agent's own observations, the same function every
+  agent would evaluate itself;
+* agents that reach the same end share one map object, which is safe
+  because :class:`PortLabeledGraph` is immutable and its consumers
+  (:func:`~repro.mapping.map_merge.majority_map` and
+  :func:`~repro.graphs.isomorphism.canonical_form`) only read it.
+
+The engine, robot actions and activations never see the memo, so
+records stay byte-identical.
 """
 
 from __future__ import annotations
@@ -42,6 +65,7 @@ from ..sim.robot import STAY, Action, Move, RobotAPI, Sleep
 
 __all__ = [
     "RunSpec",
+    "ExplorerMemo",
     "explorer_core",
     "plan_honest_run",
     "agent_program",
@@ -277,16 +301,116 @@ def explorer_core(n: int, root_degree: int):
         raise _MapOverflow(f"inconsistent map from corrupted run: {exc}") from exc
 
 
-def plan_honest_run(graph: PortLabeledGraph, root: int) -> Tuple[int, PortLabeledGraph]:
+class _Node:
+    """One explorer state in an :class:`ExplorerMemo` trie.
+
+    ``op`` is the op the core yielded on reaching this state; at an end it
+    is ``None`` and ``end`` holds ``(exception type, args)`` — a
+    ``StopIteration`` carrying the map, or a :class:`_MapOverflow`.
+    ``children`` maps the next response to the next state.
+    """
+
+    __slots__ = ("op", "end", "children")
+
+    def __init__(self, op: Optional[Tuple], end: Optional[Tuple] = None):
+        self.op = op
+        self.end = end
+        self.children: Dict[object, "_Node"] = {}
+
+
+class _Cursor:
+    """One agent's walk through an :class:`ExplorerMemo`, with the
+    generator ``send`` contract of :func:`explorer_core`.
+
+    Recorded children are followed without running the core.  On a miss
+    the cursor builds a private core, replays its own responses into it
+    and records the new child; it keeps that core while it keeps
+    extending the trie and drops it on the next hit.
+    """
+
+    __slots__ = ("_n", "_root_degree", "_node", "_history", "_core")
+
+    def __init__(self, n: int, root_degree: int, root: _Node):
+        self._n = n
+        self._root_degree = root_degree
+        self._node = root
+        self._history: List[object] = []
+        self._core = None
+
+    def send(self, response):
+        node = self._node.children.get(response)
+        if node is None:
+            node = self._extend(response)
+        else:
+            self._core = None
+        self._node = node
+        self._history.append(response)
+        if node.op is not None:
+            return node.op
+        kind, args = node.end
+        raise kind(*args)
+
+    def _extend(self, response) -> _Node:
+        core = self._core
+        if core is None:
+            core = explorer_core(self._n, self._root_degree)
+            for past in self._history:
+                core.send(past)
+        self._core = None  # any exception below ends the core
+        try:
+            node = _Node(core.send(response))
+        except StopIteration as stop:
+            node = _Node(None, (StopIteration, (stop.value,)))
+        except _MapOverflow as exc:
+            node = _Node(None, (_MapOverflow, exc.args))
+        else:
+            self._core = core
+        self._node.children[response] = node
+        return node
+
+
+class ExplorerMemo:
+    """Per-solve trie of :func:`explorer_core` outcomes (module docstring).
+
+    :meth:`explorer` returns a cursor that behaves like
+    ``explorer_core(n, root_degree)``: the same op tuples from ``send``,
+    ``StopIteration(value=map)`` when the map is complete and
+    :class:`_MapOverflow` on overflow.  Any other exception from the core
+    propagates and is not recorded.  A solver creates one memo, hands it
+    to its dry run and every honest agent, and calls :meth:`clear` when
+    the run is over.
+    """
+
+    __slots__ = ("_roots",)
+
+    def __init__(self) -> None:
+        self._roots: Dict[Tuple[int, int], _Node] = {}
+
+    def explorer(self, n: int, root_degree: int) -> _Cursor:
+        root = self._roots.get((n, root_degree))
+        if root is None:
+            root = self._roots[(n, root_degree)] = _Node(None)
+        return _Cursor(n, root_degree, root)
+
+    def clear(self) -> None:
+        """Drop the trie (the world's reference cycles may outlive the run)."""
+        self._roots.clear()
+
+
+def plan_honest_run(
+    graph: PortLabeledGraph, root: int, memo: ExplorerMemo
+) -> Tuple[int, PortLabeledGraph]:
     """Dry-run the explorer against the true graph: exact honest tick count.
 
-    Drives :func:`explorer_core` with truthful observations and counts
-    ticks.  Drivers use the returned count (plus margin) as the fixed run
-    slot budget — the protocol-external scheduling constant the paper sets
-    via its ``T2 = O(n³)`` bound (DESIGN.md §5.4).  Also returns the map
-    the honest run produces, which tests verify is isomorphic to ``graph``.
+    Drives :func:`explorer_core` (through ``memo``, which thereby records
+    the honest path) with truthful observations and counts ticks.
+    Drivers use the returned count (plus margin) as the fixed run slot
+    budget — the protocol-external scheduling constant the paper sets via
+    its ``T2 = O(n³)`` bound (EXPERIMENTS.md, "What is simulated and what
+    is charged").  Also returns the map the honest run produces, which
+    tests verify is isomorphic to ``graph``.
     """
-    core = explorer_core(graph.n, graph.degree(root))
+    core = memo.explorer(graph.n, graph.degree(root))
     agent = token = root
     ticks = 0
     resp = None
@@ -324,6 +448,7 @@ def agent_program(
     api: RobotAPI,
     run: RunSpec,
     out: Dict,
+    memo: ExplorerMemo,
 ) -> Iterator[Action]:
     """One honest agent(-group member) executing run ``run``.
 
@@ -332,6 +457,7 @@ def agent_program(
     node (via its reverse trail if aborted) by ``run.end_round`` minus the
     exchange rounds.  The caller is responsible for being at the start
     node at ``run.start_round`` (asserted by construction of the phases).
+    The explorer runs through the solve's ``memo``.
     """
     yield from sleep_until(api, run.start_round)
     # The run's fields, read once rather than every tick.
@@ -339,7 +465,7 @@ def agent_program(
     tick_budget = run.tick_budget
     token_ids = run.token_ids
     presence_threshold = run.presence_threshold
-    core = explorer_core(api.n, api.degree())
+    core = memo.explorer(api.n, api.degree())
     trail: List[int] = []
     tick = 0
     result: Optional[PortLabeledGraph] = None

@@ -3,7 +3,8 @@
 :class:`RunReport` is the uniform result object every algorithm entry
 point returns; it separates *simulated* rounds (the scheduler actually
 stepped them) from *charged* rounds (oracle phases priced by the paper's
-cited bounds — see DESIGN.md §5) and carries the validation verdict.
+cited bounds — see EXPERIMENTS.md, "What is simulated and what is
+charged") and carries the validation verdict.
 :func:`dispersion_violations` is the one place that verdict is computed:
 :func:`finish_report` applies it to live worlds, the batched engine to
 its struct-of-arrays state, and tests to plain ``robot -> node`` maps.
@@ -50,10 +51,11 @@ class RunReport:
         assignment, blacklist sizes; a non-default activation scheduler
         records its canonical spec under ``meta["scheduler"]``).
     activations:
-        Total program resumptions across the run (the world's tally).
-        Under the synchronous default this equals live-robot-rounds; a
-        non-default :mod:`~repro.sim.schedulers` scheduler makes it a
-        real measure of granted activations.
+        Total program resumptions across the run (the world's tally):
+        one per robot per round in which it was awake (and, under a
+        non-default :mod:`~repro.sim.schedulers` scheduler, activated).
+        Sleeping robots are not counted, so this is not
+        live-robot-rounds.
     """
 
     success: bool

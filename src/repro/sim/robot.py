@@ -351,7 +351,8 @@ class RobotAPI:
         """The complete message board of the previous round at this node.
 
         Use this when a protocol step needs *everyone's* message regardless
-        of ID order (costs one round of latency; see DESIGN.md §3)."""
+        of ID order (costs one round of latency; see EXPERIMENTS.md, "What
+        is simulated and what is charged")."""
         return list(self._world.board_previous.get(self._robot.node, ()))
 
     # -- misc ------------------------------------------------------------ #

@@ -16,8 +16,9 @@ Section 2.2:
 
 The world also keeps **charged rounds**: phases the paper prices via prior
 work (gathering, Find-Map) add their cited round cost to the accounting
-without being stepped one by one (see DESIGN.md §5).  Every result object
-reports simulated and charged rounds separately.
+without being stepped one by one (see EXPERIMENTS.md, "What is simulated
+and what is charged").  Every result object reports simulated and charged
+rounds separately.
 
 Hot-path engineering (see PERFORMANCE.md for measurements):
 
@@ -135,9 +136,10 @@ class World:
         self.model = model
         self.robots: Dict[int, Robot] = {}
         self.round = 0
-        #: Total program resumptions so far (one per robot per round it
-        #: was activated and awake).  Under the synchronous default this
-        #: equals live-robot-rounds; schedulers make it a real measure.
+        #: Total program resumptions so far: one per robot per round in
+        #: which it was awake (and, under a scheduler, activated).  A
+        #: sleeping robot is skipped before the count, so this is not
+        #: live-robot-rounds.
         self.activations = 0
         if scheduler is not None:
             built = build_scheduler(scheduler)

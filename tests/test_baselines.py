@@ -10,7 +10,7 @@ from repro.baselines import (
 )
 from repro.byzantine import Adversary
 from repro.errors import ConfigurationError, GraphStructureError
-from repro.graphs import clique, random_connected, ring, torus
+from repro.graphs import clique, path, random_connected, ring, star, torus
 
 
 class TestDfsBaselineHonest:
@@ -37,6 +37,23 @@ class TestDfsBaselineHonest:
     def test_round_bound(self, rc8):
         rep = solve_dfs_baseline(rc8)
         assert rep.rounds_simulated <= dfs_rounds_bound(rc8.n, rc8.m)
+
+    def test_rounds_within_six_m(self):
+        """The O(m) claim of Kshemkalyani & Ali (arXiv:1805.12242) with its
+        constant: 3 rounds per DFS step and at most 2m steps (each edge
+        walked forth and back) give rounds_simulated <= 6m."""
+        graphs = [random_connected(n, seed=s) for n in range(4, 25) for s in range(6)]
+        graphs += [family(n) for family in (ring, path, star) for n in range(4, 19)]
+        graphs += [clique(n) for n in range(4, 16)]
+        graphs += [torus(3, 3), torus(4, 4)]
+        assert len(graphs) == 185
+        over = []
+        for g in graphs:
+            rep = solve_dfs_baseline(g)
+            assert rep.success, rep.violations
+            if rep.rounds_simulated > 6 * g.m:
+                over.append((g, rep.rounds_simulated, 6 * g.m))
+        assert over == []
 
     def test_works_on_symmetric_graphs(self):
         rep = solve_dfs_baseline(torus(3, 3))

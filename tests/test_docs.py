@@ -43,6 +43,24 @@ def test_no_dangling_relative_links():
     assert check_docs.check_relative_links() == []
 
 
+def test_docs_named_in_code_exist():
+    assert check_docs.check_md_references() == []
+
+
+def test_docs_named_in_code_catches_a_missing_doc(tmp_path, monkeypatch):
+    # A docstring citing a document that was never written fails the
+    # gate; one citing an existing document (root or sibling) passes.
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "NOTES.md").write_text("# notes\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "LOCAL.md").write_text("# local\n", encoding="utf-8")
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        '"""See NOTES.md, LOCAL.md and DESIGN.md §5."""\n', encoding="utf-8"
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    errors = check_docs.check_md_references()
+    assert errors == ["src/pkg/mod.py: names DESIGN.md, which does not exist"]
+
+
 def test_lint_registry_matches_experiments_table():
     assert check_docs.check_lint_registry() == []
 

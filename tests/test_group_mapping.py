@@ -6,6 +6,7 @@ from repro.byzantine import Adversary
 from repro.errors import ConfigurationError
 from repro.graphs import rooted_isomorphic
 from repro.mapping import (
+    ExplorerMemo,
     build_group_plan,
     group_phase_program,
     group_plan_rounds,
@@ -74,7 +75,8 @@ class TestGroupPhaseHonest:
     @pytest.mark.parametrize("scheme", ["three_groups", "two_groups_majority", "two_groups_strong"])
     def test_all_honest_agree_on_correct_map(self, rc8, scheme):
         n = rc8.n
-        ticks, _ = plan_honest_run(rc8, 0)
+        memo = ExplorerMemo()
+        ticks, _ = plan_honest_run(rc8, 0, memo)
         tb = ticks + 2
         w = World(rc8, model="strong" if scheme == "two_groups_strong" else "weak")
         outs = {}
@@ -85,7 +87,7 @@ class TestGroupPhaseHonest:
             outs[rid] = out
 
             def factory(api, _out=out, _plan=plan):
-                return group_phase_program(api, _plan, _out)
+                return group_phase_program(api, _plan, _out, memo)
 
             w.add_robot(rid, 0, factory)
         w.run(max_rounds=plan.end_round + 5)
@@ -98,7 +100,8 @@ class TestGroupPhaseHonest:
         clean and the majority-of-three still yields the correct map —
         the exact Section 3.2 failure-tolerance argument."""
         n = rc8.n  # 8 => groups of 2,2,4; cmd_threshold = 2
-        ticks, _ = plan_honest_run(rc8, 0)
+        memo = ExplorerMemo()
+        ticks, _ = plan_honest_run(rc8, 0, memo)
         tb = ticks + 2
         w = World(rc8)
         roster = list(range(1, n + 1))
@@ -116,7 +119,7 @@ class TestGroupPhaseHonest:
                 outs[rid] = out
 
                 def factory(api, _out=out, _plan=plan):
-                    return group_phase_program(api, _plan, _out)
+                    return group_phase_program(api, _plan, _out, memo)
 
                 w.add_robot(rid, 0, factory)
         w.run(max_rounds=plan.end_round + 5)

@@ -19,20 +19,20 @@ from repro.graphs import (
     rooted_isomorphic,
     torus,
 )
-from repro.mapping import plan_honest_run
+from repro.mapping import ExplorerMemo, plan_honest_run
 
 
 class TestMappingOnScrambledPorts:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_scrambled_ring_maps_correctly(self, seed):
         g = ring(9, seed=seed)
-        ticks, m = plan_honest_run(g, 0)
+        ticks, m = plan_honest_run(g, 0, ExplorerMemo())
         assert rooted_isomorphic(g, 0, m, 0)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_scrambled_regular_maps_correctly(self, seed):
         g = random_regular(8, 3, seed=seed)
-        _, m = plan_honest_run(g, 2)
+        _, m = plan_honest_run(g, 2, ExplorerMemo())
         assert rooted_isomorphic(g, 2, m, 0)
 
 

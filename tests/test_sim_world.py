@@ -340,6 +340,30 @@ class TestSleep:
         w.step()
         assert w.round == 1  # an awake robot pins the clock
 
+    def test_sleeping_rounds_are_not_activations(self):
+        """``activations`` counts awake resumes, not live-robot-rounds: a
+        robot sleeping k rounds beside a staying robot adds only the
+        rounds it was resumed in."""
+        g = ring(3)
+        w = World(g)
+        k = 10
+
+        def sleeper(api):
+            yield Sleep(k)  # resumed in round 0
+            yield Stay()  # round k
+            yield Stay()  # round k + 1; round k + 2 ends the program
+
+        w.add_robot(1, 0, sleeper)
+        w.add_robot(2, 1, stay_forever)
+        rounds = k + 5
+        for _ in range(rounds):
+            w.step()
+        assert w.round == rounds
+        assert w.robots[1].terminated
+        # The stayer is resumed every round, the sleeper in rounds 0, k,
+        # k + 1 and k + 2 -- although it was live for k + 3 rounds.
+        assert w.activations == rounds + 4
+
     def test_sleep_invalid(self):
         g = ring(3)
         w = World(g)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.analysis import RunStore, cell_key
 from repro.analysis import experiments
+from repro.analysis import store as store_module
 from repro.analysis.experiments import (
     ExecutionPolicy,
     SweepCell,
@@ -111,6 +112,33 @@ class TestRunStore:
         s3 = RunStore(tmp_path / "s")  # ... and after a fresh load
         assert s3.get(k1) == [{"x": 1}]
         assert s3.get(k2) == [{"x": 2}]
+
+    def test_put_after_another_writers_append(self, tmp_path, monkeypatch):
+        """Regression: a second handle appending to the same shard between
+        this handle's open and its write must not leave a wrong offset in
+        this handle's index (a silent miss that recomputes the cell)."""
+        a = RunStore(tmp_path / "s")
+        b = RunStore(tmp_path / "s")
+        key_a, key_b = "dd" + "0" * 62, "dd" + "1" * 62  # same shard
+        real_open = open
+        interleaved = []
+
+        def open_then_let_b_write(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if mode == "ab" and not interleaved:
+                interleaved.append(path)
+                b.put(key_b, [{"writer": "b"}])
+            return fh
+
+        monkeypatch.setattr(store_module, "open", open_then_let_b_write, raising=False)
+        a.put(key_a, [{"writer": "a"}])
+        monkeypatch.undo()
+        assert interleaved
+        assert a.get(key_a) == [{"writer": "a"}]
+        assert b.get(key_b) == [{"writer": "b"}]
+        fresh = RunStore(tmp_path / "s")
+        assert fresh.get(key_a) == [{"writer": "a"}]
+        assert fresh.get(key_b) == [{"writer": "b"}]
 
     def test_store_path_collides_with_file(self, tmp_path):
         target = tmp_path / "occupied"

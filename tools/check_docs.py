@@ -18,6 +18,9 @@ Two checks, both deterministic and network-free:
 4. **Eval-registry sync** — the "Eval suites" table in EXPERIMENTS.md
    must name exactly the suites ``repro.evals.SUITES`` registers, so
    ``repro eval`` and the docs cannot drift apart.
+5. **Doc references from code** — every ``*.md`` name a ``.py`` file under
+   ``src/``, ``benchmarks/`` or ``tools/`` names must exist, so a
+   docstring cannot send its reader to a document that is not there.
 
 Run:  python tools/check_docs.py   (exit 0 = docs healthy)
 """
@@ -39,6 +42,10 @@ _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 #: Inline Markdown links; deliberately simple — our docs use plain
 #: ``[text](target)`` forms.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Trees whose Python files may cite Markdown docs by name.
+CODE_DIRS = ("src", "benchmarks", "tools")
+_MD_NAME_RE = re.compile(r"\b[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
 
 
 def extract_code_blocks(markdown: str, language: str = "python") -> List[str]:
@@ -116,6 +123,23 @@ def check_relative_links() -> List[str]:
                 if not resolved.exists():
                     errors.append(
                         f"{path.relative_to(REPO_ROOT)}: broken link ({raw})"
+                    )
+    return errors
+
+
+def check_md_references() -> List[str]:
+    """``*.md`` names cited in code whose document does not exist.
+
+    A name resolves against the repo root or the citing file's directory.
+    """
+    errors = []
+    for top in CODE_DIRS:
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for name in sorted(set(_MD_NAME_RE.findall(text))):
+                if not ((REPO_ROOT / name).exists() or (path.parent / name).exists()):
+                    errors.append(
+                        f"{path.relative_to(REPO_ROOT)}: names {name}, which does not exist"
                     )
     return errors
 
@@ -217,6 +241,7 @@ def check_eval_registry() -> List[str]:
 
 def main() -> int:
     errors = check_relative_links()
+    errors.extend(check_md_references())
     errors.extend(check_lint_registry())
     errors.extend(check_eval_registry())
     readme = REPO_ROOT / "README.md"
@@ -227,7 +252,10 @@ def main() -> int:
     for err in errors:
         print(f"DOCS: {err}", file=sys.stderr)
     if not errors:
-        print("docs ok: README quickstart ran, all relative links resolve")
+        print(
+            "docs ok: README quickstart ran, all relative links and "
+            "doc names in code resolve"
+        )
     return 1 if errors else 0
 
 
