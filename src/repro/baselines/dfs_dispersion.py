@@ -36,7 +36,7 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..sim.report import RunReport, finish_report
-from ..sim.robot import SETTLED, STAY, Action, Move, RobotAPI
+from ..sim.robot import MOVES, SETTLED, STAY, Action, RobotAPI
 from ..sim.world import World
 from ..sim.ids import assign_ids
 
@@ -84,7 +84,7 @@ def dfs_dispersion_program(api: RobotAPI, cap: int = 1) -> Iterator[Action]:
         if direction == 0 or direction > api.degree():
             api.log("dfs_bad_guidance", port=direction)
             return
-        yield Move(direction)
+        yield MOVES[direction]
 
 
 def _landmark(api: RobotAPI, parent_port: Optional[int]) -> Iterator[Action]:

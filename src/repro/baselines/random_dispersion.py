@@ -21,7 +21,7 @@ from ..errors import ConfigurationError
 from ..graphs.exploration import _log2_ceil
 from ..graphs.port_labeled import PortLabeledGraph
 from ..sim.report import RunReport, finish_report
-from ..sim.robot import SETTLED, STAY, Move, RobotAPI
+from ..sim.robot import MOVES, SETTLED, STAY, RobotAPI
 from ..sim.world import World
 from ..core._setup import build_population
 
@@ -52,7 +52,7 @@ def _program(api: RobotAPI, rng: np.random.Generator):
         if deg == 0:
             yield STAY
         else:
-            yield Move(int(rng.integers(1, deg + 1)))
+            yield MOVES[int(rng.integers(1, deg + 1))]
 
 
 def solve_random_baseline(

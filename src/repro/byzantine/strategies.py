@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterator, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.robot import SETTLED, STAY, TOBESETTLED, Action, ByzantineAPI, Move
+from ..sim.robot import MOVES, SETTLED, STAY, TOBESETTLED, Action, ByzantineAPI
 
 __all__ = [
     "Strategy",
@@ -104,7 +104,7 @@ def ghost_squatter(api: ByzantineAPI, rng, period: int = 3) -> Iterator[Action]:
         if r % period == 0 and (deg := api.degree()) > 0:
             port = draw_port(deg)
             api.set_state(SETTLED)
-            yield Move(port)
+            yield MOVES[port]
         else:
             yield STAY
 
@@ -177,7 +177,7 @@ def random_walker(api: ByzantineAPI, rng) -> Iterator[Action]:
         api.set_flag(int(rng.integers(0, 2)))
         deg = api.degree()
         if deg > 0 and rng.random() < 0.8:
-            yield Move(int(rng.integers(1, deg + 1)))
+            yield MOVES[int(rng.integers(1, deg + 1))]
         else:
             yield STAY
 
@@ -205,7 +205,7 @@ def stalker(api: ByzantineAPI, rng) -> Iterator[Action]:
             yield STAY
         else:
             ports = navigate(world.graph, me, target_node)
-            yield Move(ports[0])
+            yield MOVES[ports[0]]
 
 
 def false_commander(api: ByzantineAPI, rng, port: int = 1) -> Iterator[Action]:
@@ -245,7 +245,7 @@ def decoy_token(api: ByzantineAPI, rng, walk_rounds: int = 3) -> Iterator[Action
     for _ in range(walk_rounds):
         deg = api.degree()
         if deg > 0:
-            yield Move(int(rng.integers(1, deg + 1)))
+            yield MOVES[int(rng.integers(1, deg + 1))]
         else:
             yield STAY
     api.set_state(SETTLED)

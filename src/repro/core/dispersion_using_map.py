@@ -36,7 +36,7 @@ from typing import Dict, Iterator, Optional, Set
 
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.traversal import euler_tour
-from ..sim.robot import SETTLED, Action, Move, RobotAPI
+from ..sim.robot import MOVES, SETTLED, Action, RobotAPI
 
 __all__ = ["DispersionMemory", "dispersion_using_map", "dispersion_rounds_bound"]
 
@@ -198,4 +198,4 @@ def dispersion_using_map(
             api.log("map_mismatch", port=step.port, degree=api.degree())
             return
         pos = step.node
-        yield Move(step.port)
+        yield MOVES[step.port]

@@ -36,7 +36,7 @@ from ..mapping.token_mapping import (
     sleep_until,
     token_program,
 )
-from ..sim.robot import STAY, Action, Move, RobotAPI
+from ..sim.robot import MOVES, STAY, Action, RobotAPI
 
 __all__ = [
     "roster_phase",
@@ -102,7 +102,8 @@ def pairing_phase(
 
     Writes ``out["map"]`` (decoded majority map rooted at the gathering
     node, or ``None`` if no pairing produced a map).  Agent runs explore
-    through the solve's ``memo``.
+    through the solve's ``memo``, which also decodes the winner (once per
+    solve, shared by every robot that elected it).
     """
     roster: List[int] = out["roster"]
     schedule = _schedule_fn(schedule)(roster)
@@ -136,7 +137,7 @@ def pairing_phase(
     # Align everyone to the end of the phase before voting/dispersing.
     yield from sleep_until(api, base_round + len(schedule) * slot_len)
     candidates = [scratch.get(tag) for tag in my_agent_tags]
-    out["map"] = majority_map(candidates)
+    out["map"] = majority_map(candidates, memo.decode)
     out["n_candidates"] = len(candidates)
     out["n_good_candidates"] = sum(1 for c in candidates if c is not None)
 
@@ -168,5 +169,5 @@ def rank_dispersion_phase(
         api.log("rank_overflow", rank=rank)
         return
     for port in navigate(map_graph, map_root, order[rank]):
-        yield Move(port)
+        yield MOVES[port]
     api.settle()

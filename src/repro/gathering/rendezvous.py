@@ -20,7 +20,7 @@ from typing import Iterator, Tuple
 from ..graphs.isomorphism import canonical_form
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.traversal import navigate
-from ..sim.robot import Action, Move, RobotAPI
+from ..sim.robot import MOVES, Action, RobotAPI
 
 __all__ = ["canonical_node_on_map", "rendezvous_walk"]
 
@@ -55,4 +55,4 @@ def rendezvous_walk(
     """
     target = canonical_node_on_map(map_graph)
     for port in navigate(map_graph, map_pos, target):
-        yield Move(port)
+        yield MOVES[port]

@@ -95,6 +95,7 @@ class PortLabeledGraph:
         "_dest",
         "_in_port",
         "_port_of_nbr",
+        "_tours",
         "_spec",
     )
 
@@ -152,8 +153,9 @@ class PortLabeledGraph:
         Construction cost is the whole point of the trusted path, so only
         what every workload needs is built here: the rows themselves and
         the node/edge counts.  The CSR arrays (pickling), the adjacency
-        tuples (``neighbours``/connectivity) and the neighbour→port maps
-        (``port_to``) are materialised on first use and cached.
+        tuples (``neighbours``/connectivity), the neighbour→port maps
+        (``port_to``) and the Euler tours (``euler_tour``) are
+        materialised on first use and cached.
         """
         self._ports = rows
         self._n = len(rows)
@@ -163,6 +165,7 @@ class PortLabeledGraph:
         self._in_port = None
         self._adjacency = None
         self._port_of_nbr = None
+        self._tours = None
         self._spec = None
 
     def _init_from_csr(self, n: int, offsets: array, dest: array, in_port: array) -> None:
@@ -178,6 +181,7 @@ class PortLabeledGraph:
         self._in_port = in_port
         self._adjacency = None
         self._port_of_nbr = None
+        self._tours = None
         self._spec = None
 
     # -- lazy derived caches ------------------------------------------- #
@@ -220,6 +224,15 @@ class PortLabeledGraph:
             )
             self._port_of_nbr = maps
         return maps
+
+    def _tour_cache(self) -> Dict[int, tuple]:
+        """Root -> Euler tour, filled by
+        :func:`~repro.graphs.traversal.euler_tour` (the graph is
+        immutable, so a tour never goes stale)."""
+        tours = self._tours
+        if tours is None:
+            tours = self._tours = {}
+        return tours
 
     # ------------------------------------------------------------------ #
     # Construction helpers

@@ -58,7 +58,22 @@ def euler_tour(graph: PortLabeledGraph, root: int) -> List[TourStep]:
     are explored in increasing order, making the tour deterministic — all
     honest robots with isomorphic maps and the same start node produce the
     same tour (in map-local coordinates).
+
+    Computed once per graph object and root: the steps are cached on the
+    graph, which is exact because the tour is deterministic and safe
+    because :class:`PortLabeledGraph` is immutable and ``TourStep`` is
+    frozen.  Every call returns a fresh list, so callers may mutate it.
     """
+    tours = graph._tour_cache()
+    tour = tours.get(root)
+    if tour is None:
+        tour = tours[root] = tuple(_dfs_tour(graph, root))
+    return list(tour)
+
+
+def _dfs_tour(graph: PortLabeledGraph, root: int) -> List[TourStep]:
+    """Compute :func:`euler_tour` (raises :class:`MapError` on a
+    disconnected map, which is then not cached)."""
     if graph.n == 0:
         return []
     visited = {root}

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.robot import Action, RobotAPI
-from .map_merge import decode_canonical, majority_encoding
+from .map_merge import majority_encoding
 from .token_mapping import (
     ExplorerMemo,
     RunSpec,
@@ -166,7 +166,8 @@ def group_phase_program(
 
     Stores the decoded majority map into ``out["map"]`` (``None`` when no
     believable map emerged — the beyond-tolerance failure mode).  Agent
-    runs explore through the solve's ``memo``.
+    runs explore through the solve's ``memo``, which also decodes the
+    winner (once per solve, shared by every robot that elected it).
     """
     scratch: Dict = {}
     for run in plan.runs:
@@ -176,5 +177,5 @@ def group_phase_program(
             yield from token_program(api, run, scratch)
     encodings = [scratch.get(("exchanged", run.tag)) for run in plan.runs]
     winner = majority_encoding(encodings)
-    out["map"] = decode_canonical(winner) if winner is not None else None
+    out["map"] = memo.decode(winner) if winner is not None else None
     out["encodings"] = encodings

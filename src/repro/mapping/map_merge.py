@@ -11,7 +11,7 @@ node the robots stand on), ready for Dispersion-Using-Map.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..errors import MapError
 from ..graphs.isomorphism import CanonicalForm, canonical_form
@@ -54,10 +54,16 @@ def decode_canonical(encoding: CanonicalForm) -> PortLabeledGraph:
 
 def majority_map(
     candidates: Iterable[Optional[PortLabeledGraph]],
+    decode: Callable[[CanonicalForm], PortLabeledGraph] = decode_canonical,
 ) -> Optional[PortLabeledGraph]:
-    """Vote over map objects directly (root = node 0 by convention)."""
+    """Vote over map objects directly (root = node 0 by convention).
+
+    ``decode`` turns the winning encoding back into a map; a solve passes
+    :meth:`~repro.mapping.token_mapping.ExplorerMemo.decode`, so that the
+    robots electing one map share one decoded copy.
+    """
     encodings = [
         canonical_form(c, 0) if c is not None else None for c in candidates
     ]
     winner = majority_encoding(encodings)
-    return decode_canonical(winner) if winner is not None else None
+    return decode(winner) if winner is not None else None

@@ -50,6 +50,10 @@ private core only where its history leaves the trie.  This is exact:
   (:func:`~repro.mapping.map_merge.majority_map` and
   :func:`~repro.graphs.isomorphism.canonical_form`) only read it.
 
+The memo also decodes each elected map encoding once per solve
+(:meth:`ExplorerMemo.decode`), for the same reasons: decoding is
+deterministic and dispersion only reads the map.
+
 The engine, robot actions and activations never see the memo, so
 records stay byte-identical.
 """
@@ -60,8 +64,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import GraphStructureError, MapError
+from ..graphs.isomorphism import CanonicalForm, canonical_form
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.robot import STAY, Action, Move, RobotAPI, Sleep
+from ..sim.robot import MOVES, STAY, Action, RobotAPI, Sleep
+from .map_merge import decode_canonical
 
 __all__ = [
     "RunSpec",
@@ -370,21 +376,24 @@ class _Cursor:
 
 
 class ExplorerMemo:
-    """Per-solve trie of :func:`explorer_core` outcomes (module docstring).
+    """Per-solve trie of :func:`explorer_core` outcomes (module docstring),
+    and the solve's decoded maps.
 
     :meth:`explorer` returns a cursor that behaves like
     ``explorer_core(n, root_degree)``: the same op tuples from ``send``,
     ``StopIteration(value=map)`` when the map is complete and
     :class:`_MapOverflow` on overflow.  Any other exception from the core
-    propagates and is not recorded.  A solver creates one memo, hands it
-    to its dry run and every honest agent, and calls :meth:`clear` when
-    the run is over.
+    propagates and is not recorded.  :meth:`decode` decodes each elected
+    map encoding once.  A solver creates one memo, hands it to its dry
+    run and every honest robot, and calls :meth:`clear` when the run is
+    over.
     """
 
-    __slots__ = ("_roots",)
+    __slots__ = ("_roots", "_decoded")
 
     def __init__(self) -> None:
         self._roots: Dict[Tuple[int, int], _Node] = {}
+        self._decoded: Dict[CanonicalForm, PortLabeledGraph] = {}
 
     def explorer(self, n: int, root_degree: int) -> _Cursor:
         root = self._roots.get((n, root_degree))
@@ -392,9 +401,27 @@ class ExplorerMemo:
             root = self._roots[(n, root_degree)] = _Node(None)
         return _Cursor(n, root_degree, root)
 
+    def decode(self, encoding: CanonicalForm) -> PortLabeledGraph:
+        """:func:`~repro.mapping.map_merge.decode_canonical`, run once per
+        distinct encoding per solve.
+
+        Exact, because decoding is deterministic; every honest robot that
+        elected ``encoding`` gets the same map object, which is safe
+        because :class:`PortLabeledGraph` is immutable and dispersion
+        only reads the map (and the Euler tour
+        :func:`~repro.graphs.traversal.euler_tour` caches on it).
+        Exceptions propagate and are not recorded.
+        """
+        graph = self._decoded.get(encoding)
+        if graph is None:
+            graph = self._decoded[encoding] = decode_canonical(encoding)
+        return graph
+
     def clear(self) -> None:
-        """Drop the trie (the world's reference cycles may outlive the run)."""
+        """Drop the trie and the decoded maps (the world's reference
+        cycles may outlive the run)."""
         self._roots.clear()
+        self._decoded.clear()
 
 
 def plan_honest_run(
@@ -460,42 +487,45 @@ def agent_program(
     The explorer runs through the solve's ``memo``.
     """
     yield from sleep_until(api, run.start_round)
-    # The run's fields, read once rather than every tick.
+    # The run's fields and the API calls of the tick loop, bound once
+    # rather than every tick.
     tag = run.tag
     tick_budget = run.tick_budget
     token_ids = run.token_ids
     presence_threshold = run.presence_threshold
-    core = memo.explorer(api.n, api.degree())
+    degree = api.degree
+    say = api.say
+    send = memo.explorer(api.n, degree()).send
     trail: List[int] = []
     tick = 0
     result: Optional[PortLabeledGraph] = None
     completed = False
     try:
-        op = core.send(None)
+        op = send(None)
         while True:
             if op[0] == "check":
                 present = _count_distinct(api.colocated(), token_ids) >= presence_threshold
-                op = core.send(present)
+                op = send(present)
                 continue
             _, self_port, token_port = op
             if tick >= tick_budget:
                 break  # budget exhausted: abort (footnote 11)
             # Command round.
             if token_port:
-                api.say(("cmd", tag, tick, token_port))
+                say(("cmd", tag, tick, token_port))
             yield STAY
             # Move round.
             if self_port:
-                if self_port > api.degree():
+                if self_port > degree():
                     break  # map/world mismatch: Byzantine-corrupted run
-                yield Move(self_port)
+                yield MOVES[self_port]
                 arrival = api.arrival_port
                 trail.append(arrival)
             else:
                 yield STAY
                 arrival = api.arrival_port
             tick += 1
-            op = core.send((api.degree(), arrival))
+            op = send((degree(), arrival))
     except StopIteration as stop:
         result = stop.value
         completed = True
@@ -505,12 +535,10 @@ def agent_program(
     if not completed:
         # Return home by reversing the recorded arrival-port trail.
         for port in reversed(trail):
-            yield Move(port)
+            yield MOVES[port]
     # Sleep out the remainder of active+return phases.
     yield from sleep_until(api, run.exchange_round if run.exchange else run.end_round)
     if run.exchange:
-        from ..graphs.isomorphism import canonical_form
-
         encoding = canonical_form(out[run.tag], 0) if out[run.tag] is not None else None
         api.say(("map", run.tag, encoding))
         yield STAY
@@ -534,44 +562,54 @@ def token_program(
     """
     start = run.start_round
     yield from sleep_until(api, start)
-    # The run's fields, read once rather than every round.
+    # The run's fields and the API calls of the round loop, bound once
+    # rather than every round.
     active_end = start + run.active_rounds
     tag = run.tag
     agent_ids = run.agent_ids
     cmd_threshold = run.cmd_threshold
+    degree = api.degree
+    messages_prev = api.messages_prev
     trail: List[int] = []
     while (rnd := api.round) < active_end:
         rel = rnd - start
         if rel % 2 == 0:
             yield STAY  # command round: listen only
             continue
-        tick = rel // 2
-        support: Dict[int, set] = {}
-        for sender, payload in api.messages_prev():
-            if (
-                isinstance(payload, tuple)
-                and len(payload) == 4
-                and payload[0] == "cmd"
-                and payload[1] == tag
-                and payload[2] == tick
-                and sender in agent_ids
-            ):
-                support.setdefault(payload[3], set()).add(sender)
         best_port = 0
-        best = (0, 0)
-        for port, backers in support.items():
-            key = (len(backers), -port)
-            if len(backers) >= cmd_threshold and key > best:
-                best = key
-                best_port = port
-        if best_port and best_port <= api.degree():
-            yield Move(best_port)
+        messages = messages_prev()
+        if messages:  # most move rounds find an empty board: no tally
+            tick = rel // 2
+            support: Dict[int, set] = {}
+            for sender, payload in messages:
+                # Count only int ports >= 1: a Byzantine agent may forge
+                # any payload, and the tie-break (-port) and the engine
+                # need an int port.
+                if (
+                    isinstance(payload, tuple)
+                    and len(payload) == 4
+                    and payload[0] == "cmd"
+                    and payload[1] == tag
+                    and payload[2] == tick
+                    and sender in agent_ids
+                    and type(port := payload[3]) is int
+                    and port >= 1
+                ):
+                    support.setdefault(port, set()).add(sender)
+            best = (0, 0)
+            for port, backers in support.items():
+                key = (len(backers), -port)
+                if len(backers) >= cmd_threshold and key > best:
+                    best = key
+                    best_port = port
+        if best_port and best_port <= degree():
+            yield MOVES[best_port]
             trail.append(api.arrival_port)
         else:
             yield STAY
     # Return phase: retrace every move (correct from wherever we stand).
     for port in reversed(trail):
-        yield Move(port)
+        yield MOVES[port]
     yield from sleep_until(api, run.exchange_round if run.exchange else run.end_round)
     if run.exchange:
         yield STAY  # agents post in this round
@@ -592,7 +630,11 @@ def _collect_map(api: RobotAPI, run: RunSpec):
             and payload[2] is not None
             and sender in run.agent_ids
         ):
-            votes.setdefault(payload[2], set()).add(sender)
+            try:
+                backers = votes.setdefault(payload[2], set())
+            except TypeError:  # unhashable: a forged encoding, never a map's
+                continue
+            backers.add(sender)
     best_enc = None
     best = 0
     for enc, backers in votes.items():

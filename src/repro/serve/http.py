@@ -121,7 +121,10 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if not sep or not name.strip():
             raise HttpError(400, f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unbalanced "[" in the netloc
+        raise HttpError(400, f"malformed request target: {exc}")
     query: Dict[str, str] = {}
     if split.query:
         for pair in split.query.split("&"):
@@ -130,11 +133,13 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
                 query[unquote(key)] = unquote(value)
     body = b""
     if "content-length" in headers:
+        raw_length = headers["content-length"]
         try:
-            length = int(headers["content-length"])
+            # ASCII digits only: int() alone would also take "+10" and "1_0".
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                raise ValueError(raw_length)
+            length = int(raw_length)  # ValueError past int()'s digit limit
         except ValueError:
-            raise HttpError(400, "malformed Content-Length")
-        if length < 0:
             raise HttpError(400, "malformed Content-Length")
         if length > MAX_BODY_BYTES:
             raise HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")

@@ -2,6 +2,7 @@
 
 from .ids import assign_ids, id_space_upper_bound, validate_ids
 from .robot import (
+    MOVES,
     SETTLED,
     STAY,
     TOBESETTLED,
@@ -42,6 +43,7 @@ __all__ = [
     "ByzantineAPI",
     "PublicView",
     "Move",
+    "MOVES",
     "Stay",
     "STAY",
     "Sleep",

@@ -9,9 +9,9 @@ honest robot program can observe *only*
 * messages posted at its node (same round by earlier sub-round actors,
   or the full board of the previous round).
 
-It acts by yielding :class:`Move`, :class:`Stay` (the shared
-:data:`STAY`) or :class:`Sleep`; movement is applied simultaneously at
-the end of the round (the model's task (ii)).
+It acts by yielding :class:`Move` (the shared ``MOVES[port]``),
+:class:`Stay` (the shared :data:`STAY`) or :class:`Sleep`; movement is
+applied simultaneously at the end of the round (the model's task (ii)).
 
 Byzantine robots run strategy programs bound to a :class:`ByzantineAPI`,
 which additionally exposes the whole :class:`~repro.sim.world.World`
@@ -31,6 +31,7 @@ __all__ = [
     "TOBESETTLED",
     "SETTLED",
     "Move",
+    "MOVES",
     "Stay",
     "STAY",
     "Sleep",
@@ -55,21 +56,22 @@ class Move:
 
     ``Move(p)`` with an ``int`` port returns one shared instance per
     port, the way programs share :data:`STAY`: movers then allocate
-    nothing.  Identity is an optimisation, never a contract; compare
-    moves with ``==``.  Subclasses and non-``int`` ports get a fresh
-    instance, as before.
+    nothing.  Programs fetch it as ``MOVES[p]``, a plain dict hit that
+    skips the constructor call.  Identity is an optimisation, never a
+    contract; compare moves with ``==``.  Subclasses and non-``int``
+    ports get a fresh instance, as before.
     """
 
     port: int
 
     def __new__(cls, port: int) -> "Move":
         shared = cls is Move and type(port) is int
-        move = _MOVES.get(port) if shared else None
+        move = MOVES.get(port) if shared else None
         if move is None:
             move = object.__new__(cls)
             object.__setattr__(move, "port", port)  # frozen: bypass __setattr__
             if shared:
-                _MOVES[port] = move
+                MOVES[port] = move
         return move
 
     def __getnewargs__(self) -> Tuple[int]:
@@ -77,8 +79,19 @@ class Move:
         return (self.port,)
 
 
-#: The shared :class:`Move` of each ``int`` port, filled on first use.
-_MOVES: Dict[int, Move] = {}
+class _MoveTable(dict):
+    """Port -> shared :class:`Move`; a miss builds it through ``Move(p)``,
+    which files it here when ``p`` is an ``int``."""
+
+    __slots__ = ()
+
+    def __missing__(self, port: int) -> Move:
+        return Move(port)
+
+
+#: The shared :class:`Move` of each ``int`` port, filled on first use:
+#: ``MOVES[p] is Move(p)``.
+MOVES: Dict[int, Move] = _MoveTable()
 
 
 @dataclass(frozen=True)
@@ -226,11 +239,12 @@ class RobotAPI:
     are safe to call any number of times within the robot's sub-round.
     """
 
-    __slots__ = ("_world", "_robot")
+    __slots__ = ("_world", "_robot", "_ports")
 
     def __init__(self, world: "World", robot: Robot):  # noqa: F821 - forward ref
         self._world = world
         self._robot = robot
+        self._ports = world.graph._ports  # the world's port rows, for degree()
 
     # -- identity & global knowledge the model grants ------------------- #
 
@@ -253,7 +267,7 @@ class RobotAPI:
 
     def degree(self) -> int:
         """Degree of (== number of ports at) the current node."""
-        return len(self._world.graph._ports[self._robot.node])
+        return len(self._ports[self._robot.node])
 
     @property
     def arrival_port(self) -> Optional[int]:
@@ -384,11 +398,18 @@ class ByzantineAPI(RobotAPI):
         self._robot.state = state
 
     def set_claimed_id(self, claimed: int) -> None:
-        """Fake the ID in the public record — strong Byzantine only."""
+        """Fake the ID in the public record — strong Byzantine only.
+
+        The claim must be an ``int`` (not a ``bool``): claimed IDs order
+        the sub-rounds, and a value that does not compare with the other
+        IDs would break that sort.
+        """
         if self._world.model != "strong":
             raise SimulationError(
                 "ID faking requires the strong Byzantine model (got weak)"
             )
+        if type(claimed) is not int:
+            raise SimulationError(f"claimed ID must be an int, got {claimed!r}")
         if claimed != self._robot.claimed_id:
             self._robot._touch_record(self._world)
             self._robot.claimed_id = claimed

@@ -18,13 +18,24 @@ import numpy as np
 import pytest
 
 from repro.byzantine import Adversary
+from repro.core import solve_theorem3
 from repro.core.dispersion_using_map import (
     DispersionMemory,
     dispersion_rounds_bound,
     dispersion_using_map,
 )
+from repro.core.general_graphs import tick_budget_for
 from repro.graphs import canonical_form, random_connected, ring
-from repro.mapping import RunSpec, agent_program, majority_map, plan_honest_run, token_program
+from repro.mapping import (
+    ExplorerMemo,
+    RunSpec,
+    agent_program,
+    majority_map,
+    paper_pairing_schedule,
+    plan_honest_run,
+    run_slot_rounds,
+    token_program,
+)
 from repro.sim import SETTLED, Move, Stay, World, finish_report
 
 
@@ -144,6 +155,40 @@ class TestForgedQuorumHijacksToken:
         w.run(max_rounds=run.end_round - w.round + 2)
         assert w.robots[3].node == 0
 
+    @pytest.mark.parametrize("port", ["x", None, [1], 1.5, -1, 0, 10**9])
+    def test_malformed_port_is_ignored(self, port):
+        """A full quorum behind a port no robot can take (wrong type, < 1,
+        or past the degree) leaves the token home, and crashes neither
+        the token nor the engine."""
+        g = ring(8)
+        run = RunSpec(
+            tag=("bad",), start_round=0, tick_budget=6,
+            agent_ids=frozenset({1, 2}), token_ids=frozenset({3}),
+            cmd_threshold=2, presence_threshold=1,
+        )
+        w = World(g)
+
+        def forger(api, _run=run):
+            while True:
+                api.say(("cmd", _run.tag, api.round // 2, port))
+                yield Stay()
+
+        w.add_robot(1, 0, forger, byzantine=True)
+        w.add_robot(2, 0, forger, byzantine=True)
+        w.add_robot(3, 0, lambda api: token_program(api, run, {}))
+        w.run(max_rounds=run.end_round + 2)
+        assert w.robots[3].terminated and w.robots[3].moves_made == 0
+
+    @pytest.mark.parametrize("port", ["x", None, [1], 1.5, -1])
+    def test_malformed_port_cannot_crash_a_solve(self, port):
+        """Theorem 3 within tolerance: in every pairing run where a
+        Byzantine robot is the agent, it commands the bad port with the
+        run's tag and tick.  The honest tokens ignore it."""
+        rep = solve_theorem3(
+            random_connected(8, seed=3), f=3, adversary=Adversary(_bad_commander(port))
+        )
+        assert rep.success, rep.violations
+
     def test_below_threshold_token_never_moves(self):
         g = ring(8)
         run = RunSpec(
@@ -157,6 +202,31 @@ class TestForgedQuorumHijacksToken:
         w.add_robot(3, 0, lambda api: token_program(api, run, {}))
         w.run(max_rounds=run.end_round + 2)
         assert w.robots[3].moves_made == 0
+
+
+def _bad_commander(port):
+    """A Byzantine agent that knows the Theorem 3 schedule (it has world
+    access) and posts ``port`` as its command on every tick of its runs."""
+
+    def program(api, rng):
+        world = api.world
+        tick_budget = tick_budget_for(world.graph, 0, ExplorerMemo())
+        run_len = run_slot_rounds(tick_budget)
+        posts = {}  # command round -> (run tag, tick)
+        for slot_idx, slot in enumerate(paper_pairing_schedule(sorted(world.robots))):
+            for a, b in slot:
+                for sub, agent in enumerate((a, b)):
+                    if agent == api.id:
+                        start = 2 + (2 * slot_idx + sub) * run_len
+                        for tick in range(tick_budget):
+                            posts[start + 2 * tick] = (("pair", slot_idx, sub, a, b), tick)
+        while True:
+            post = posts.get(api.round)
+            if post is not None:
+                api.say(("cmd", *post, port))
+            yield Stay()
+
+    return program
 
 
 class TestOverfullWorld:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.byzantine import Adversary
+from repro.core import solve_theorem4, solve_theorem5, solve_theorem6
 from repro.graphs import canonical_form, random_connected, ring
 from repro.mapping import RunSpec
 from repro.mapping.token_mapping import _collect_map
@@ -99,3 +101,37 @@ class TestCollectMap:
             agent_ids={1, 2, 3}, cmd_threshold=2,
         )
         assert result is None
+
+    @pytest.mark.parametrize("junk", [[1], (1, [2]), {"map": 1}])
+    def test_unhashable_encoding_ignored(self, junk):
+        """An agent may post any payload; one that cannot be a vote key
+        is skipped, and the genuine quorum still wins."""
+        result = exchange_world(
+            {
+                1: [("map", ("x",), junk)],
+                2: [("map", ("x",), GOOD)],
+                3: [("map", ("x",), GOOD)],
+            },
+            agent_ids={1, 2, 3}, cmd_threshold=2,
+        )
+        assert result == GOOD
+
+
+def _unhashable_mapper(api, rng):
+    """Posts an unhashable map encoding under every group-run tag."""
+    while True:
+        for tag in (("grp3", 0), ("grp3", 1), ("grp3", 2), ("grp2", 0), ("grpS", 0)):
+            api.say(("map", tag, [1]))
+        yield Stay()
+
+
+@pytest.mark.parametrize(
+    "solve, f",
+    [(solve_theorem4, 3), (solve_theorem5, 2), (solve_theorem6, 2)],
+    ids=["theorem4", "theorem5", "theorem6"],
+)
+def test_unhashable_encoding_cannot_crash_a_solve(solve, f):
+    """Within tolerance, Byzantine agent-group members (the lowest IDs)
+    post an unhashable encoding in the exchange rounds."""
+    rep = solve(random_connected(12, seed=3), f=f, adversary=Adversary(_unhashable_mapper))
+    assert rep.success, rep.violations

@@ -14,18 +14,21 @@ ephemeral port:
 * records written through the server are **byte-identical** — same
   shard files, same bytes — to a CLI run of the same scenarios;
 * untrusted payloads come back as 400s naming the offending field
-  (the hardened ``Scenario.from_dict``).
+  (the hardened ``Scenario.from_dict``), and raw request bytes either
+  parse or get a 4xx/5xx, never an unhandled exception.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import socket
 import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.serve.service as service_module
 from repro.analysis.faults import FaultPlan, FaultSpec
@@ -34,6 +37,7 @@ from repro.errors import ConfigurationError, ReproError, ValidationError
 from repro.graphs import PortLabeledGraph
 from repro.scenarios import Scenario, ScenarioGrid
 from repro.serve import ServerThread
+from repro.serve.http import HttpError, Request, read_request
 
 DATA = Path(__file__).parent / "data"
 
@@ -392,6 +396,59 @@ class TestHttpSurface:
                 conn.close()
 
 
+async def _parse(data: bytes):
+    """``read_request`` on a stream that delivers ``data`` and then EOF
+    (a client that sends ``data`` and closes its half)."""
+    reader = asyncio.StreamReader()  # the limit start_server gives the app
+    reader.feed_data(data)
+    reader.feed_eof()
+    return await read_request(reader)
+
+
+#: One line of request-head text: Latin-1 (how the parser decodes the
+#: head) without line breaks.
+_LINE = st.text(st.characters(max_codepoint=255, blacklist_characters="\r\n"), max_size=12)
+
+_CONTENT_LENGTHS = st.sampled_from([
+    "0", "5", "10", "1_0", "+10", "-1", "", "x", "\xb2", "9" * 5000, str(2 * 1024 * 1024 + 1),
+]) | st.integers(0, 64).map(str)
+
+_HEADER_LINES = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["Content-Length", "content-length"]), _CONTENT_LENGTHS),
+        st.tuples(st.sampled_from(["Connection", "Transfer-Encoding", "Host"]), _LINE),
+        st.tuples(_LINE, _LINE | st.none()),  # None: a line without a colon
+    ),
+    max_size=4,
+)
+
+
+def _assemble(method, target, version, headers, body, cut):
+    lines = [f"{method} {target} {version}"]
+    lines += [name if value is None else f"{name}: {value}" for name, value in headers]
+    data = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    return data if cut is None else data[:cut]
+
+
+#: Request heads built from near-valid and junk parts, bodies that may
+#: disagree with Content-Length, optional truncation, and raw bytes.
+_RAW_REQUESTS = st.one_of(
+    st.builds(
+        _assemble,
+        st.sampled_from(["GET", "POST", "get", ""]) | _LINE,
+        st.sampled_from([
+            "/healthz", "/run", "/result/ab?x=1&&y=%20&=z", "//[abc", "http://[::1]:8/x",
+            "/%zz%", "*", "",
+        ]) | _LINE,
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2", "http/1.1"]) | _LINE,
+        _HEADER_LINES,
+        st.binary(max_size=40),
+        st.none() | st.integers(0, 80),
+    ),
+    st.binary(max_size=120),
+)
+
+
 #: Any JSON value, nested a few levels deep.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -476,6 +533,51 @@ _SCENARIO_PAYLOADS = st.one_of(
     st.builds(_with_field, _VALID_PAYLOADS, st.tuples(st.just("graph"), _ANY["graph"])),
     _JSON,
 )
+
+
+class TestRawHttp:
+    @settings(max_examples=200, derandomize=True)
+    @given(data=_RAW_REQUESTS)
+    @example(data=b"GET //[abc HTTP/1.1\r\n\r\n")
+    @example(data=b"POST /run HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789")
+    def test_read_request_parses_or_answers(self, data):
+        """Property over raw request bytes: the parser returns a request
+        or ``None`` (clean close), or raises ``HttpError``, which the
+        server answers; nothing else may escape."""
+        try:
+            request = asyncio.run(_parse(data))
+        except HttpError as exc:
+            assert 400 <= exc.status < 600
+        else:
+            assert request is None or isinstance(request, Request)
+
+    @pytest.mark.parametrize("data", [
+        b"GET //[abc HTTP/1.1\r\n\r\n",
+        b"POST /run HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+        b"POST /run HTTP/1.1\r\nContent-Length: +10\r\n\r\n0123456789",
+        b"POST /run HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+    ], ids=["ipv6-target", "underscore", "plus", "5000-digits"])
+    def test_malformed_target_or_length_is_400(self, data):
+        with pytest.raises(HttpError) as excinfo:
+            asyncio.run(_parse(data))
+        assert excinfo.value.status == 400
+
+    def test_server_answers_and_stays_up(self, tmp_path):
+        """The two inputs that used to close the connection without a
+        status line now get a 400, and the server keeps serving."""
+        with ServerThread(store=RunStore(str(tmp_path / "store"))) as server:
+            for data in (
+                b"GET //[abc HTTP/1.1\r\n\r\n",
+                b"POST /run HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+            ):
+                with socket.create_connection((server.host, server.port), timeout=60) as sock:
+                    sock.sendall(data)
+                    reply = b""
+                    while chunk := sock.recv(4096):
+                        reply += chunk
+                assert reply.startswith(b"HTTP/1.1 400 "), reply
+            status, body, _ = _request(server, "GET", "/healthz")
+            assert status == 200 and body["ok"]
 
 
 class TestScenarioValidation:

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ProtocolViolation, SimulationError
 from repro.graphs import PortLabeledGraph, ring
 from repro.sim import (
+    MOVES,
     SETTLED,
     Move,
     Sleep,
@@ -203,6 +204,13 @@ class TestMoveAction:
         assert Move(3) is Move(3)
         assert Move(port=3) is Move(3)
         assert Move(3) is not Move(4)
+
+    def test_table_holds_the_shared_move(self):
+        assert MOVES[3] is Move(3)
+        fresh = 10_007  # a port no other test uses
+        MOVES.pop(fresh, None)  # so the lookup below misses
+        assert MOVES[fresh] is Move(fresh) and MOVES[fresh].port == fresh
+        assert Move(3) is MOVES[3] and type(MOVES[3]) is Move
 
     def test_value_semantics_unchanged(self):
         assert Move(3) == Move(3) and Move(3) != Move(4)

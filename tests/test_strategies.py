@@ -87,6 +87,21 @@ class TestStrategyZoo:
         w.run(max_rounds=10)
         assert w.robots[9].node == 0  # caught up with the target
 
+    @pytest.mark.parametrize("claim", ["x", None, True, 2.0])
+    def test_claimed_id_must_be_an_int(self, claim):
+        """Claimed IDs order the sub-rounds; a claim that is not an int
+        is refused where it is made, not later in the engine's sort."""
+        w = World(random_connected(7, seed=2), model="strong")
+
+        def liar(api):
+            api.set_claimed_id(claim)
+            yield Stay()
+
+        w.add_robot(1, 0, liar, byzantine=True)
+        w.add_robot(5, 0, lambda api: iter([Stay(), Stay()]))
+        with pytest.raises(SimulationError, match="claimed ID must be an int"):
+            w.run(max_rounds=3)
+
     def test_impersonator_steals_honest_id(self):
         w = drive("impersonator", model="strong", rounds=3)
         assert w.robots[1].claimed_id == 5  # the smallest honest ID

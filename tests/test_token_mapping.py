@@ -1,13 +1,17 @@
 """Tests for the exploration-with-movable-token map construction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.graphs.traversal as traversal
 import repro.mapping.token_mapping as token_mapping
 from repro.byzantine.strategies import random_walker, squatter
 from repro.core import solve_theorem3, solve_theorem4, solve_theorem6
 from repro.graphs import (
+    canonical_form,
     clique,
     find_isomorphism,
     lollipop,
@@ -20,6 +24,7 @@ from repro.mapping import (
     ExplorerMemo,
     RunSpec,
     agent_program,
+    decode_canonical,
     plan_honest_run,
     run_slot_rounds,
     token_program,
@@ -274,14 +279,48 @@ class TestExplorerMemo:
     @pytest.mark.parametrize("solve", [solve_theorem3, solve_theorem4, solve_theorem6])
     def test_one_core_per_honest_solve(self, solve, monkeypatch):
         """With no Byzantine robot every agent's history is the dry run's,
-        so a whole solve runs explorer_core once."""
-        instances = []
+        so a whole solve runs explorer_core once.  Every robot then elects
+        the same map, so the solve decodes it once and, where dispersion
+        walks an Euler tour (not Theorem 6's rank dispersion), builds
+        that tour once."""
+        calls = Counter()
 
-        def counting(n, root_degree):
-            instances.append((n, root_degree))
-            return explorer_core(n, root_degree)
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-        monkeypatch.setattr(token_mapping, "explorer_core", counting)
+            return wrapper
+
+        monkeypatch.setattr(token_mapping, "explorer_core", counting("core", explorer_core))
+        monkeypatch.setattr(
+            token_mapping, "decode_canonical",
+            counting("decode", token_mapping.decode_canonical),
+        )
+        monkeypatch.setattr(traversal, "_dfs_tour", counting("tour", traversal._dfs_tour))
         rep = solve(random_connected(8, seed=3), f=0)
         assert rep.success
-        assert len(instances) == 1
+        assert calls["core"] == 1
+        assert calls["decode"] == 1
+        assert calls["tour"] == (0 if solve is solve_theorem6 else 1)
+
+    def test_decode_once_per_encoding_until_clear(self, monkeypatch):
+        decoded = []
+
+        def counting(encoding):
+            decoded.append(encoding)
+            return decode_canonical(encoding)
+
+        monkeypatch.setattr(token_mapping, "decode_canonical", counting)
+        memo = ExplorerMemo()
+        ring_enc = canonical_form(ring(6), 0)
+        clique_enc = canonical_form(clique(5), 0)
+        first = memo.decode(ring_enc)
+        assert memo.decode(ring_enc) is first
+        assert canonical_form(first, 0) == ring_enc
+        assert canonical_form(memo.decode(clique_enc), 0) == clique_enc
+        assert decoded == [ring_enc, clique_enc]
+        memo.clear()  # drops the decoded maps with the trie
+        again = memo.decode(ring_enc)
+        assert again is not first and again == first
+        assert decoded == [ring_enc, clique_enc, ring_enc]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.graphs.traversal as traversal
 from repro.errors import MapError
 from repro.graphs import (
     PortLabeledGraph,
@@ -69,7 +70,30 @@ class TestEulerTour:
         assert euler_tour(PortLabeledGraph({0: {}}), 0) == []
 
     def test_deterministic(self, zoo_graph):
-        assert euler_tour(zoo_graph, 0) == euler_tour(zoo_graph, 0)
+        # Two graph objects: the second tour is computed, not the cached one.
+        twin = PortLabeledGraph(zoo_graph.port_table())
+        assert euler_tour(zoo_graph, 0) == euler_tour(twin, 0)
+
+    def test_each_call_returns_a_fresh_list(self, monkeypatch):
+        """The tour is computed once per graph object and root; callers
+        get their own list, so mutating one does not change the next."""
+        computed = []
+
+        def counting(graph, root):
+            computed.append(root)
+            return dfs_tour(graph, root)
+
+        dfs_tour = traversal._dfs_tour
+        monkeypatch.setattr(traversal, "_dfs_tour", counting)
+        g = random_connected(9, seed=4)
+        first = euler_tour(g, 2)
+        expected = list(first)
+        first.pop()
+        first[0] = None
+        again = euler_tour(g, 2)
+        assert again == expected and again is not first
+        assert euler_tour(g, 0) != expected
+        assert computed == [2, 0]
 
 
 class TestNavigate:
