@@ -74,7 +74,8 @@ def check_suite(name, pin_path):
         return 1
     if not os.path.exists(pin_path):
         print(f"[{name}] FAIL: expected file {pin_path} is missing "
-              f"(generate it: python -m repro eval {name} --update-expected)")
+              f"(generate it: python benchmarks/check_evals.py --update "
+              f"--suite {name})")
         return 1
     try:
         pinned = load_expected(pin_path)
@@ -102,8 +103,8 @@ def check_suite(name, pin_path):
         print(f"[{name}] FAIL: behaviour drifted from the pin:")
         for message in drift:
             print(f"  - {message}")
-        print(f"  (intentional change? refresh: python -m repro eval {name} "
-              f"--update-expected)")
+        print(f"  (intentional change? refresh: python "
+              f"benchmarks/check_evals.py --update --suite {name})")
         return len(drift)
     print(f"[{name}] PASS: {pin_path} matches a fresh run "
           f"({fresh['cells']} cells, {len(fresh['solvers'])} solver(s))")

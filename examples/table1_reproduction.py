@@ -8,8 +8,7 @@ so adding `store=RunStore(dir)` or `workers=N` to `.run()` makes the
 reproduction resumable or parallel without touching the grid.
 
 The printed table shows measured rounds next to the paper's asymptotic
-bound (evaluated with constant 1).  This is the script whose output
-EXPERIMENTS.md quotes.
+bound (evaluated with constant 1).
 
 Run:  python examples/table1_reproduction.py [n]
 """

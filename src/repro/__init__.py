@@ -4,8 +4,8 @@ A full reproduction of the paper's system: an anonymous port-labeled
 graph substrate, a synchronous mobile-robot simulator with sub-round
 semantics, the complete adversary zoo (weak and strong Byzantine), all
 seven Table 1 algorithms, the Theorem 8 impossibility construction,
-prior-work baselines, and the benchmark harness that regenerates the
-paper's results table.
+prior-work baselines, and the ``repro table1`` command that regenerates
+the paper's results table.
 
 Quick start — one run::
 
@@ -114,7 +114,7 @@ from .sim import (
     parse_scheduler,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "__version__",

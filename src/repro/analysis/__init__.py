@@ -7,7 +7,7 @@ machinery.
 """
 
 from ..sim.report import dispersion_violations, is_dispersed, settlement_histogram
-from .complexity import PowerFit, doubling_ratios, fit_power_law
+from .complexity import PowerFit, fit_power_law
 from .experiments import (
     DEFAULT_POLICY,
     ExecutionPolicy,
@@ -32,7 +32,6 @@ __all__ = [
     "execute_plan",
     "PowerFit",
     "fit_power_law",
-    "doubling_ratios",
     "record_from_report",
     "success_rate",
     "summarize",

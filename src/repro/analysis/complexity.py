@@ -1,24 +1,24 @@
 """Empirical complexity estimation: polynomial orders from measurements.
 
-The paper's Table 1 reports asymptotic round bounds; the scaling
-benchmark checks our measured rounds *grow like* those bounds by fitting
-``rounds ≈ c·n^α`` on log–log axes and comparing α against the stated
-exponent.  Ordinary least squares on ``log`` values is entirely adequate
-at simulation scale (guides: prefer the simple correct method, then
-profile).
+The paper's Table 1 reports asymptotic round bounds; the shape
+certificate (``tests/test_reproduction_certificate.py``) checks our
+measured rounds *grow like* those bounds by fitting ``rounds ≈ c·n^α``
+on log–log axes and comparing α against the stated exponent.  Ordinary
+least squares on ``log`` values is entirely adequate at simulation scale
+(prefer the simple correct method, then profile).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["PowerFit", "fit_power_law", "doubling_ratios"]
+__all__ = ["PowerFit", "fit_power_law"]
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerFit:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return PowerFit(alpha=float(alpha), log_c=float(log_c), r2=r2)
 
-
-def doubling_ratios(xs: Sequence[float], ys: Sequence[float]) -> List[Tuple[float, float]]:
-    """Consecutive growth ratios ``(x_{i+1}/x_i, y_{i+1}/y_i)``.
-
-    A quick, fit-free shape check: for ``y ~ x^α``, doubling ``x``
-    multiplies ``y`` by ``2^α``.
-    """
-    if len(xs) != len(ys):
-        raise ConfigurationError("xs and ys must align")
-    return [
-        (xs[i + 1] / xs[i], ys[i + 1] / ys[i])
-        for i in range(len(xs) - 1)
-        if xs[i] > 0 and ys[i] > 0
-    ]

@@ -3,10 +3,10 @@
 The classic rooted dispersion algorithm: robots move as one group and use
 *settled robots as landmarks* that remember a DFS state (parent port +
 next child port) and guide later visitors.  No maps, no quotients — and
-no Byzantine tolerance whatsoever, which is exactly why it is here: the
-baseline benchmark shows it disperses ``k ≤ n`` honest robots in
-``O(m)``-ish rounds and then collapses under a single lying landmark
-(Byzantine squatter), motivating the paper's machinery.
+no Byzantine tolerance whatsoever, which is exactly why it is here: it
+disperses ``k ≤ n`` honest robots in ``O(m)`` rounds and then collapses
+under a single lying landmark (Byzantine squatter), motivating the
+paper's machinery (``tests/test_baselines.py``).
 
 A **capacity** parameter generalises to ``k > n`` robots with up to
 ``cap`` settlers per node — the substrate for the Theorem 8 impossibility
@@ -81,7 +81,7 @@ def dfs_dispersion_program(api: RobotAPI, cap: int = 1) -> Iterator[Action]:
             # terminate unsettled; the validator will flag it.
             api.log("dfs_no_guidance")
             return
-        if direction == 0 or direction > api.degree():
+        if direction < 1 or direction > api.degree():
             api.log("dfs_bad_guidance", port=direction)
             return
         yield MOVES[direction]
@@ -109,13 +109,15 @@ def _landmark(api: RobotAPI, parent_port: Optional[int]) -> Iterator[Action]:
 
 
 def _read_guidance(api: RobotAPI) -> Optional[int]:
-    """Take the guidance port posted by a (claimed) settled robot."""
+    """Take the guidance port posted by a (claimed) settled robot; a
+    payload whose port is not an ``int`` is skipped, not followed."""
     settled_ids = {v.claimed_id for v in api.colocated() if v.state == SETTLED}
     for sender, payload in api.messages_prev():
         if (
             isinstance(payload, tuple)
             and len(payload) == 2
             and payload[0] == "dfs"
+            and type(payload[1]) is int
             and sender in settled_ids
         ):
             return payload[1]

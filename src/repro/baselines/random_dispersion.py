@@ -6,8 +6,7 @@ uniformly random edge.  Terminates with probability 1 for honest-only
 populations (a lazy-random-walk coupon argument), in expectation within
 ``O(n·m·log n)`` rounds — but offers *nothing* against Byzantine robots:
 a squatter claiming ``Settled`` vetoes a node forever, and there is no
-blacklist to catch it.  The baselines benchmark quantifies exactly that
-gap against the paper's algorithms.
+blacklist to catch it (``tests/test_baselines.py`` pins that denial).
 """
 
 from __future__ import annotations

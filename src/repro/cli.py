@@ -20,8 +20,9 @@ Commands
                  run store (warm cells answered with zero solver calls,
                  single-flight dedup, bounded-queue backpressure, live
                  SSE run streaming — see ``repro.serve``)
-``eval``         run a named solver eval suite against its pinned
-                 ``benchmarks/EVAL_<suite>.json`` results
+``eval``         run a named solver eval suite: a leaderboard, or with
+                 ``--json`` the payload ``benchmarks/check_evals.py``
+                 pins in ``benchmarks/EVAL_<suite>.json``
 
 Every solver-running command (``table1``, ``run``, ``tolerance``,
 ``sweep``, ``scenario``) builds a scenario grid and runs it through one
@@ -87,20 +88,6 @@ from .scenarios import ResultSet, Scenario, ScenarioGrid, grid, table1_grid, tol
 from .sim.schedulers import SCHEDULERS, parse_scheduler
 
 __all__ = ["main"]
-
-
-#: The repo's checked-in eval pins (what ``benchmarks/check_evals.py``
-#: gates).  ``eval --update-expected`` defaults its output here so a bare
-#: run from any CWD refreshes the gated files instead of silently
-#: dropping JSON next to wherever you stood.
-_PIN_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
-
-
-def _default_pin_path(name: str) -> str:
-    """Default path for a pinned eval file: the checked-in pin when this
-    is a repo checkout, the bare name otherwise (installed package with
-    no benchmarks/ directory)."""
-    return str(_PIN_DIR / name) if _PIN_DIR.is_dir() else name
 
 
 def _sample_graph(n: int, require_view_distinct: bool, seed: int):
@@ -541,15 +528,8 @@ def _eval_epilog() -> str:
 
 
 def _cmd_eval(args) -> int:
-    from .evals import expected_filename, run_suite, write_expected
+    from .evals import run_suite
 
-    if args.update_expected and args.solvers:
-        print(
-            "error: --update-expected with --solvers would pin a partial "
-            "suite; refresh the expected file from a full run",
-            file=sys.stderr,
-        )
-        return 2
     solvers = None
     if args.solvers:
         solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
@@ -571,17 +551,6 @@ def _cmd_eval(args) -> int:
         print(report.table())
         _print_failures(report.results)
         _print_store_traffic(store)
-    if args.update_expected:
-        if n_failed:
-            print(
-                f"error: {n_failed} cell(s) quarantined; refusing to pin "
-                f"expected results from a degraded run",
-                file=sys.stderr,
-            )
-            return 1
-        path = args.expected or _default_pin_path(expected_filename(args.suite))
-        write_expected(report.expected_payload(), path)
-        print(f"wrote {path}")
     return 1 if n_failed else 0
 
 
@@ -797,18 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--solvers",
                     help="comma-separated solver subset (serials, names, or "
                          "theoremN; default: every solver the suite exercises)")
-    view = ev.add_mutually_exclusive_group()
-    view.add_argument("--json", action="store_true",
-                      help="print the leaderboard + expected payload as "
-                           "canonical JSON (wall-time-free, byte-stable)")
-    view.add_argument("--table", action="store_true",
-                      help="print the human leaderboard table (default)")
-    ev.add_argument("--update-expected", action="store_true",
-                    help="rewrite the suite's expected-results file from "
-                         "this run (full suite only)")
-    ev.add_argument("--expected", default=None,
-                    help="expected-results path for --update-expected "
-                         "(default: the checked-in benchmarks/EVAL_<suite>.json)")
+    ev.add_argument("--json", action="store_true",
+                    help="print the leaderboard + expected payload as "
+                         "canonical JSON (wall-time-free, byte-stable) "
+                         "instead of the table")
     _add_plan_args(ev)
     ev.set_defaults(func=_cmd_eval)
     return p

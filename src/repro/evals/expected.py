@@ -85,7 +85,8 @@ def compare_payloads(expected: Dict, fresh: Dict,
     if fmt_expected != fmt_fresh:
         return [
             f"{prefix}expected-results format {fmt_expected!r} != "
-            f"current {fmt_fresh!r} (regenerate with --update-expected)"
+            f"current {fmt_fresh!r} (refresh with "
+            f"python benchmarks/check_evals.py --update)"
         ]
     for field in ("suite", "store_schema_version", "cells"):
         if expected.get(field) != fresh.get(field):
@@ -104,7 +105,8 @@ def compare_payloads(expected: Dict, fresh: Dict,
     for serial in sorted(serials_fresh - serials_expected):
         drift.append(
             f"{prefix}solver {serial} ran but has no pinned row "
-            f"(new solver? regenerate with --update-expected)"
+            f"(new solver? refresh with python benchmarks/check_evals.py "
+            f"--update)"
         )
 
     for serial in sorted(serials_expected & serials_fresh):

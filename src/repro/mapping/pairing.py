@@ -8,7 +8,7 @@ parallel*.  Total slots: ``n/2 + n/4 + … + log n`` extra = ``O(n)``.
 
 :func:`paper_pairing_schedule` reproduces that construction;
 :func:`round_robin_schedule` (the classic circle method, ``n−1`` slots)
-is provided for the ablation benchmark comparing schedule costs.  Both
+is provided for the schedule ablation (``tests/test_k_robots.py``).  Both
 return a list of *slots*, each a list of disjoint ``(a, b)`` pairs with
 ``a < b``; every unordered pair of distinct IDs appears in exactly one
 slot (verified by property tests).
@@ -78,8 +78,8 @@ def paper_pairing_schedule(ids: Sequence[int]) -> List[Slot]:
 def round_robin_schedule(ids: Sequence[int]) -> List[Slot]:
     """Circle-method round robin: all pairs in ``n − 1`` slots (n even).
 
-    Strictly fewer slots than the paper's recursion — used by the ablation
-    benchmark to show the paper's bound is schedule-limited, not
+    Strictly fewer slots than the paper's recursion — the schedule
+    ablation uses it to show the paper's bound is schedule-limited, not
     protocol-limited.
     """
     members: List[Optional[int]] = sorted(set(ids))

@@ -21,8 +21,8 @@ API instead of four divergent entry layers:
   :func:`~repro.analysis.experiments.execute_plan`'s
   :class:`~repro.analysis.experiments.SweepCell` lists.  ``grid()`` →
   :meth:`ScenarioGrid.run` → ``execute_plan`` is the one way to build
-  and run a sweep; three presets cover the shapes the paper's figures
-  need (:func:`table1_grid`, :func:`tolerance_grid`, and
+  and run a sweep; three presets cover Table 1, its tolerance bounds
+  and its growth in n (:func:`table1_grid`, :func:`tolerance_grid`, and
   :func:`scaling_grid`, which zips ``f`` with the graphs where
   :func:`grid` only crosses axes).
 
@@ -930,7 +930,7 @@ def grid(
 
 
 # --------------------------------------------------------------------- #
-# Presets: the sweep shapes the paper's table and figures need
+# Presets: Table 1, its tolerance bounds and its growth in n
 # --------------------------------------------------------------------- #
 
 def table1_grid(

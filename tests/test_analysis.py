@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     dispersion_violations,
-    doubling_ratios,
     fit_power_law,
     format_big,
     is_dispersed,
@@ -139,14 +138,6 @@ class TestComplexityFit:
             fit_power_law([1], [1])
         with pytest.raises(ConfigurationError):
             fit_power_law([1, 2], [0, 1])
-
-    def test_doubling_ratios(self):
-        ratios = doubling_ratios([2, 4, 8], [4, 16, 64])
-        assert ratios == [(2.0, 4.0), (2.0, 4.0)]
-
-    def test_doubling_misaligned(self):
-        with pytest.raises(ConfigurationError):
-            doubling_ratios([1, 2], [1])
 
 
 class TestTables:

@@ -68,26 +68,28 @@ class TestDfsBaselineHonest:
 
 
 class TestDfsBaselineFragility:
-    """The motivation benchmark: classic dispersion has zero Byzantine
+    """The paper's motivation: classic dispersion has zero Byzantine
     tolerance — single adversaries break it."""
 
     def test_squatter_breaks_it(self, rc8):
         rep = solve_dfs_baseline(rc8, f=2, adversary=Adversary("squatter"))
         assert not rep.success
 
-    def test_lying_landmark_breaks_it(self, rc8):
+    @pytest.mark.parametrize("port", [99, -1, "x", 1.5, [1]], ids=str)
+    def test_lying_landmark_breaks_it(self, rc8, port):
         """A Byzantine robot that poses as a settled landmark and answers
         with a non-existent port strands every visitor — the classic
         algorithm trusts guidance blindly.  (Amusingly, a liar answering a
         *valid* wrong port merely rewires the DFS and the group still
-        disperses; the trust failure needs only one unanswerable reply.)"""
+        disperses; the trust failure needs only one unanswerable reply.)
+        A forged port of any type fails the run; it never crashes it."""
 
         def lying_landmark(api, rng):
             from repro.sim.robot import Stay
 
             api.set_state("Settled")
             while True:
-                api.say(("dfs", 99))
+                api.say(("dfs", port))
                 yield Stay()
 
         rep = solve_dfs_baseline(rc8, f=1, adversary=Adversary(lying_landmark))

@@ -1,10 +1,8 @@
 """Tests for the command-line interface."""
 
-import pathlib
-
 import pytest
 
-from repro.cli import _default_pin_path, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -19,15 +17,6 @@ class TestParser:
     def test_strategy_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--row", "1", "--strategy", "teleporter"])
-
-    def test_eval_pins_default_to_checked_in_files(self):
-        """`eval --update-expected` without `--expected` must target the
-        pin `benchmarks/check_evals.py` gates from any CWD, not a
-        CWD-relative name that leaves the gated file stale."""
-        repo_pins = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-        path = _default_pin_path("EVAL_torus_strong.json")
-        assert pathlib.Path(path) == repo_pins / "EVAL_torus_strong.json"
-        assert path == str(pathlib.Path(path).absolute())
 
 
 class TestCommands:

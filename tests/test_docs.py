@@ -61,6 +61,27 @@ def test_docs_named_in_code_catches_a_missing_doc(tmp_path, monkeypatch):
     assert errors == ["src/pkg/mod.py: names DESIGN.md, which does not exist"]
 
 
+def test_docs_named_in_code_catches_a_dead_section(tmp_path, monkeypatch):
+    # A quoted title must begin one of the doc's headings, even when it
+    # wraps a line; a § reference cannot be checked, so it always fails.
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "NOTES.md").write_text(
+        "# Notes\n\n## Graph substrate (PR 2)\n\n```\n# Lost section\n```\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "examples" / "demo.py").write_text(
+        '"""See NOTES.md, "Graph substrate", NOTES.md\'s "Graph\n'
+        '    substrate (PR 2)", NOTES.md "Lost section" and NOTES.md §E2."""\n',
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    errors = check_docs.check_md_references()
+    assert errors == [
+        'examples/demo.py: cites NOTES.md "Lost section", which begins no heading',
+        "examples/demo.py: cites NOTES.md §E2; quote a heading instead",
+    ]
+
+
 def test_lint_registry_matches_experiments_table():
     assert check_docs.check_lint_registry() == []
 

@@ -13,8 +13,8 @@ The contracts under test:
   rows, stray pins for unregistered suites, missing pins, and
   non-canonical encodings;
 * the ``repro eval`` CLI matches the checked-in golden fixture
-  byte-for-byte in ``--json`` mode and stays aligned in ``--table``
-  mode.
+  byte-for-byte in ``--json`` mode and prints an aligned table
+  otherwise.
 """
 
 import importlib.util
@@ -242,7 +242,7 @@ class TestCliGolden:
         assert capsys.readouterr().out == fixture
 
     def test_table_columns_align(self, capsys):
-        assert main(["eval", CHEAP, "--table"]) == 0
+        assert main(["eval", CHEAP]) == 0
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if ln.strip()]
         title, header, rule = lines[0], lines[1], lines[2]
@@ -273,18 +273,6 @@ class TestCliGolden:
         assert main(["eval", CHEAP, "--solvers", "4"]) == 2
         err = capsys.readouterr().err
         assert CHEAP in err and "serial 4" in err
-
-    def test_update_expected_with_solvers_refused(self, capsys):
-        assert main(["eval", CHEAP, "--solvers", "6",
-                     "--update-expected"]) == 2
-        assert "partial" in capsys.readouterr().err
-
-    def test_update_expected_reproduces_checked_in_pin(self, tmp_path, capsys):
-        out = tmp_path / expected_filename(CHEAP)
-        assert main(["eval", CHEAP, "--update-expected",
-                     "--expected", str(out)]) == 0
-        pinned = (BENCHMARKS / expected_filename(CHEAP)).read_text()
-        assert out.read_text() == pinned
 
     def test_unknown_suite_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:

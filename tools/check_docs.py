@@ -19,8 +19,13 @@ Two checks, both deterministic and network-free:
    must name exactly the suites ``repro.evals.SUITES`` registers, so
    ``repro eval`` and the docs cannot drift apart.
 5. **Doc references from code** — every ``*.md`` name a ``.py`` file under
-   ``src/``, ``benchmarks/`` or ``tools/`` names must exist, so a
-   docstring cannot send its reader to a document that is not there.
+   ``src/``, ``benchmarks/``, ``tools/`` or ``examples/`` names must
+   exist, and a title quoted right after it (``<doc>.md, "Title"``,
+   ``<doc>.md "Title"`` or ``<doc>.md's "Title"``) must begin one of
+   that doc's headings, so a docstring cannot send its reader to a
+   document or a section that is not there.  A ``§`` reference after a
+   doc name always fails: the docs have no numbered sections to check
+   it against.
 
 Run:  python tools/check_docs.py   (exit 0 = docs healthy)
 """
@@ -44,8 +49,13 @@ _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Trees whose Python files may cite Markdown docs by name.
-CODE_DIRS = ("src", "benchmarks", "tools")
+CODE_DIRS = ("src", "benchmarks", "tools", "examples")
 _MD_NAME_RE = re.compile(r"\b[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
+#: A doc name followed by a quoted title or a ``§`` reference.
+_SECTION_RE = re.compile(
+    rf"({_MD_NAME_RE.pattern})(?:,|'s)?\s+(?:\"([^\"]+)\"|(§\s*[\w.-]*\w))"
+)
+_HEADING_RE = re.compile(r"^#{1,6}\s+(.+?)\s*$", flags=re.MULTILINE)
 
 
 def extract_code_blocks(markdown: str, language: str = "python") -> List[str]:
@@ -127,20 +137,40 @@ def check_relative_links() -> List[str]:
     return errors
 
 
+def _headings(doc: Path) -> List[str]:
+    """A Markdown file's heading titles (fenced code blocks stripped)."""
+    text = re.sub(r"```.*?```", "", doc.read_text(encoding="utf-8"), flags=re.DOTALL)
+    return _HEADING_RE.findall(text)
+
+
 def check_md_references() -> List[str]:
-    """``*.md`` names cited in code whose document does not exist.
+    """``*.md`` names cited in code whose document does not exist, and
+    sections cited in an existing document that it does not have.
 
     A name resolves against the repo root or the citing file's directory.
+    A quoted title may wrap lines (comment markers are dropped) and
+    matches any heading it begins.
     """
     errors = []
     for top in CODE_DIRS:
         for path in sorted((REPO_ROOT / top).rglob("*.py")):
             text = path.read_text(encoding="utf-8")
+            where = path.relative_to(REPO_ROOT)
+            docs = {}
             for name in sorted(set(_MD_NAME_RE.findall(text))):
-                if not ((REPO_ROOT / name).exists() or (path.parent / name).exists()):
-                    errors.append(
-                        f"{path.relative_to(REPO_ROOT)}: names {name}, which does not exist"
-                    )
+                found = [d for d in (REPO_ROOT / name, path.parent / name) if d.exists()]
+                if found:
+                    docs[name] = found[0]
+                else:
+                    errors.append(f"{where}: names {name}, which does not exist")
+            for name, title, section in _SECTION_RE.findall(text):
+                if name not in docs:
+                    continue
+                title = " ".join(re.sub(r"\n\s*#:?", " ", title).split())
+                if section:
+                    errors.append(f"{where}: cites {name} {section}; quote a heading instead")
+                elif not any(h.startswith(title) for h in _headings(docs[name])):
+                    errors.append(f'{where}: cites {name} "{title}", which begins no heading')
     return errors
 
 
@@ -254,7 +284,7 @@ def main() -> int:
     if not errors:
         print(
             "docs ok: README quickstart ran, all relative links and "
-            "doc names in code resolve"
+            "doc names and sections cited in code resolve"
         )
     return 1 if errors else 0
 
