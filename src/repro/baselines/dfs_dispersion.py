@@ -33,9 +33,10 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ..byzantine.adversary import Adversary
+from ..core._setup import Population, run_population
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.report import RunReport, finish_report
+from ..sim.report import RunReport
 from ..sim.robot import MOVES, SETTLED, STAY, Action, RobotAPI
 from ..sim.world import World
 from ..sim.ids import assign_ids
@@ -150,27 +151,15 @@ def solve_dfs_baseline(
     adversary = adversary if adversary is not None else Adversary(seed=seed)
     if byz_ids is None:
         byz_ids = adversary.choose_ids(ids, f, placement=byz_placement)
-    byz = set(byz_ids)
-    world = World(graph, model="weak")
-    for rid in ids:
-        if rid in byz:
-            world.add_robot(rid, gather_node, adversary.program_factory(rid), byzantine=True)
-        else:
-            def factory(api: RobotAPI, _cap=cap):
-                return dfs_dispersion_program(api, _cap)
-
-            world.add_robot(rid, gather_node, factory, byzantine=False)
-    world.run(max_rounds=dfs_rounds_bound(n, graph.m, cap), until=_all_honest_settled_or_done)
-    return finish_report(
-        world,
-        honest_cap=max(1, -(-(k - len(byz)) // n)),  # ⌈(k−f)/n⌉ (Section 5), 1 if k = f
+    pop = Population(ids, sorted(set(byz_ids)), {rid: gather_node for rid in ids}, adversary)
+    return run_population(
+        graph, pop, lambda rid, node: lambda api: dfs_dispersion_program(api, cap),
+        dfs_rounds_bound(n, graph.m, cap),
+        until=_all_honest_settled_or_done,
+        honest_cap=max(1, -(-(k - pop.f) // n)),  # ⌈(k−f)/n⌉ (Section 5), 1 if k = f
         algorithm="dfs_baseline",
         k=k,
         cap=cap,
-        f=len(byz),
-        n=n,
-        strategy=adversary.describe(),
-        byz_ids=sorted(byz),
     )
 
 

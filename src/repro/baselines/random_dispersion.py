@@ -19,10 +19,9 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.exploration import _log2_ceil
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.report import RunReport, finish_report
+from ..sim.report import RunReport
 from ..sim.robot import MOVES, SETTLED, STAY, RobotAPI
-from ..sim.world import World
-from ..core._setup import build_population
+from ..core._setup import build_population, run_population
 
 __all__ = ["solve_random_baseline", "random_rounds_budget"]
 
@@ -69,25 +68,11 @@ def solve_random_baseline(
         graph, f, start=start, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    world = World(graph, model="weak")
-    byz = set(pop.byz_ids)
-    for rid in pop.ids:
-        node = pop.placement[rid]
-        if rid in byz:
-            world.add_robot(rid, node, pop.adversary.program_factory(rid), byzantine=True)
-        else:
-            rng = np.random.default_rng((seed, rid, 0xA11))
 
-            def factory(api: RobotAPI, _rng=rng):
-                return _program(api, _rng)
+    def honest_factory(rid: int, node: int):
+        rng = np.random.default_rng((seed, rid, 0xA11))
+        return lambda api: _program(api, rng)
 
-            world.add_robot(rid, node, factory, byzantine=False)
-    world.run(max_rounds=random_rounds_budget(graph))
-    return finish_report(
-        world,
-        algorithm="random_baseline",
-        f=f,
-        n=graph.n,
-        strategy=pop.adversary.describe(),
-        byz_ids=pop.byz_ids,
+    return run_population(
+        graph, pop, honest_factory, random_rounds_budget(graph), algorithm="random_baseline",
     )

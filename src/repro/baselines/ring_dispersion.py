@@ -23,11 +23,8 @@ from typing import Dict, Optional, Union
 from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.generators import ring
-from ..sim.report import RunReport, finish_report
-from ..sim.robot import RobotAPI
-from ..sim.world import World
-from ._shared import check_canonical_ring
-from ..core._setup import build_population
+from ..sim.report import RunReport
+from ..core._setup import build_population, run_population
 from ..core.dispersion_using_map import dispersion_rounds_bound, dispersion_using_map
 
 __all__ = ["solve_ring_dispersion"]
@@ -53,29 +50,12 @@ def solve_ring_dispersion(
     if not (0 <= f <= n - 1):
         raise ConfigurationError(f"ring dispersion tolerates 0 <= f <= n-1, got {f}")
     graph = ring(n)
-    check_canonical_ring(graph)
     pop = build_population(
         graph, f, start=start, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
-    world = World(graph, model="weak")
-    byz = set(pop.byz_ids)
     map_graph = ring(n)  # the free map
-    for rid in pop.ids:
-        node = pop.placement[rid]
-        if rid in byz:
-            world.add_robot(rid, node, pop.adversary.program_factory(rid), byzantine=True)
-        else:
-            def factory(api: RobotAPI):
-                return dispersion_using_map(api, map_graph, 0)
-
-            world.add_robot(rid, node, factory, byzantine=False)
-    world.run(max_rounds=dispersion_rounds_bound(n) + 4)
-    return finish_report(
-        world,
-        algorithm="ring_prior_work",
-        f=f,
-        n=n,
-        strategy=pop.adversary.describe(),
-        byz_ids=pop.byz_ids,
+    return run_population(
+        graph, pop, lambda rid, node: lambda api: dispersion_using_map(api, map_graph, 0),
+        dispersion_rounds_bound(n) + 4, algorithm="ring_prior_work",
     )

@@ -1,13 +1,15 @@
-"""Shared driver plumbing: placements, populations, common validation.
+"""Shared driver plumbing: placements, populations, world assembly.
 
-Every theorem driver in :mod:`repro.core` goes through these helpers so
-experiment configuration (who is Byzantine, where robots start, which
-strategy runs) is uniform across algorithms and sweeps.
+Every driver in :mod:`repro.core` and :mod:`repro.baselines` goes
+through these helpers so experiment configuration (who is Byzantine,
+where robots start, which strategy runs) and world assembly (charged
+phases, robots, scheduler, report) are uniform across algorithms and
+sweeps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -15,48 +17,17 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError, ReproError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..sim.ids import assign_ids, validate_ids
+from ..sim.report import RunReport, finish_report
 from ..sim.schedulers import canonical_scheduler
+from ..sim.world import World
 
 __all__ = [
     "Population",
     "build_population",
     "make_placement",
-    "resolve_scheduler",
     "round_budget",
-    "run_world_guarded",
+    "run_population",
 ]
-
-
-def resolve_scheduler(scheduler):
-    """Normalise a driver's ``scheduler`` argument.
-
-    Returns ``(scheduler_or_None, canonical_spec)``: the synchronous
-    default (``None`` or any spec canonicalising to ``"synchronous"``)
-    collapses to ``None`` so the world takes its scheduler-free fast
-    path and reports stay byte-identical to the historical ones.
-    """
-    canon = canonical_scheduler(scheduler)
-    return (None if canon == "synchronous" else scheduler), canon
-
-
-def run_world_guarded(world, max_rounds: int, guarded: bool) -> List[str]:
-    """Run a world to its budget; returns extra violation strings.
-
-    With ``guarded`` (a non-default activation scheduler), the paper's
-    synchrony assumptions no longer hold, so a timing-induced protocol
-    breakdown — any :class:`~repro.errors.ReproError` out of the round
-    loop — is *recorded* as a violation for a failed report instead of
-    crashing the sweep.  Unguarded runs propagate, as ever: there an
-    exception is an engine or program bug.
-    """
-    if not guarded:
-        world.run(max_rounds=max_rounds)
-        return []
-    try:
-        world.run(max_rounds=max_rounds)
-    except ReproError as exc:
-        return [f"scheduler-induced protocol breakdown: {type(exc).__name__}: {exc}"]
-    return []
 
 
 def round_budget(bound: int, max_rounds: Optional[int]) -> int:
@@ -153,7 +124,6 @@ def build_population(
     adversary: Optional[Adversary] = None,
     n_robots: Optional[int] = None,
     byz_placement: str = "lowest",
-    id_seed: Optional[int] = None,
     seed: int = 0,
 ) -> Population:
     """Standard population for the paper's setting: ``n`` robots, ``f`` Byzantine.
@@ -162,7 +132,7 @@ def build_population(
     Section 5 experiments override it.
     """
     k = n_robots if n_robots is not None else graph.n
-    ids = assign_ids(k, n_nodes=graph.n, seed=id_seed)
+    ids = assign_ids(k, n_nodes=graph.n)
     validate_ids(ids, graph.n)
     # The placement RNG is the adversary's: who gets corrupted is the
     # adversary's choice, so Adversary(seed=...) alone pins it (sweeps
@@ -176,4 +146,72 @@ def build_population(
         byz_ids=byz_ids,
         placement=placement,
         adversary=adversary,
+    )
+
+
+def run_population(
+    graph: PortLabeledGraph,
+    pop: Population,
+    honest_factory: Callable[[int, int], Callable],
+    max_rounds: int,
+    model: str = "weak",
+    pre_charges: Sequence = (),
+    scheduler=None,
+    until: Optional[Callable[[World], bool]] = None,
+    honest_cap: int = 1,
+    **meta,
+) -> RunReport:
+    """Assemble, run and report one world: every driver's shared body.
+
+    Charges ``pre_charges`` (``(label, rounds)`` oracle phases) in order,
+    then places each robot of ``pop``: the adversary's program for
+    Byzantine IDs, ``honest_factory(rid, node)`` for the rest.  The world
+    runs at most ``max_rounds`` simulated rounds (or until
+    ``until(world)``); the report adds ``f``, ``n``, the strategy and the
+    Byzantine IDs to ``meta``.
+
+    A non-default activation ``scheduler`` (see
+    :mod:`repro.sim.schedulers`) is seeded from the adversary, records
+    its canonical spec in the report meta, and runs *guarded*: the
+    paper's protocols assume synchrony, so a timing-induced protocol
+    breakdown (any :class:`~repro.errors.ReproError` out of the round
+    loop) is recorded as a violation in a failed report instead of
+    crashing the sweep.  The synchronous default (``None`` or any spec
+    canonicalising to ``"synchronous"``) takes the world's scheduler-free
+    fast path, so reports stay byte-identical to the historical ones,
+    and runs unguarded: there an exception is an engine or program bug.
+    """
+    canon = canonical_scheduler(scheduler)
+    if canon == "synchronous":
+        scheduler = None
+    world = World(
+        graph, model=model, scheduler=scheduler, scheduler_seed=pop.adversary.seed,
+    )
+    for label, rounds in pre_charges:
+        world.charge(label, rounds)
+    byz = set(pop.byz_ids)
+    for rid in pop.ids:
+        node = pop.placement[rid]
+        if rid in byz:
+            world.add_robot(rid, node, pop.adversary.program_factory(rid), byzantine=True)
+        else:
+            world.add_robot(rid, node, honest_factory(rid, node), byzantine=False)
+    extra: List[str] = []
+    if scheduler is None:
+        world.run(max_rounds=max_rounds, until=until)
+    else:
+        meta["scheduler"] = canon
+        try:
+            world.run(max_rounds=max_rounds, until=until)
+        except ReproError as exc:
+            extra.append(f"scheduler-induced protocol breakdown: {type(exc).__name__}: {exc}")
+    return finish_report(
+        world,
+        extra_violations=extra,
+        honest_cap=honest_cap,
+        f=pop.f,
+        n=graph.n,
+        strategy=pop.adversary.describe(),
+        byz_ids=pop.byz_ids,
+        **meta,
     )

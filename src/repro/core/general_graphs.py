@@ -14,13 +14,20 @@ Thm    start     phase 1 (gathering)         phase 2 (map finding)
 =====  ========  ==========================  =============================
 
 Phase 3 is identical everywhere.  Tolerances: ⌊n/2−1⌋ (Thm 2/3),
-⌊n/3−1⌋ (Thm 4), O(√n) (Thm 5, we enforce ``f ≤ ⌊√n⌋``).
+⌊n/3−1⌋ (Thm 4), O(√n) (Thm 5, we enforce ``f ≤ ⌊√n⌋``), each computed
+by one function here that the solver's check and ``TABLE1`` both call.
+
+Theorems 6–7 (:mod:`repro.core.strong_byzantine`) share the outline
+too, so all six drivers run one body, :func:`_gathered_solver`.  Its
+``"two_groups_strong"`` scheme (Section 4's two half groups with
+distinct-ID quorums) also selects the strong model and rank dispersion
+as phase 3.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, Optional, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
@@ -32,18 +39,11 @@ from ..gathering.oracle import (
 from ..graphs.port_labeled import PortLabeledGraph
 from ..mapping.group_mapping import build_group_plan, group_phase_program, group_plan_rounds
 from ..mapping.token_mapping import ExplorerMemo, plan_honest_run
-from ..sim.report import RunReport, finish_report
+from ..sim.report import RunReport
 from ..sim.robot import Action, RobotAPI
-from ..sim.world import World
-from ._setup import (
-    Population,
-    build_population,
-    resolve_scheduler,
-    round_budget,
-    run_world_guarded,
-)
+from ._setup import Population, build_population, round_budget, run_population
 from .dispersion_using_map import dispersion_rounds_bound, dispersion_using_map
-from .phases import pairing_phase, pairing_phase_rounds, roster_phase
+from .phases import pairing_phase, pairing_phase_rounds, rank_dispersion_phase, roster_phase
 
 __all__ = [
     "solve_theorem2",
@@ -52,6 +52,11 @@ __all__ = [
     "solve_theorem5",
     "tick_budget_for",
 ]
+
+#: The map phase starts after the 2-round roster phase.
+_BASE = 2
+#: Theorems 6–7's group scheme.
+STRONG_SCHEME = "two_groups_strong"
 
 
 def tick_budget_for(
@@ -69,160 +74,95 @@ def tick_budget_for(
     return ticks + margin
 
 
-def _run_driver(
-    graph: PortLabeledGraph,
-    pop: Population,
-    honest_program_factory,
-    model: str,
-    max_rounds: int,
-    pre_charges,
-    scheduler=None,
-    **meta,
-) -> RunReport:
-    """Shared world assembly + execution + reporting for Theorems 2–7.
-
-    A non-default activation ``scheduler`` (see
-    :mod:`repro.sim.schedulers`) is seeded from the adversary, records
-    its canonical spec in the report meta, and runs *guarded*: the
-    paper's protocols assume synchrony, so timing-induced protocol
-    breakdowns (a robot tripping an invariant because a peer was
-    starved) are recorded as violations in a failed report instead of
-    crashing the sweep.
-    """
-    scheduler, canon = resolve_scheduler(scheduler)
-    world = World(
-        graph, model=model, scheduler=scheduler, scheduler_seed=pop.adversary.seed,
-    )
-    for label, rounds in pre_charges:
-        world.charge(label, rounds)
-    byz = set(pop.byz_ids)
-    for rid in pop.ids:
-        node = pop.placement[rid]
-        if rid in byz:
-            world.add_robot(rid, node, pop.adversary.program_factory(rid), byzantine=True)
-        else:
-            world.add_robot(rid, node, honest_program_factory(rid), byzantine=False)
-    if scheduler is not None:
-        meta["scheduler"] = canon
-    extra = run_world_guarded(world, max_rounds, guarded=scheduler is not None)
-    return finish_report(
-        world,
-        extra_violations=extra,
-        f=pop.f,
-        n=graph.n,
-        strategy=pop.adversary.describe(),
-        byz_ids=pop.byz_ids,
-        **meta,
-    )
+def _gathered_program(
+    api: RobotAPI, scheme: str, tick_budget: int, memo: ExplorerMemo, schedule: str
+) -> Iterator[Action]:
+    """One honest robot of Theorems 2–7: roster, then map, then disperse."""
+    out: Dict = {}
+    yield from roster_phase(api, out)
+    if scheme == "pairing":
+        yield from pairing_phase(api, out, tick_budget, _BASE, memo, schedule)
+    else:
+        plan = build_group_plan(out["roster"], scheme, _BASE, tick_budget, api.n)
+        yield from group_phase_program(api, plan, out, memo)
+    m = out["map"]
+    if m is None:
+        api.log("no_map_agreed")
+        return
+    if scheme == STRONG_SCHEME:
+        yield from rank_dispersion_phase(api, m, 0, out["roster"])
+    else:
+        yield from dispersion_using_map(api, m, 0)
 
 
-def _pairing_solver(
+def _gathered_solver(
     graph: PortLabeledGraph,
     f: int,
     adversary: Optional[Adversary],
     gather_node: int,
     seed: int,
     byz_placement: str,
-    pre_charges,
+    scheme: str,
     theorem: int,
+    charge: Optional[Callable[[Population], Tuple[str, int]]] = None,
     schedule: str = "paper",
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
-    """Common body of Theorems 2 and 3 (pairing tournament from a gather node)."""
+    """Common body of Theorems 2–7: every robot starts at ``gather_node``.
+
+    ``scheme`` picks the map phase: ``"pairing"`` (the tournament under
+    ``schedule``) or a :func:`~repro.mapping.group_mapping.build_group_plan`
+    scheme.  ``charge(pop) -> (label, rounds)`` prices an arbitrary-start
+    row's gathering from the population this run uses.
+    """
     n = graph.n
     pop = build_population(
         graph, f, start=gather_node, adversary=adversary,
         byz_placement=byz_placement, seed=seed,
     )
+    pre_charges = [charge(pop)] if charge is not None else []
     memo = ExplorerMemo()
     tb = tick_budget_for(graph, gather_node, memo)
-    base = 2  # after the roster phase
+    meta = {"theorem": theorem, "tick_budget": tb, "gather_node": gather_node}
+    if scheme == "pairing":
+        map_rounds = pairing_phase_rounds(n, tb, schedule)
+        meta["schedule"] = schedule
+    else:
+        map_rounds = group_plan_rounds(scheme, tb)
+    strong = scheme == STRONG_SCHEME
+    # Rank dispersion walks at most n - 1 edges.
+    final_rounds = n if strong else dispersion_rounds_bound(n)
 
-    def honest_program_factory(rid: int):
-        def factory(api: RobotAPI) -> Iterator[Action]:
-            return _pairing_program(api, tb, base, memo, schedule)
+    def program(api: RobotAPI) -> Iterator[Action]:
+        return _gathered_program(api, scheme, tb, memo, schedule)
 
-        return factory
-
-    bound = (
-        base + pairing_phase_rounds(n, tb, schedule) + dispersion_rounds_bound(n) + 16
-    )
     try:
-        return _run_driver(
-            graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
-            pre_charges, scheduler=scheduler, theorem=theorem,
-            tick_budget=tb, gather_node=gather_node, schedule=schedule,
+        return run_population(
+            graph, pop, lambda rid, node: program,
+            round_budget(_BASE + map_rounds + final_rounds + 16, max_rounds),
+            model="strong" if strong else "weak", pre_charges=pre_charges,
+            scheduler=scheduler, **meta,
         )
     finally:
         memo.clear()
 
 
-def _pairing_program(
-    api: RobotAPI, tick_budget: int, base: int, memo: ExplorerMemo, schedule: str = "paper"
-) -> Iterator[Action]:
-    out: Dict = {}
-    yield from roster_phase(api, out)
-    yield from pairing_phase(api, out, tick_budget, base, memo, schedule)
-    m = out["map"]
-    if m is None:
-        api.log("no_map_agreed")
-        return
-    yield from dispersion_using_map(api, m, 0)
+def half_f_max(graph: PortLabeledGraph) -> int:
+    """Theorems 2–3's tolerance ``⌊n/2−1⌋``."""
+    return max(0, graph.n // 2 - 1)
 
 
-def _group_program(
-    api: RobotAPI, scheme: str, tick_budget: int, base: int, memo: ExplorerMemo
-) -> Iterator[Action]:
-    out: Dict = {}
-    yield from roster_phase(api, out)
-    plan = build_group_plan(out["roster"], scheme, base, tick_budget, api.n)
-    yield from group_phase_program(api, plan, out, memo)
-    m = out["map"]
-    if m is None:
-        api.log("no_map_agreed")
-        return
-    yield from dispersion_using_map(api, m, 0)
+def third_f_max(graph: PortLabeledGraph) -> int:
+    """Theorem 4's tolerance ``⌊n/3−1⌋``."""
+    return max(0, graph.n // 3 - 1)
 
 
-def _group_solver(
-    graph: PortLabeledGraph,
-    f: int,
-    adversary: Optional[Adversary],
-    gather_node: int,
-    seed: int,
-    byz_placement: str,
-    pre_charges,
-    scheme: str,
-    theorem: int,
-    max_rounds: Optional[int] = None,
-    scheduler=None,
-) -> RunReport:
-    """Common body of Theorems 4 and 5 (group map finding from a gather node)."""
-    n = graph.n
-    pop = build_population(
-        graph, f, start=gather_node, adversary=adversary,
-        byz_placement=byz_placement, seed=seed,
-    )
-    memo = ExplorerMemo()
-    tb = tick_budget_for(graph, gather_node, memo)
-    base = 2
-
-    def honest_program_factory(rid: int):
-        def factory(api: RobotAPI) -> Iterator[Action]:
-            return _group_program(api, scheme, tb, base, memo)
-
-        return factory
-
-    bound = base + group_plan_rounds(scheme, tb) + dispersion_rounds_bound(n) + 16
-    try:
-        return _run_driver(
-            graph, pop, honest_program_factory, "weak", round_budget(bound, max_rounds),
-            pre_charges, scheduler=scheduler, theorem=theorem,
-            tick_budget=tb, gather_node=gather_node,
-        )
-    finally:
-        memo.clear()
+def sqrt_f_max(graph: PortLabeledGraph) -> int:
+    """Theorem 5's ``O(√n)`` tolerance: ``min(⌊√n⌋, ⌈⌊n/2⌋/2⌉ − 1)``
+    (see :func:`solve_theorem5`)."""
+    group = graph.n // 2
+    return max(0, min(int(math.isqrt(graph.n)), (group + 1) // 2 - 1))
 
 
 # --------------------------------------------------------------------- #
@@ -251,11 +191,10 @@ def solve_theorem3(
     method, ~half the slots) — the ablation showing the paper's O(n⁴) is
     schedule-limited, not protocol-limited.
     """
-    _check_common(graph, f, graph.n // 2 - 1, "Theorem 3")
-    return _pairing_solver(
-        graph, f, adversary, gather_node, seed, byz_placement,
-        pre_charges=[], theorem=3, schedule=schedule, max_rounds=max_rounds,
-        scheduler=scheduler,
+    _check_common(graph, f, half_f_max(graph), "Theorem 3")
+    return _gathered_solver(
+        graph, f, adversary, gather_node, seed, byz_placement, "pairing", theorem=3,
+        schedule=schedule, max_rounds=max_rounds, scheduler=scheduler,
     )
 
 
@@ -275,22 +214,13 @@ def solve_theorem2(
     simulated and what is charged"); phases 2–3 equal Theorem 3 and are
     fully simulated.
     """
-    _check_common(graph, f, graph.n // 2 - 1, "Theorem 2")
-    gather = canonical_gather_node(graph)
-    # Honest IDs under the default compact assignment with the f lowest
-    # corrupted: the remaining ones.  The charge needs |Λgood| over them.
-    # Pass the adversary through: placement is derived from the
-    # adversary's seed, so the preview must resolve the same one the
-    # solver's population will, or the charged |Λgood| drifts from the
-    # actually-honest IDs.
-    pop_preview = build_population(
-        graph, f, start=gather, adversary=adversary,
-        byz_placement=byz_placement, seed=seed,
-    )
-    charge = weak_gathering_rounds(graph, pop_preview.honest_ids)
-    return _pairing_solver(
-        graph, f, adversary, gather, seed, byz_placement,
-        pre_charges=[("gathering_dpp_weak", charge)], theorem=2,
+    _check_common(graph, f, half_f_max(graph), "Theorem 2")
+    # The charge needs |Λgood| over the run's actually-honest IDs, which
+    # the adversary's seed and placement decide.
+    return _gathered_solver(
+        graph, f, adversary, canonical_gather_node(graph), seed, byz_placement,
+        "pairing", theorem=2,
+        charge=lambda pop: ("gathering_dpp_weak", weak_gathering_rounds(graph, pop.honest_ids)),
         max_rounds=max_rounds, scheduler=scheduler,
     )
 
@@ -311,11 +241,10 @@ def solve_theorem4(
     the ⌊k/6⌋+1 / ⌊k/3⌋+1 believe-thresholds; majority of the three maps;
     Dispersion-Using-Map.  Fully simulated.
     """
-    _check_common(graph, f, graph.n // 3 - 1, "Theorem 4")
-    return _group_solver(
-        graph, f, adversary, gather_node, seed, byz_placement,
-        pre_charges=[], scheme="three_groups", theorem=4, max_rounds=max_rounds,
-        scheduler=scheduler,
+    _check_common(graph, f, third_f_max(graph), "Theorem 4")
+    return _gathered_solver(
+        graph, f, adversary, gather_node, seed, byz_placement, "three_groups", theorem=4,
+        max_rounds=max_rounds, scheduler=scheduler,
     )
 
 
@@ -339,19 +268,14 @@ def solve_theorem5(
     group: ``f ≤ ⌈⌊n/2⌋/2⌉ − 1``.  Asymptotically ``√n`` binds (n ≥ 25);
     at small ``n`` the group bound binds.  We enforce the minimum of both.
     """
-    group = graph.n // 2
-    limit = min(int(math.isqrt(graph.n)), (group + 1) // 2 - 1)
-    _check_common(graph, f, limit, "Theorem 5 (f = O(sqrt n) with half-group majorities)")
-    gather = canonical_gather_node(graph)
-    pop_preview = build_population(
-        graph, f, start=gather, adversary=adversary,
-        byz_placement=byz_placement, seed=seed,
+    _check_common(
+        graph, f, sqrt_f_max(graph), "Theorem 5 (f = O(sqrt n) with half-group majorities)"
     )
-    charge = hirose_gathering_rounds(graph, pop_preview.ids, f)
-    return _group_solver(
-        graph, f, adversary, gather, seed, byz_placement,
-        pre_charges=[("gathering_hirose", charge)], scheme="two_groups_majority",
-        theorem=5, max_rounds=max_rounds, scheduler=scheduler,
+    return _gathered_solver(
+        graph, f, adversary, canonical_gather_node(graph), seed, byz_placement,
+        "two_groups_majority", theorem=5,
+        charge=lambda pop: ("gathering_hirose", hirose_gathering_rounds(graph, pop.ids, f)),
+        max_rounds=max_rounds, scheduler=scheduler,
     )
 
 
@@ -360,5 +284,5 @@ def _check_common(graph: PortLabeledGraph, f: int, f_max: int, label: str) -> No
         raise ConfigurationError("dispersion requires a connected graph")
     if graph.n < 3:
         raise ConfigurationError(f"{label} needs n >= 3")
-    if not (0 <= f <= max(f_max, 0)):
+    if not (0 <= f <= f_max):
         raise ConfigurationError(f"{label} tolerates 0 <= f <= {f_max}, got f={f}")

@@ -17,19 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-import numpy as np
-
 from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.quotient import is_quotient_isomorphic
-from ..sim.ids import assign_ids, validate_ids
-from ..sim.report import RunReport, finish_report
-from ..sim.robot import RobotAPI
-from ..sim.world import World
-from ._setup import make_placement
-from .dispersion_using_map import dispersion_rounds_bound, dispersion_using_map
-from .find_map import find_map_rounds, private_quotient_map
+from ..sim.report import RunReport
+from ._setup import build_population
+from .quotient_algorithm import _private_map_solver
 
 __all__ = ["solve_k_robots"]
 
@@ -63,33 +57,8 @@ def solve_k_robots(
         raise ConfigurationError(
             "requires the quotient graph to be isomorphic to the graph (Theorem 1 class)"
         )
-    ids = assign_ids(k, n_nodes=n)
-    validate_ids(ids, n)
-    adversary = adversary if adversary is not None else Adversary(seed=seed)
-    byz = set(adversary.choose_ids(ids, f, placement=byz_placement))
-    placement = make_placement(graph, ids, start, seed=seed)
-
-    world = World(graph, model="weak")
-    world.charge("find_map", find_map_rounds(n, graph.m))
-    for rid in ids:
-        node = placement[rid]
-        if rid in byz:
-            world.add_robot(rid, node, adversary.program_factory(rid), byzantine=True)
-        else:
-            map_rng = np.random.default_rng((seed, rid, 0xD15))
-            map_graph, map_root = private_quotient_map(graph, node, map_rng)
-
-            def factory(api: RobotAPI, _m=map_graph, _r=map_root):
-                return dispersion_using_map(api, _m, _r)
-
-            world.add_robot(rid, node, factory, byzantine=False)
-    world.run(max_rounds=dispersion_rounds_bound(n) + 4)
-    return finish_report(
-        world,
-        algorithm="k_robots",
-        k=k,
-        f=f,
-        n=n,
-        strategy=adversary.describe(),
-        byz_ids=sorted(byz),
+    pop = build_population(
+        graph, f, start=start, adversary=adversary, n_robots=k,
+        byz_placement=byz_placement, seed=seed,
     )
+    return _private_map_solver(graph, pop, seed, algorithm="k_robots", k=k)

@@ -19,10 +19,8 @@ from ..byzantine.adversary import Adversary
 from ..errors import ConfigurationError
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.quotient import is_quotient_isomorphic
-from ..sim.report import RunReport, finish_report
-from ..sim.robot import RobotAPI
-from ..sim.world import World
-from ._setup import build_population, resolve_scheduler, round_budget, run_world_guarded
+from ..sim.report import RunReport
+from ._setup import Population, build_population, round_budget, run_population
 from .dispersion_using_map import dispersion_rounds_bound, dispersion_using_map
 from .find_map import find_map_rounds, private_quotient_map
 
@@ -34,6 +32,11 @@ def theorem1_round_bound(n: int, m: int) -> int:
     return find_map_rounds(n, m) + dispersion_rounds_bound(n)
 
 
+def theorem1_f_max(graph: PortLabeledGraph) -> int:
+    """Theorem 1's tolerance ``n − 1``: maps are found without trusting anyone."""
+    return graph.n - 1
+
+
 def solve_theorem1(
     graph: PortLabeledGraph,
     f: int = 0,
@@ -41,7 +44,6 @@ def solve_theorem1(
     start: Union[str, int, Dict[int, int]] = "arbitrary",
     seed: int = 0,
     byz_placement: str = "lowest",
-    id_seed: Optional[int] = None,
     max_rounds: Optional[int] = None,
     scheduler=None,
 ) -> RunReport:
@@ -66,54 +68,40 @@ def solve_theorem1(
         raise ConfigurationError(
             "Theorem 1 requires the quotient graph to be isomorphic to the graph"
         )
-    if not (0 <= f <= graph.n - 1):
+    if not (0 <= f <= theorem1_f_max(graph)):
         raise ConfigurationError(f"Theorem 1 tolerates 0 <= f <= n-1, got f={f}")
-
     pop = build_population(
-        graph,
-        f,
-        start=start,
-        adversary=adversary,
-        byz_placement=byz_placement,
-        id_seed=id_seed,
-        seed=seed,
+        graph, f, start=start, adversary=adversary, byz_placement=byz_placement, seed=seed,
     )
-    scheduler, canon = resolve_scheduler(scheduler)
-    world = World(
-        graph, model="weak", scheduler=scheduler, scheduler_seed=pop.adversary.seed,
+    return _private_map_solver(
+        graph, pop, seed, max_rounds=max_rounds, scheduler=scheduler, theorem=1,
     )
+
+
+def _private_map_solver(
+    graph: PortLabeledGraph,
+    pop: Population,
+    seed: int,
+    max_rounds: Optional[int] = None,
+    scheduler=None,
+    **meta,
+) -> RunReport:
+    """Common body of Theorem 1 and :func:`~repro.core.solve_k_robots`:
+    each honest robot finds its own map, then runs Dispersion-Using-Map."""
+
+    def honest_factory(rid: int, node: int):
+        map_rng = np.random.default_rng((seed, rid, 0xD15))
+        map_graph, map_root = private_quotient_map(graph, node, map_rng)
+        return lambda api: dispersion_using_map(api, map_graph, map_root)
 
     # Phase 1 — Find-Map: independent, parallel, interference-free; all
     # robots finish within the same polynomial bound (synchronous start),
     # so the whole phase is charged once, globally.
-    world.charge("find_map", find_map_rounds(graph.n, graph.m))
-
-    master = np.random.default_rng(seed)
-    for rid in pop.ids:
-        node = pop.placement[rid]
-        if rid in set(pop.byz_ids):
-            world.add_robot(rid, node, pop.adversary.program_factory(rid), byzantine=True)
-        else:
-            map_rng = np.random.default_rng((seed, rid, 0xD15))
-            map_graph, map_root = private_quotient_map(graph, node, map_rng)
-
-            def factory(api: RobotAPI, _m=map_graph, _r=map_root):
-                return dispersion_using_map(api, _m, _r)
-
-            world.add_robot(rid, node, factory, byzantine=False)
-
     # Phase 2 — Dispersion-Using-Map: O(n) simulated rounds (+ slack for
     # beyond-tolerance experiments to fail visibly rather than hang).
-    budget = round_budget(dispersion_rounds_bound(graph.n) + 4, max_rounds)
-    meta = {} if scheduler is None else {"scheduler": canon}
-    extra = run_world_guarded(world, budget, guarded=scheduler is not None)
-    return finish_report(
-        world,
-        extra_violations=extra,
-        theorem=1,
-        f=f,
-        n=graph.n,
-        strategy=pop.adversary.describe(),
-        byz_ids=pop.byz_ids,
-        **meta,
+    return run_population(
+        graph, pop, honest_factory,
+        round_budget(dispersion_rounds_bound(graph.n) + 4, max_rounds),
+        pre_charges=[("find_map", find_map_rounds(graph.n, graph.m))],
+        scheduler=scheduler, **meta,
     )

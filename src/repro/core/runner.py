@@ -10,7 +10,6 @@ Byzantine robots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -24,9 +23,17 @@ from ..graphs.quotient import is_quotient_isomorphic
 from ..sim.ids import assign_ids
 from ..sim.report import RunReport
 from .find_map import find_map_rounds
-from .general_graphs import solve_theorem2, solve_theorem3, solve_theorem4, solve_theorem5
-from .quotient_algorithm import solve_theorem1
-from .strong_byzantine import solve_theorem6, solve_theorem7
+from .general_graphs import (
+    half_f_max,
+    solve_theorem2,
+    solve_theorem3,
+    solve_theorem4,
+    solve_theorem5,
+    sqrt_f_max,
+    third_f_max,
+)
+from .quotient_algorithm import solve_theorem1, theorem1_f_max
+from .strong_byzantine import quarter_f_max, solve_theorem6, solve_theorem7
 
 __all__ = ["Table1Row", "TABLE1", "get_row", "row_applicable"]
 
@@ -90,75 +97,59 @@ def _bound_row7(g: PortLabeledGraph, f: int) -> int:
     return g.n**3
 
 
-def _f_sqrt(g: PortLabeledGraph) -> int:
-    group = g.n // 2
-    return max(0, min(int(math.isqrt(g.n)), (group + 1) // 2 - 1))
-
-
+# Each ``solver`` looks its driver up in this module's globals at call
+# time, so anything that swaps the module attribute (a tracer, a mock)
+# sees every row's calls; a driver stored in the row itself would not.
 TABLE1: List[Table1Row] = [
     Table1Row(
         serial=1, theorem=1, running_time="polynomial(n)", start="Arbitrary",
         tolerance="n-1", strong=False,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem1(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, start="arbitrary", max_rounds=max_rounds, scheduler=scheduler),
-        f_max=lambda g: g.n - 1,
+        solver=lambda graph, **kw: solve_theorem1(graph, **kw),
+        f_max=theorem1_f_max,
         paper_bound=_bound_row1,
         note="graphs with quotient graph isomorphic to the graph",
     ),
     Table1Row(
         serial=2, theorem=2, running_time="O(n^4 |L_good| X(n))", start="Arbitrary",
         tolerance="floor(n/2)-1", strong=False,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem2(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, max_rounds=max_rounds, scheduler=scheduler),
-        f_max=lambda g: max(0, g.n // 2 - 1),
+        solver=lambda graph, **kw: solve_theorem2(graph, **kw),
+        f_max=half_f_max,
         paper_bound=_bound_row2,
     ),
     Table1Row(
         serial=3, theorem=5, running_time="O((f+|L_all|) X(n))", start="Arbitrary",
         tolerance="O(sqrt(n))", strong=False,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem5(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, max_rounds=max_rounds, scheduler=scheduler),
-        f_max=_f_sqrt,
+        solver=lambda graph, **kw: solve_theorem5(graph, **kw),
+        f_max=sqrt_f_max,
         paper_bound=_bound_row3,
     ),
     Table1Row(
         serial=4, theorem=3, running_time="O(n^4)", start="Gathered",
         tolerance="floor(n/2)-1", strong=False,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem3(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, max_rounds=max_rounds, scheduler=scheduler),
-        f_max=lambda g: max(0, g.n // 2 - 1),
+        solver=lambda graph, **kw: solve_theorem3(graph, **kw),
+        f_max=half_f_max,
         paper_bound=_bound_row4,
     ),
     Table1Row(
         serial=5, theorem=4, running_time="O(n^3)", start="Gathered",
         tolerance="floor(n/3)-1", strong=False,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem4(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, max_rounds=max_rounds, scheduler=scheduler),
-        f_max=lambda g: max(0, g.n // 3 - 1),
+        solver=lambda graph, **kw: solve_theorem4(graph, **kw),
+        f_max=third_f_max,
         paper_bound=_bound_row5,
     ),
     Table1Row(
         serial=6, theorem=7, running_time="exponential(n)", start="Arbitrary",
         tolerance="floor(n/4)-1", strong=True,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem7(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, max_rounds=max_rounds, scheduler=scheduler),
-        f_max=lambda g: max(0, g.n // 4 - 1),
+        solver=lambda graph, **kw: solve_theorem7(graph, **kw),
+        f_max=quarter_f_max,
         paper_bound=_bound_row6,
         note="requires robots to know f",
     ),
     Table1Row(
         serial=7, theorem=6, running_time="O(n^3)", start="Gathered",
         tolerance="floor(n/4)-1", strong=True,
-        solver=lambda graph, f=0, adversary=None, seed=0, byz_placement="lowest", max_rounds=None, scheduler=None:
-            solve_theorem6(graph, f=f, adversary=adversary, seed=seed,
-                           byz_placement=byz_placement, max_rounds=max_rounds, scheduler=scheduler),
-        f_max=lambda g: max(0, g.n // 4 - 1),
+        solver=lambda graph, **kw: solve_theorem6(graph, **kw),
+        f_max=quarter_f_max,
         paper_bound=_bound_row7,
     ),
 ]

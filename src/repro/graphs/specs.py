@@ -84,6 +84,7 @@ def tagged(fn: Callable[..., PortLabeledGraph]) -> Callable[..., PortLabeledGrap
     def wrapper(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
+        _check_seed(bound.arguments)
         graph = fn(*args, **kwargs)
         graph._spec = GraphSpec(name, tuple(bound.arguments.items()))
         return graph
@@ -134,7 +135,17 @@ def canonicalize_spec(spec: GraphSpec) -> GraphSpec:
             f"from args {dict(spec.args)!r}: {exc}"
         )
     bound.apply_defaults()
+    _check_seed(bound.arguments)
     return GraphSpec(spec.family, tuple(bound.arguments.items()))
+
+
+def _check_seed(args: Dict[str, object]) -> None:
+    """Reject a generator ``seed`` argument that is not ``None`` or a
+    non-negative ``int`` (bools excluded); numpy would otherwise fail on
+    it mid-build with an untyped ``ValueError`` or ``TypeError``."""
+    seed = args.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise ConfigurationError(f"graph seed must be None or a non-negative int, got {seed!r}")
 
 
 # --------------------------------------------------------------------- #

@@ -130,11 +130,6 @@ class ResultSet(List[Dict]):
     preserve record order (the executor's submission order).
     """
 
-    @property
-    def records(self) -> List[Dict]:
-        """The records as a plain list (an explicit copy)."""
-        return list(self)
-
     def filter(self, pred: Optional[Callable[[Dict], bool]] = None, **equals) -> "ResultSet":
         """Records matching a predicate and/or keyword equality tests.
 
@@ -433,6 +428,9 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown placement {self.placement!r} (choose from {PLACEMENTS})"
             )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            # True == 1 would alias seed 1's identity under another key.
+            raise ConfigurationError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.rounds is not None and (
             isinstance(self.rounds, bool) or not isinstance(self.rounds, int)
             or self.rounds < 0
@@ -607,8 +605,8 @@ class Scenario:
                 "graph", f"must be a JSON object, got {type(payload['graph']).__name__}"
             )
         seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValidationError("seed", f"must be an integer, got {seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValidationError("seed", f"must be a non-negative integer, got {seed!r}")
         rounds = payload.get("rounds")
         if rounds is not None and (
             isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0
@@ -825,10 +823,6 @@ class ScenarioGrid:
 
         return self.filter(ok)
 
-    def cells(self) -> List[SweepCell]:
-        """The compiled plan (one cell per scenario, same order)."""
-        return [s.cell() for s in self.scenarios]
-
     def keys(self) -> List[str]:
         """The run-store keys this grid reads/writes, in order."""
         return [s.key() for s in self.scenarios]
@@ -980,19 +974,17 @@ def scaling_grid(
     graphs: Sequence[PortLabeledGraph],
     strategy: str,
     seed: int = 0,
-    f_fraction_of_max: float = 1.0,
 ) -> ScenarioGrid:
     """Measured rounds vs ``n`` across a graph family: one scenario per
-    applicable graph at a fixed fraction of the row's bound (``f`` is
-    *zipped* with the graphs, not crossed — the one sweep :func:`grid`
-    cannot express)."""
+    applicable graph at the row's bound (``f`` is *zipped* with the
+    graphs, not crossed — the one sweep :func:`grid` cannot express)."""
     serial = _normalize_algorithm(row)
     table_row = get_row(serial)
     applicable = [g for g in graphs if row_applicable(table_row, g)]
     return ScenarioGrid([
         Scenario(
             algorithm=serial, graph=g,
-            f=int(table_row.f_max(g) * f_fraction_of_max),
+            f=table_row.f_max(g),
             strategy=strategy, seed=seed, kind="scaling",
         )
         for g in applicable

@@ -81,6 +81,9 @@ class TestRejectedInput:
              "tolerance rejected: ConfigurationError: max_retries must be"),
             (["sweep", "--n", "8", "--serials", "4,x"],
              "bad --serials value '4,x'"),
+            (["run", "--row", "4", "--n", "6", "--seed", "-1"],
+             "run rejected: ConfigurationError: graph seed must be None or a "
+             "non-negative int, got -1"),
         ],
     )
     def test_exits_with_one_line_not_a_traceback(self, argv, needle):

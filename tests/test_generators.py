@@ -264,11 +264,15 @@ class TestRing:
             g = ring(n)
             assert g.n == n and g.m == n and g.is_regular()
 
-    def test_canonical_labeling_symmetric(self):
-        g = ring(6)
-        for u in range(6):
-            assert g.traverse(u, 1) == ((u + 1) % 6, 2)
-            assert g.traverse(u, 2) == ((u - 1) % 6, 1)
+    # The ring baseline's free map is sound only under this labeling;
+    # these are the sizes its tests run.
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 20])
+    def test_canonical_labeling_symmetric(self, n):
+        g = ring(n)
+        for u in range(n):
+            assert g.degree(u) == 2
+            assert g.traverse(u, 1) == ((u + 1) % n, 2)
+            assert g.traverse(u, 2) == ((u - 1) % n, 1)
 
     def test_canonical_quotient_collapses(self):
         assert quotient_graph(ring(8)).num_classes == 1

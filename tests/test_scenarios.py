@@ -95,6 +95,11 @@ class TestNormalization:
         with pytest.raises(ConfigurationError):
             Scenario(algorithm=5, graph="not a graph")
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
+    def test_seed_must_be_a_non_negative_int(self, g, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            Scenario(algorithm=5, graph=g, seed=seed)
+
     def test_f_none_normalises_to_max(self, g):
         assert Scenario(algorithm=5, graph=g, f=None).f == "max"
 

@@ -628,6 +628,12 @@ class TestScenarioValidation:
         # Well-formed JSON that is not a port labeling (ports count
         # from 1).
         ({"algorithm": 4, "graph": {"port_table": {"0": {"0": [1, 0]}}}}, "graph"),
+        # A negative seed, top-level or a generator's, used to reach
+        # numpy and fail every attempt with a 500.
+        ({"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}},
+          "seed": -1}, "seed"),
+        ({"algorithm": 4, "graph": {"family": "random_connected",
+                                    "args": {"n": 7, "seed": -1}}}, "graph"),
     ])
     def test_bad_input_names_the_field(self, payload, field):
         with pytest.raises(ValidationError) as excinfo:

@@ -78,13 +78,6 @@ class TestBuildPopulation:
         pop = build_population(ring(5), f=1)
         assert isinstance(pop.adversary, Adversary)
 
-    def test_id_seed_randomises_ids(self):
-        g = ring(6)
-        a = build_population(g, f=0, id_seed=1)
-        b = build_population(g, f=0, id_seed=2)
-        assert a.ids != b.ids
-        assert all(1 <= i <= 36 for i in a.ids)
-
 
 class TestTrace:
     def test_counters_without_events(self):
