@@ -11,7 +11,6 @@ from .complexity import PowerFit, fit_power_law
 from .experiments import (
     DEFAULT_POLICY,
     ExecutionPolicy,
-    SweepCell,
     cell_key_of,
     execute_plan,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RunStore",
-    "SweepCell",
     "cell_key",
     "cell_key_of",
     "execute_plan",

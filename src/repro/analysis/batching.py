@@ -1,12 +1,12 @@
 """Batch grouping for :func:`~repro.analysis.experiments.execute_plan`.
 
-This module decides *which* pending :class:`~repro.analysis.experiments.
-SweepCell`\\ s can share one :class:`~repro.sim.batch.BatchWorld` step
-loop, and runs each eligible group through the struct-of-arrays engine.
-The contract is the one every PR since PR-1 has pinned: **batch-produced
-records are byte-identical to the per-cell serial path** — same values,
-same key order, same store cell keys — so batching is purely a
-throughput optimisation, never a semantics switch.
+This module decides *which* pending cells — :class:`~repro.scenarios.
+Scenario` values — can share one :class:`~repro.sim.batch.BatchWorld`
+step loop, and runs each eligible group through the struct-of-arrays
+engine.  The contract is the one every PR since PR-1 has pinned:
+**batch-produced records are byte-identical to the per-cell serial
+path** — same values, same key order, same store cell keys — so
+batching is purely a throughput optimisation, never a semantics switch.
 
 Grouping rules
 --------------
@@ -44,7 +44,7 @@ function the per-cell path uses.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,10 @@ from ..sim.batch import (
     Theorem1BatchProgram,
 )
 from ..sim.report import RunReport, dispersion_violations
-from .experiments import _record, _resolve_payload
+from .experiments import _record
+
+if TYPE_CHECKING:  # repro.scenarios imports this package
+    from ..scenarios import Scenario
 
 __all__ = [
     "batchable",
@@ -91,7 +94,7 @@ BATCHABLE_SERIALS = frozenset({1})
 SUPPORTED_PLACEMENTS = frozenset({"lowest", "highest", "random"})
 
 
-def batchable(cell) -> bool:
+def batchable(cell: Scenario) -> bool:
     """True iff ``cell`` is eligible for the batched engine at all
     (group membership additionally requires ≥2 compatible cells)."""
     return (
@@ -104,10 +107,10 @@ def batchable(cell) -> bool:
     )
 
 
-def _group_key(cell, fingerprint) -> Tuple:
+def _group_key(cell: Scenario, fingerprint) -> Tuple:
     """Everything a batch group must agree on.  The fingerprint is a
     JSON-safe nested list (not hashable), so it is serialized; two cells
-    whose payloads fingerprint equal resolve to equal graphs."""
+    whose graphs fingerprint equal resolve to equal graphs."""
     return (
         cell.kind,
         cell.serial,
@@ -119,7 +122,7 @@ def _group_key(cell, fingerprint) -> Tuple:
 
 
 def plan_groups(
-    cells: Sequence,
+    cells: Sequence[Scenario],
     pending: Sequence[int],
     keys: Sequence[str],
     fingerprint_of: Callable[[int], object],
@@ -153,7 +156,7 @@ def plan_groups(
 
 
 def run_batch_group(
-    cells: Sequence,
+    cells: Sequence[Scenario],
     indices: Sequence[int],
     finish: Callable[[int, List[Dict]], None],
 ) -> List[int]:
@@ -166,7 +169,7 @@ def run_batch_group(
     that shrink below two runnable cells.
     """
     first = cells[indices[0]]
-    graph = _resolve_payload(first.payload)
+    graph = first.resolved_graph()
     n = graph.n
     if n < 1 or not graph.is_connected() or not is_quotient_isomorphic(graph):
         return list(indices)
@@ -175,7 +178,7 @@ def run_batch_group(
     leftover: List[int] = []
     for i in indices:
         cell = cells[i]
-        f_used = row.f_max(graph) if cell.f is None else cell.f
+        f_used = row.f_max(graph) if cell.f == "max" else cell.f
         if 0 <= f_used <= n - 1:
             runnable.append((i, f_used))
         else:
@@ -189,7 +192,7 @@ def run_batch_group(
 def _run_theorem1_batch(
     row,
     graph,
-    cells: Sequence,
+    cells: Sequence[Scenario],
     runnable: Sequence[Tuple[int, int]],
     finish: Callable[[int, List[Dict]], None],
 ) -> None:

@@ -10,7 +10,6 @@ least squares on ``log`` values is entirely adequate at simulation scale
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,10 +31,6 @@ class PowerFit:
     alpha: float
     log_c: float
     r2: float
-
-    def predict(self, x: float) -> float:
-        """Model prediction at ``x``."""
-        return math.exp(self.log_c) * x**self.alpha
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerFit:

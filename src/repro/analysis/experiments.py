@@ -1,12 +1,13 @@
 """The plan executor behind every sweep.
 
 A sweep is a :class:`~repro.scenarios.ScenarioGrid` — built with
-:func:`repro.scenarios.grid` or one of its presets — that compiles to a
-list of :class:`SweepCell` values; :func:`execute_plan` runs them and
-returns each cell's flat records (see :mod:`repro.analysis.metrics`).
-A cell's ``kind`` picks its record shape, and :func:`_record` is the
-one place that knows those shapes: the per-cell path and the batch
-engine both call it, so their records cannot drift apart.
+:func:`repro.scenarios.grid` or one of its presets — and each of its
+:class:`~repro.scenarios.Scenario` values is one cell:
+:func:`execute_plan` runs the scenarios as they are and returns each
+cell's flat records (see :mod:`repro.analysis.metrics`).  A scenario's
+``kind`` picks its record shape, and :func:`_record` is the one place
+that knows those shapes: the per-cell path and the batch engine both
+call it, so their records cannot drift apart.
 
 Parallel execution
 ------------------
@@ -24,7 +25,8 @@ rows.
 
 Graphs are shipped the same way: a generator-built graph carries a
 :class:`~repro.graphs.specs.GraphSpec` (family name + bound arguments +
-seed), and the job tuple carries that spec instead of the pickled graph.
+seed), and the scenario sent to a worker carries that spec instead of
+the pickled graph.
 Workers resolve specs through a per-process memo cache
 (:func:`~repro.graphs.specs.resolve_spec`), so a 20-cell matrix over one
 graph constructs it **once per worker**, not once per cell.  Generators
@@ -91,27 +93,29 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..byzantine.adversary import Adversary
 from ..core.runner import Table1Row, get_row
 from ..errors import ConfigurationError, ReproError, SweepFaultError
 from ..graphs.port_labeled import PortLabeledGraph
-from ..graphs.specs import GraphSpec, canonical_spec, graph_fingerprint, resolve_spec, spec_of
+from ..graphs.specs import graph_fingerprint, spec_of
 from ..sim.report import RunReport
 from .faults import FaultPlan, FaultSpec, inject
 from .metrics import record_from_report
 from .store import RunStore, cell_key
 
+if TYPE_CHECKING:  # repro.scenarios imports this module
+    from ..scenarios import Scenario
+
 __all__ = [
     "DEFAULT_POLICY",
     "ExecutionPolicy",
-    "SweepCell",
     "cell_key_of",
     "execute_plan",
 ]
 
-#: Record shapes a cell can produce (see ``SweepCell.kind``).
+#: Record shapes a cell can produce (see ``Scenario.kind``).
 KINDS = ("table1", "tolerance", "scaling")
 
 #: Default ``Executor.map`` chunksize for plan execution.  1 keeps cell
@@ -163,88 +167,31 @@ def _record(
 # Process-parallel cell execution
 # --------------------------------------------------------------------- #
 
-#: What a job tuple's graph slot may hold.
-GraphPayload = Union[PortLabeledGraph, GraphSpec]
-
-
-def _graph_payload(graph: PortLabeledGraph) -> GraphPayload:
-    """The cheapest picklable handle for ``graph``: its spec if it came
-    from a registered generator, the graph itself otherwise."""
-    spec = spec_of(graph)
-    return graph if spec is None else spec
-
-
-def _resolve_payload(payload: GraphPayload) -> PortLabeledGraph:
-    """Worker-side: turn a job's graph slot back into a graph.
-
-    Spec payloads hit the per-process memo cache in
-    :mod:`repro.graphs.specs`, so repeated cells on the same graph skip
-    reconstruction entirely.
-    """
-    if isinstance(payload, GraphSpec):
-        return resolve_spec(payload)
-    return payload
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One independent solver invocation in a sweep plan.
-
-    ``kind`` selects the record shape (one of :data:`KINDS`):
-    ``"table1"``, ``"tolerance"`` (rejection-aware), or ``"scaling"``
-    (adds ``m``).  ``payload`` is the graph itself or its
-    :class:`GraphSpec`; the content key is identical either way, so a
-    cell computed serially (graph payload) is found by a later parallel
-    run (spec payload) and vice versa.  ``f=None`` means "the row's
-    tolerance bound on this graph" (deterministic given row + graph,
-    hence safe to cache under ``None``).
-    """
-
-    kind: str
-    serial: int
-    payload: GraphPayload
-    strategy: str
-    seed: int
-    f: Optional[int] = None
-    #: Byzantine placement ("lowest"/"highest"/"random"), an optional
-    #: round budget, and the activation scheduler's canonical spec (see
-    #: :mod:`repro.sim.schedulers`).  Defaults reproduce the historical
-    #: cells exactly and are omitted from the content key, so old stores
-    #: stay warm.
-    placement: str = "lowest"
-    rounds: Optional[int] = None
-    scheduler: str = "synchronous"
-
-
-def _payload_fingerprint(payload: GraphPayload):
-    if isinstance(payload, GraphSpec):
-        return canonical_spec(payload)
-    return graph_fingerprint(payload)
-
-
-def cell_key_of(cell: SweepCell, fingerprint=None) -> str:
-    """Content-addressed store key for ``cell``.
+def cell_key_of(scenario: Scenario, fingerprint=None) -> str:
+    """Content-addressed store key for ``scenario``.
 
     The adversary descriptor is derived exactly as :func:`_cell_records`
     constructs the adversary (registry strategy name + run seed), so the
-    key pins the full solver invocation.  ``fingerprint`` lets callers
-    that key many cells over one graph (the plan executor) hash the
-    payload once instead of once per cell.
+    key pins the full solver invocation.  ``f="max"`` keys as ``None``
+    for the table1 kind and as the row's bound for the others
+    (:meth:`~repro.scenarios.Scenario.resolved_f`).  ``fingerprint``
+    lets callers that key many cells over one graph (the plan executor)
+    hash the graph once instead of once per cell.
     """
     return cell_key(
-        kind=cell.kind,
-        serial=cell.serial,
-        graph=_payload_fingerprint(cell.payload) if fingerprint is None else fingerprint,
-        adversary=Adversary(cell.strategy, seed=cell.seed).descriptor(),
-        f=cell.f,
-        seed=cell.seed,
-        placement=cell.placement,
-        rounds=cell.rounds,
-        scheduler=cell.scheduler,
+        kind=scenario.kind,
+        serial=scenario.serial,
+        graph=graph_fingerprint(scenario.graph) if fingerprint is None else fingerprint,
+        adversary=Adversary(scenario.strategy, seed=scenario.seed).descriptor(),
+        f=scenario.resolved_f(),
+        seed=scenario.seed,
+        placement=scenario.placement,
+        rounds=scenario.rounds,
+        scheduler=scenario.scheduler,
     )
 
 
-def _cell_records(cell: SweepCell) -> List[Dict]:
+def _cell_records(scenario: Scenario) -> List[Dict]:
     """Run one cell; module-level for pickling.  Returns the cell's
     record list (one record).
 
@@ -255,45 +202,43 @@ def _cell_records(cell: SweepCell) -> List[Dict]:
     engine bug and must propagate, not masquerade as an out-of-tolerance
     result.
     """
-    if cell.kind not in KINDS:
-        raise ValueError(f"unknown cell kind {cell.kind!r}")
-    row = get_row(cell.serial)
-    graph = _resolve_payload(cell.payload)
-    f = row.f_max(graph) if cell.f is None else cell.f
+    row = get_row(scenario.serial)
+    graph = scenario.resolved_graph()
+    f = row.f_max(graph) if scenario.f == "max" else scenario.f
     try:
         report = row.solver(
-            graph, f=f, adversary=Adversary(cell.strategy, seed=cell.seed),
-            seed=cell.seed,
-            **_solver_extras(cell.placement, cell.rounds, cell.scheduler),
+            graph, f=f, adversary=Adversary(scenario.strategy, seed=scenario.seed),
+            seed=scenario.seed,
+            **_solver_extras(scenario.placement, scenario.rounds, scenario.scheduler),
         )
     except ReproError as exc:
-        if cell.kind != "tolerance":
+        if scenario.kind != "tolerance":
             raise
         rec = dict(
             serial=row.serial, theorem=row.theorem, f=f, n=graph.n,
-            strategy=cell.strategy, rejected=True, success=False,
+            strategy=scenario.strategy, rejected=True, success=False,
             rounds_simulated=0, rounds_charged=0, rounds_total=0,
             n_violations=0, reason=type(exc).__name__,
         )
-        if cell.scheduler != "synchronous":
+        if scenario.scheduler != "synchronous":
             # Keep the scheduler axis on rejections too (zero activations
             # were granted), so per-scheduler summaries group correctly.
-            rec["scheduler"] = cell.scheduler
+            rec["scheduler"] = scenario.scheduler
             rec["activations"] = 0
         return [rec]
-    return [_record(cell.kind, row, graph, cell.strategy, f, report)]
+    return [_record(scenario.kind, row, graph, scenario.strategy, f, report)]
 
 
-def _wire_cell(cell: SweepCell) -> SweepCell:
-    """The cell as shipped to a worker: generator graphs go as specs
+def _wire_cell(scenario: Scenario) -> Scenario:
+    """The scenario as shipped to a worker: generator graphs go as specs
     (per-worker memo), except scaling cells, whose graphs each appear in
     exactly one cell (the memo cannot hit; CSR unpickling is cheaper
     than re-running a random family's sampling loop)."""
-    if cell.kind != "scaling" and isinstance(cell.payload, PortLabeledGraph):
-        payload = _graph_payload(cell.payload)
-        if payload is not cell.payload:
-            return replace(cell, payload=payload)
-    return cell
+    if scenario.kind != "scaling" and isinstance(scenario.graph, PortLabeledGraph):
+        spec = spec_of(scenario.graph)
+        if spec is not None:
+            return replace(scenario, graph=spec)
+    return scenario
 
 
 # --------------------------------------------------------------------- #
@@ -361,7 +306,7 @@ _OK, _REJECT, _FAIL = "ok", "reject", "fail"
 
 
 def _run_job(
-    cell: SweepCell, spec: Optional[FaultSpec], attempt: int, serial: bool = False
+    scenario: Scenario, spec: Optional[FaultSpec], attempt: int, serial: bool = False
 ) -> Tuple[str, object]:
     """One cell attempt → ``(status, payload)``.
 
@@ -372,7 +317,7 @@ def _run_job(
     """
     try:
         inject(spec, attempt, serial=serial)
-        return (_OK, _cell_records(cell))
+        return (_OK, _cell_records(scenario))
     except ReproError as exc:
         return (_REJECT, exc)
     # The worker fault boundary: any non-Repro crash must become a
@@ -383,15 +328,15 @@ def _run_job(
         return (_FAIL, (type(exc).__name__, str(exc)))
 
 
-def _run_chunk(jobs: List[Tuple[SweepCell, Optional[FaultSpec], int]]) -> List[Tuple[str, object]]:
+def _run_chunk(jobs: List[Tuple[Scenario, Optional[FaultSpec], int]]) -> List[Tuple[str, object]]:
     """Run one dispatch chunk in a worker; module-level for pickling.
-    ``jobs`` pairs each wire-format cell with its injected fault (or
+    ``jobs`` pairs each wire-form scenario with its injected fault (or
     ``None``) and its 1-based dispatch attempt number."""
-    return [_run_job(cell, spec, attempt) for cell, spec, attempt in jobs]
+    return [_run_job(scenario, spec, attempt) for scenario, spec, attempt in jobs]
 
 
 def _failure_records(
-    cell: SweepCell, key: str, reason: str, message: str, attempts: int
+    scenario: Scenario, key: str, reason: str, message: str, attempts: int
 ) -> List[Dict]:
     """The structured record list a quarantined cell contributes.
 
@@ -401,18 +346,19 @@ def _failure_records(
     names the cell for resume/debugging even in store-less runs.
     """
     rec = dict(
-        kind=cell.kind, serial=cell.serial, strategy=cell.strategy,
-        seed=cell.seed, success=False, failed=True, reason=reason,
+        kind=scenario.kind, serial=scenario.serial, strategy=scenario.strategy,
+        seed=scenario.seed, success=False, failed=True, reason=reason,
         error=message, attempts=attempts, key=key,
     )
-    if cell.f is not None:
-        rec["f"] = cell.f
-    if cell.placement != "lowest":
-        rec["placement"] = cell.placement
-    if cell.rounds is not None:
-        rec["rounds"] = cell.rounds
-    if cell.scheduler != "synchronous":
-        rec["scheduler"] = cell.scheduler
+    f = scenario.resolved_f()
+    if f is not None:
+        rec["f"] = f
+    if scenario.placement != "lowest":
+        rec["placement"] = scenario.placement
+    if scenario.rounds is not None:
+        rec["rounds"] = scenario.rounds
+    if scenario.scheduler != "synchronous":
+        rec["scheduler"] = scenario.scheduler
     return [rec]
 
 
@@ -462,7 +408,7 @@ def _pop_ready(queue: deque, now: float):
 
 
 def _execute_serial(
-    cells: Sequence[SweepCell],
+    scenarios: Sequence[Scenario],
     pending: Sequence[int],
     keys: Sequence[str],
     policy: ExecutionPolicy,
@@ -478,7 +424,7 @@ def _execute_serial(
         failures = 0
         while True:
             attempt += 1
-            status, payload = _run_job(cells[i], spec, attempt, serial=True)
+            status, payload = _run_job(scenarios[i], spec, attempt, serial=True)
             if status == _OK:
                 finish(i, payload)
                 break
@@ -492,7 +438,7 @@ def _execute_serial(
 
 
 def _execute_parallel(
-    cells: Sequence[SweepCell],
+    scenarios: Sequence[Scenario],
     pending: Sequence[int],
     keys: Sequence[str],
     workers: int,
@@ -542,7 +488,7 @@ def _execute_parallel(
         return faults.for_key(keys[i]) if faults is not None else None
 
     def submit(group: List[int]) -> None:
-        jobs = [(_wire_cell(cells[i]), spec_for(i), attempts[i] + 1) for i in group]
+        jobs = [(_wire_cell(scenarios[i]), spec_for(i), attempts[i] + 1) for i in group]
         fut = pool.submit(_run_chunk, jobs)  # may raise BrokenProcessPool
         for i in group:
             attempts[i] += 1
@@ -703,7 +649,7 @@ def _execute_parallel(
 
 
 def execute_plan(
-    cells: Sequence[SweepCell],
+    scenarios: Sequence[Scenario],
     workers: Optional[int] = None,
     store: Optional[RunStore] = None,
     resume: bool = True,
@@ -711,7 +657,8 @@ def execute_plan(
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> List[List[Dict]]:
-    """Execute a sweep plan; returns one record list per cell, in order.
+    """Execute a sweep plan; returns one record list per scenario, in
+    order (each scenario is one cell).
 
     With a ``store``, cells already present are answered from disk
     (``resume=True``) and every freshly computed cell is appended to the
@@ -747,18 +694,18 @@ def execute_plan(
     cell by content key.
     """
     policy = DEFAULT_POLICY if policy is None else policy
-    results: List[Optional[List[Dict]]] = [None] * len(cells)
+    results: List[Optional[List[Dict]]] = [None] * len(scenarios)
     keys: List[str] = []
     pending: List[int] = []
-    #: payload id -> fingerprint: a rows x strategies grid shares one
+    #: graph id -> fingerprint: a rows x strategies grid shares one
     #: graph, so hash its CSR/spec once, not once per cell.
     fingerprints: Dict[int, object] = {}
-    for i, cell in enumerate(cells):
-        fp = fingerprints.get(id(cell.payload))
+    for i, scenario in enumerate(scenarios):
+        fp = fingerprints.get(id(scenario.graph))
         if fp is None:
-            fp = _payload_fingerprint(cell.payload)
-            fingerprints[id(cell.payload)] = fp
-        keys.append(cell_key_of(cell, fingerprint=fp))
+            fp = graph_fingerprint(scenario.graph)
+            fingerprints[id(scenario.graph)] = fp
+        keys.append(cell_key_of(scenario, fingerprint=fp))
         if store is not None and resume:
             cached = store.get(keys[i])
             if cached is not None:
@@ -774,23 +721,23 @@ def execute_plan(
     def _quarantine(i: int, reason: str, message: str, attempts: int) -> None:
         if policy.strict:
             raise SweepFaultError(
-                f"cell {keys[i]} (kind={cells[i].kind!r}, "
-                f"serial={cells[i].serial}, strategy={cells[i].strategy!r}) "
+                f"cell {keys[i]} (kind={scenarios[i].kind!r}, "
+                f"serial={scenarios[i].serial}, strategy={scenarios[i].strategy!r}) "
                 f"failed {attempts} attempt(s): {reason}: {message}"
             )
-        results[i] = _failure_records(cells[i], keys[i], reason, message, attempts)
+        results[i] = _failure_records(scenarios[i], keys[i], reason, message, attempts)
 
     if len(pending) > 1:
         from .batching import plan_groups, run_batch_group
 
         groups, rest = plan_groups(
-            cells, pending, keys,
-            lambda i: fingerprints[id(cells[i].payload)], faults=faults,
+            scenarios, pending, keys,
+            lambda i: fingerprints[id(scenarios[i].graph)], faults=faults,
         )
         leftovers: List[int] = []
         for group in groups:
             try:
-                leftovers.extend(run_batch_group(cells, group, _finish))
+                leftovers.extend(run_batch_group(scenarios, group, _finish))
             # Engine trouble must never fail a sweep the per-cell path
             # can finish: say so, then recompute the whole group per
             # cell (where ReproErrors land on their per-kind paths —
@@ -809,9 +756,9 @@ def execute_plan(
     size = max(1, chunk)
     n_groups = -(-len(pending) // size)
     if workers and workers > 1 and n_groups > 1:
-        _execute_parallel(cells, pending, keys, workers, chunk, policy,
+        _execute_parallel(scenarios, pending, keys, workers, chunk, policy,
                           faults, _finish, _quarantine)
     else:
-        _execute_serial(cells, pending, keys, policy, faults,
+        _execute_serial(scenarios, pending, keys, policy, faults,
                         _finish, _quarantine)
     return results

@@ -122,9 +122,17 @@ def _run_grid(args, plan: ScenarioGrid) -> Tuple[ResultSet, Optional[RunStore]]:
     return records, store
 
 
-def _print_failures(records) -> int:
-    """Print the quarantine summary table for a record list; returns the
-    failure count (0 on a healthy sweep, which prints nothing)."""
+def _exit_code(records) -> int:
+    """A plan command's exit status: 1 when nothing ran or when a record
+    neither succeeded nor was rejected (a run that did not disperse, or
+    a cell quarantined after its retries), 0 otherwise."""
+    ok = all(r.get("success") or r.get("rejected") for r in records)
+    return 0 if records and ok else 1
+
+
+def _print_failures(records) -> None:
+    """Print the quarantine summary table for a record list (nothing on
+    a healthy sweep)."""
     failed = [r for r in records if r.get("failed")]
     if failed:
         print()
@@ -138,7 +146,6 @@ def _print_failures(records) -> int:
                       f"--strict to fail hard",
             )
         )
-    return len(failed)
 
 
 def _print_store_traffic(store: Optional[RunStore]) -> None:
@@ -164,7 +171,7 @@ def _cmd_table1(args) -> int:
     )
     _print_failures(records)
     _print_store_traffic(store)
-    return 0 if all(r["success"] for r in records) else 1
+    return _exit_code(records)
 
 
 def _cmd_run(args) -> int:
@@ -221,7 +228,7 @@ def _cmd_run(args) -> int:
         print("  (re-run with --detail for the per-phase breakdown and "
               "violation messages)")
     _print_store_traffic(store)
-    return 0 if rec["success"] else 1
+    return _exit_code(records)
 
 
 def _cmd_tolerance(args) -> int:
@@ -238,9 +245,9 @@ def _cmd_tolerance(args) -> int:
             title=f"Tolerance sweep, row {row.serial} (bound f<={f_max}), n={graph.n}",
         )
     )
-    failed = _print_failures(records)
+    _print_failures(records)
     _print_store_traffic(store)
-    return 0 if not failed else 1
+    return _exit_code(records)
 
 
 def _parse_schedulers(text: str) -> List[str]:
@@ -267,12 +274,6 @@ def _parse_schedulers(text: str) -> List[str]:
 
 def _cmd_sweep(args) -> int:
     strategies = [s for s in (p.strip() for p in args.strategies.split(",")) if s]
-    unknown = sorted(set(strategies) - set(STRATEGIES))
-    if not strategies or unknown:
-        raise SystemExit(
-            f"unknown strategies: {', '.join(unknown) or '(none given)'} "
-            f"(choose from: {', '.join(sorted(STRATEGIES))})"
-        )
     schedulers = _parse_schedulers(args.scheduler)
     try:
         serials = (
@@ -329,7 +330,7 @@ def _cmd_sweep(args) -> int:
         )
     _print_failures(records)
     _print_store_traffic(store)
-    return 0 if all(r["success"] for r in records) else 1
+    return _exit_code(records)
 
 
 def _cmd_scenario(args) -> int:
@@ -359,7 +360,7 @@ def _cmd_scenario(args) -> int:
         print(records.table(title=f"Scenario records ({len(records)})"))
         _print_failures(records)
     _print_store_traffic(store)
-    return 0 if all(r.get("success") or r.get("rejected") for r in records) else 1
+    return _exit_code(records)
 
 
 def _existing_store(path: str) -> RunStore:

@@ -13,7 +13,6 @@ from .exploration import (
     random_walk_cover,
 )
 from .generators import (
-    FAMILIES,
     clique,
     complete_bipartite,
     erdos_renyi,
@@ -88,5 +87,4 @@ __all__ = [
     "lollipop",
     "complete_bipartite",
     "random_connected",
-    "FAMILIES",
 ]

@@ -57,7 +57,6 @@ __all__ = [
     "lollipop",
     "complete_bipartite",
     "random_connected",
-    "FAMILIES",
 ]
 
 
@@ -366,14 +365,3 @@ def random_connected(n: int, seed: int = 0, avg_degree: float = 3.0) -> PortLabe
             adj[v].append(u)
             extra -= 1
     return _label(adj, rng=rng)
-
-
-#: Registry used by the experiment sweeps: name -> callable(n, seed) -> graph.
-FAMILIES = {
-    "ring": lambda n, seed=0: ring(n, seed),
-    "clique": lambda n, seed=0: clique(n, seed),
-    "random_regular_3": lambda n, seed=0: random_regular(n if (n * 3) % 2 == 0 else n + 1, 3, seed),
-    "erdos_renyi": lambda n, seed=0: erdos_renyi(n, min(1.0, 2.5 * np.log(max(n, 2)) / max(n, 2)), seed),
-    "random_tree": lambda n, seed=0: random_tree(n, seed),
-    "random_connected": lambda n, seed=0: random_connected(n, seed),
-}

@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import inspect
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+import math
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from .port_labeled import PortLabeledGraph
@@ -84,7 +85,7 @@ def tagged(fn: Callable[..., PortLabeledGraph]) -> Callable[..., PortLabeledGrap
     def wrapper(*args, **kwargs):
         bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
-        _check_seed(bound.arguments)
+        _check_args(sig, bound.arguments)
         graph = fn(*args, **kwargs)
         graph._spec = GraphSpec(name, tuple(bound.arguments.items()))
         return graph
@@ -120,32 +121,54 @@ def canonicalize_spec(spec: GraphSpec) -> GraphSpec:
     defaults — without building the graph — so a partially-given or
     reordered spec keys identically to the spec a generator would tag
     its output with.  Raises :class:`ConfigurationError` for unknown
-    families and unbindable arguments.
+    families, unbindable arguments and argument values the generator's
+    signature does not admit.
     """
     if spec.family not in _REGISTRY:
         from . import generators  # noqa: F401  (import populates the registry)
     fn = _REGISTRY.get(spec.family)
     if fn is None:
         raise ConfigurationError(f"unknown graph family {spec.family!r}")
+    sig = inspect.signature(fn)
     try:
-        bound = inspect.signature(fn).bind(**dict(spec.args))
+        bound = sig.bind(**dict(spec.args))
     except TypeError as exc:
         raise ConfigurationError(
             f"cannot build graph family {spec.family!r} "
             f"from args {dict(spec.args)!r}: {exc}"
         )
     bound.apply_defaults()
-    _check_seed(bound.arguments)
+    _check_args(sig, bound.arguments)
     return GraphSpec(spec.family, tuple(bound.arguments.items()))
 
 
-def _check_seed(args: Dict[str, object]) -> None:
-    """Reject a generator ``seed`` argument that is not ``None`` or a
-    non-negative ``int`` (bools excluded); numpy would otherwise fail on
-    it mid-build with an untyped ``ValueError`` or ``TypeError``."""
-    seed = args.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ConfigurationError(f"graph seed must be None or a non-negative int, got {seed!r}")
+def _check_args(sig: inspect.Signature, args: Dict[str, object]) -> None:
+    """Reject a generator argument its signature does not admit: a
+    ``seed`` must be ``None`` or a non-negative ``int``, an ``int``
+    parameter (a size) a non-negative ``int`` and a ``float`` parameter a
+    finite number; bools pass as neither (``True`` would build ``1``'s
+    graph under another key).  Without this check the generator fails
+    mid-build with an untyped ``TypeError`` or ``ValueError``."""
+    for name, value in args.items():
+        # The generators' modules postpone annotations: they are strings.
+        annotation = sig.parameters[name].annotation
+        if name == "seed":
+            ok = value is None or _is_count(value)
+            admits = "None or a non-negative int"
+        elif annotation == "int":
+            ok, admits = _is_count(value), "a non-negative int"
+        elif annotation == "float":
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+            admits = "a finite number"
+        else:
+            continue
+        if not ok:
+            raise ConfigurationError(f"graph {name} must be {admits}, got {value!r}")
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # --------------------------------------------------------------------- #
@@ -179,15 +202,16 @@ def canonical_spec(spec: GraphSpec):
     return ["spec", spec.family, [[k, _canonical_value(v)] for k, v in spec.args]]
 
 
-def graph_fingerprint(graph: PortLabeledGraph):
-    """JSON-safe content fingerprint of a graph for cache keys.
+def graph_fingerprint(graph: Union[PortLabeledGraph, GraphSpec]):
+    """JSON-safe content fingerprint of a graph or spec for cache keys.
 
-    Generator-built graphs fingerprint as their canonical spec — stable
-    across processes and machines.  Hand-built graphs (no spec) fall
-    back to a SHA-256 over their CSR arrays, so an identical hand-built
-    graph still hits the cache.
+    Specs and generator-built graphs fingerprint as the canonical spec —
+    stable across processes and machines, and equal for a spec and the
+    graph it builds.  Hand-built graphs (no spec) fall back to a SHA-256
+    over their CSR arrays, so an identical hand-built graph still hits
+    the cache.
     """
-    spec = spec_of(graph)
+    spec = graph if isinstance(graph, GraphSpec) else spec_of(graph)
     if spec is not None:
         return canonical_spec(spec)
     offsets, dest, in_port = graph.csr()

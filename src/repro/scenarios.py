@@ -17,14 +17,13 @@ API instead of four divergent entry layers:
 
 * :class:`ScenarioGrid` — an explicit scenario list with a declarative
   builder (:func:`grid`) that expands ``rows × graphs × strategies × f ×
-  schedulers × seeds`` deterministically and compiles straight into
-  :func:`~repro.analysis.experiments.execute_plan`'s
-  :class:`~repro.analysis.experiments.SweepCell` lists.  ``grid()`` →
-  :meth:`ScenarioGrid.run` → ``execute_plan`` is the one way to build
-  and run a sweep; three presets cover Table 1, its tolerance bounds
-  and its growth in n (:func:`table1_grid`, :func:`tolerance_grid`, and
-  :func:`scaling_grid`, which zips ``f`` with the graphs where
-  :func:`grid` only crosses axes).
+  schedulers × seeds`` deterministically; its scenarios go to
+  :func:`~repro.analysis.experiments.execute_plan` as they are.
+  ``grid()`` → :meth:`ScenarioGrid.run` → ``execute_plan`` is the one
+  way to build and run a sweep; three presets cover Table 1, its
+  tolerance bounds and its growth in n (:func:`table1_grid`,
+  :func:`tolerance_grid`, and :func:`scaling_grid`, which zips ``f``
+  with the graphs where :func:`grid` only crosses axes).
 
 * :class:`ResultSet` — the record-list type every sweep returns.  It IS
   a ``list`` of flat record dicts (so every existing consumer keeps
@@ -32,14 +31,16 @@ API instead of four divergent entry layers:
   had: ``filter``, ``group_by``, ``summarize``, ``success_rate``,
   ``table`` and ``to_json``.
 
-Compilation pipeline
---------------------
-``Scenario`` → :meth:`Scenario.cell` → ``SweepCell`` → ``execute_plan``
-→ records.  Everything the plan executor learned in PR 1–3 — process
+Execution pipeline
+------------------
+``Scenario`` → ``execute_plan`` → records: a scenario *is* the cell, so
+there is no compile step.  Everything the plan executor does — process
 fan-out with spec-shipped graphs, streaming persistence into a
 :class:`~repro.analysis.store.RunStore`, crash resume, warm-store
-zero-solver-call replays — applies to every scenario unchanged, because
-a scenario *is* a cell with a serialization format.
+zero-solver-call replays — applies to every scenario unchanged.  The
+constructor is the one field validator: each rejected value raises a
+:class:`~repro.errors.ValidationError` naming its field, whether the
+scenario came from Python, a grid or JSON.
 
 Default-value canonicalisation keeps old caches warm: ``placement=
 "lowest"``, ``rounds=None`` and ``scheduler="synchronous"`` (the only
@@ -73,7 +74,6 @@ from .analysis.experiments import (
     DEFAULT_CHUNK,
     KINDS,
     ExecutionPolicy,
-    SweepCell,
     cell_key_of,
     execute_plan,
 )
@@ -265,6 +265,15 @@ def _normalize_algorithm(algorithm: Union[int, str, Table1Row]) -> int:
     )
 
 
+def _named(field: str, normalize: Callable[..., object], value: object) -> object:
+    """``normalize(value)``, re-raising its :class:`ConfigurationError`
+    as a :class:`~repro.errors.ValidationError` naming ``field``."""
+    try:
+        return normalize(value)
+    except ConfigurationError as exc:
+        raise ValidationError(field, str(exc)) from exc
+
+
 def _hashable(value):
     """Recursively convert JSON containers to hashable tuples so a spec
     deserialized from JSON (lists for tuples) can index the per-process
@@ -276,29 +285,33 @@ def _hashable(value):
     return value
 
 
-def _graph_from_dict(payload: Dict) -> Union[PortLabeledGraph, GraphSpec]:
-    """Deserialize the ``graph`` slot of a scenario dict.
+def _graph_from_dict(payload: object) -> Union[PortLabeledGraph, GraphSpec]:
+    """Deserialize the ``graph`` slot of a scenario dict; a slot of the
+    wrong shape raises :class:`~repro.errors.ValidationError` naming
+    ``graph``.
 
-    ``{"family": ..., "args": {...}}`` resolves through the generator
-    registry (partially-given args pick up the generator's defaults and
-    the result is tagged with its fully-bound spec, so the key is the
-    same as for a directly generated graph).  ``{"port_table": ...}``
-    rebuilds a hand-built graph through the validating constructor.
+    ``{"family": ..., "args": {...}}`` becomes a :class:`GraphSpec`,
+    which the :class:`Scenario` constructor canonicalizes without
+    building the graph (partially-given args pick up the generator's
+    defaults, so the key is the same as for a directly generated
+    graph).  ``{"port_table": ...}`` rebuilds a hand-built graph through
+    the validating constructor.
     """
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            "graph", f"must be a JSON object, got {type(payload).__name__}"
+        )
     if "family" in payload:
         family = payload["family"]
         if not isinstance(family, str):
-            raise ConfigurationError(
-                f"graph spec 'family' must be a string, got {type(family).__name__}"
+            raise ValidationError(
+                "graph",
+                f"graph spec 'family' must be a string, got {type(family).__name__}",
             )
         args = payload.get("args", {})
         if not isinstance(args, dict):
-            raise ConfigurationError("graph spec 'args' must be an object")
-        spec = GraphSpec(family, tuple((k, _hashable(v)) for k, v in args.items()))
-        # Canonicalize (bind defaults, fixed order) instead of building:
-        # deserialization stays lazy, bad families/args surface as
-        # ConfigurationError, and the key matches a generator-tagged spec.
-        return canonicalize_spec(spec)
+            raise ValidationError("graph", "graph spec 'args' must be an object")
+        return GraphSpec(family, tuple((k, _hashable(v)) for k, v in args.items()))
     if "port_table" in payload:
         table = payload["port_table"]
         try:
@@ -307,16 +320,18 @@ def _graph_from_dict(payload: Dict) -> Union[PortLabeledGraph, GraphSpec]:
                 for u, row in table.items()
             }
         except (TypeError, ValueError, AttributeError) as exc:
-            raise ConfigurationError(
-                f"malformed port_table (expected node -> port -> [dest, in_port]): {exc}"
+            raise ValidationError(
+                "graph",
+                f"malformed port_table (expected node -> port -> [dest, in_port]): {exc}",
             )
         try:
             return PortLabeledGraph(port_map)
         except GraphStructureError as exc:
-            raise ConfigurationError(f"invalid port_table: {exc}")
-    raise ConfigurationError(
+            raise ValidationError("graph", f"invalid port_table: {exc}")
+    raise ValidationError(
+        "graph",
         "a scenario graph must be {'family': ..., 'args': {...}} or "
-        "{'port_table': {...}}"
+        "{'port_table': {...}}",
     )
 
 
@@ -340,7 +355,7 @@ def _graph_to_dict(graph: Union[PortLabeledGraph, GraphSpec]) -> Dict:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One declarative solver invocation; compiles to one sweep cell.
+    """One declarative solver invocation: one sweep cell.
 
     Parameters
     ----------
@@ -378,10 +393,12 @@ class Scenario:
         ``"crash_recovery(down=2,up=6)"`` — see
         :mod:`repro.sim.schedulers`); canonicalised on construction.
 
-    ``key()`` is definitionally the run-store cell key of the compiled
-    cell, and defaults canonicalise out of the hash — a default-valued
-    scenario addresses exactly the cache entry it had before the
-    non-default axes existed.
+    The constructor validates every field and raises
+    :class:`~repro.errors.ValidationError` naming the first bad one.
+    ``key()`` is definitionally the run-store key of this cell, and
+    defaults canonicalise out of the hash — a default-valued scenario
+    addresses exactly the cache entry it had before the non-default
+    axes existed.
     """
 
     algorithm: Union[int, str, Table1Row]
@@ -395,25 +412,27 @@ class Scenario:
     scheduler: str = "synchronous"
 
     def __post_init__(self):
-        object.__setattr__(self, "algorithm", _normalize_algorithm(self.algorithm))
+        object.__setattr__(
+            self, "algorithm", _named("algorithm", _normalize_algorithm, self.algorithm)
+        )
         if self.kind not in KINDS:
-            raise ConfigurationError(
-                f"unknown scenario kind {self.kind!r} (choose from {KINDS})"
+            raise ValidationError(
+                "kind", f"unknown scenario kind {self.kind!r} (choose from {KINDS})"
             )
         if isinstance(self.graph, GraphSpec):
             # A hand-written spec may omit defaults or reorder args; the
             # canonical (fully-bound, signature-ordered) form keys
             # identically to the spec a generator tags its output with —
             # otherwise one cell would split across two store keys.
-            object.__setattr__(self, "graph", canonicalize_spec(self.graph))
+            object.__setattr__(self, "graph", _named("graph", canonicalize_spec, self.graph))
         elif not isinstance(self.graph, PortLabeledGraph):
-            raise ConfigurationError(
-                f"graph must be a PortLabeledGraph or GraphSpec, "
+            raise ValidationError(
+                "graph", f"graph must be a PortLabeledGraph or GraphSpec, "
                 f"not {type(self.graph).__name__}"
             )
         if not isinstance(self.strategy, str) or self.strategy not in STRATEGIES:
-            raise ConfigurationError(
-                f"unknown strategy {self.strategy!r} "
+            raise ValidationError(
+                "strategy", f"unknown strategy {self.strategy!r} "
                 f"(choose from: {', '.join(sorted(STRATEGIES))})"
             )
         f = self.f
@@ -421,29 +440,37 @@ class Scenario:
             object.__setattr__(self, "f", "max")
         elif isinstance(f, str):
             if f != "max":
-                raise ConfigurationError(f"f must be an int or 'max', got {f!r}")
+                raise ValidationError("f", f"f must be an int or 'max', got {f!r}")
         elif isinstance(f, bool) or not isinstance(f, int):
-            raise ConfigurationError(f"f must be an int or 'max', got {f!r}")
+            raise ValidationError("f", f"f must be an int or 'max', got {f!r}")
         if self.placement not in PLACEMENTS:
-            raise ConfigurationError(
-                f"unknown placement {self.placement!r} (choose from {PLACEMENTS})"
+            raise ValidationError(
+                "placement",
+                f"unknown placement {self.placement!r} (choose from {PLACEMENTS})",
             )
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             # True == 1 would alias seed 1's identity under another key.
-            raise ConfigurationError(f"seed must be a non-negative int, got {self.seed!r}")
+            raise ValidationError(
+                "seed", f"seed must be a non-negative int, got {self.seed!r}"
+            )
         if self.rounds is not None and (
             isinstance(self.rounds, bool) or not isinstance(self.rounds, int)
             or self.rounds < 0
         ):
-            raise ConfigurationError(f"rounds must be a non-negative int, got {self.rounds!r}")
+            raise ValidationError(
+                "rounds", f"rounds must be a non-negative int, got {self.rounds!r}"
+            )
         if not isinstance(self.scheduler, str):
             # Serializable scenarios only speak registry spec strings
             # (like strategies); pass scheduler callables to the solvers
             # directly if you need them.
-            raise ConfigurationError(
-                f"scheduler must be a spec string, got {type(self.scheduler).__name__}"
+            raise ValidationError(
+                "scheduler",
+                f"scheduler must be a spec string, got {type(self.scheduler).__name__}",
             )
-        object.__setattr__(self, "scheduler", canonical_scheduler(self.scheduler))
+        object.__setattr__(
+            self, "scheduler", _named("scheduler", canonical_scheduler, self.scheduler)
+        )
 
     # -- identity ------------------------------------------------------ #
 
@@ -504,30 +531,15 @@ class Scenario:
         """Whether the row's graph-class restriction admits this graph."""
         return row_applicable(self.row, self.resolved_graph())
 
-    # -- compilation --------------------------------------------------- #
-
-    def cell(self) -> SweepCell:
-        """Compile to the plan executor's cell (the scenario ↔ cell
-        correspondence everything else rests on)."""
-        return SweepCell(
-            kind=self.kind,
-            serial=self.serial,
-            payload=self.graph,
-            strategy=self.strategy,
-            seed=self.seed,
-            f=self.resolved_f(),
-            placement=self.placement,
-            rounds=self.rounds,
-            scheduler=self.scheduler,
-        )
+    # -- execution ----------------------------------------------------- #
 
     def key(self) -> str:
-        """The content-addressed run-store key of the compiled cell.
+        """The content-addressed run-store key of this cell.
 
         Definitionally :func:`~repro.analysis.experiments.cell_key_of` of
-        :meth:`cell` — a scenario *names* its cache entry.
+        the scenario — a scenario *names* its cache entry.
         """
-        return cell_key_of(self.cell())
+        return cell_key_of(self)
 
     def run(
         self,
@@ -571,10 +583,12 @@ class Scenario:
         """Build a scenario from its dict form (tolerant of omitted
         defaults, so hand-written JSON files stay short).
 
-        Hardened for untrusted input: unknown keys, wrong types, and
-        out-of-range values raise :class:`~repro.errors.ValidationError`
-        naming the offending field — the serve subsystem maps these to
-        400 responses with the field in the body.
+        Hardened for untrusted input: a payload that is not an object,
+        an unknown or missing key and a graph slot of the wrong shape
+        are rejected here, every field value by the constructor — each
+        as a :class:`~repro.errors.ValidationError` naming the offending
+        field, which the serve subsystem maps to a 400 response with the
+        field in the body.
         """
         if not isinstance(payload, dict):
             raise ValidationError("scenario", "must be a JSON object")
@@ -595,72 +609,13 @@ class Scenario:
                     required, "required field is missing "
                     "(a scenario needs 'algorithm' and 'graph')"
                 )
-        for name in ("kind", "strategy", "placement", "scheduler"):
-            if name in payload and not isinstance(payload[name], str):
-                raise ValidationError(
-                    name, f"must be a string, got {type(payload[name]).__name__}"
-                )
-        if not isinstance(payload["graph"], dict):
-            raise ValidationError(
-                "graph", f"must be a JSON object, got {type(payload['graph']).__name__}"
-            )
-        seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError("seed", f"must be a non-negative integer, got {seed!r}")
-        rounds = payload.get("rounds")
-        if rounds is not None and (
-            isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0
-        ):
-            raise ValidationError(
-                "rounds", f"must be a non-negative integer, got {rounds!r}"
-            )
-        f = payload.get("f", "max")
-        if isinstance(f, bool) or not isinstance(f, (int, str)) or (
-            isinstance(f, str) and f != "max"
-        ):
-            raise ValidationError("f", f"must be an integer or 'max', got {f!r}")
-        kind = payload.get("kind", "table1")
-        if kind not in KINDS:
-            raise ValidationError(
-                "kind", f"unknown scenario kind {kind!r} (choose from {KINDS})"
-            )
-        strategy = payload.get("strategy", "squatter")
-        if strategy not in STRATEGIES:
-            raise ValidationError(
-                "strategy", f"unknown strategy {strategy!r} "
-                f"(choose from: {', '.join(sorted(STRATEGIES))})"
-            )
-        placement = payload.get("placement", "lowest")
-        if placement not in PLACEMENTS:
-            raise ValidationError(
-                "placement",
-                f"unknown placement {placement!r} (choose from {PLACEMENTS})",
-            )
-        try:
-            _normalize_algorithm(payload["algorithm"])
-        except ConfigurationError as exc:
-            raise ValidationError("algorithm", str(exc))
-        try:
-            canonical_scheduler(payload.get("scheduler", "synchronous"))
-        except ConfigurationError as exc:
-            raise ValidationError("scheduler", str(exc))
-        try:
-            graph = _graph_from_dict(payload["graph"])
-        except ValidationError:
-            raise
-        except ConfigurationError as exc:
-            raise ValidationError("graph", str(exc))
-        return cls(
-            algorithm=payload["algorithm"],
-            graph=graph,
-            strategy=strategy,
-            f=f,
-            kind=kind,
-            placement=placement,
-            seed=seed,
-            rounds=rounds,
-            scheduler=payload.get("scheduler", "synchronous"),
-        )
+        if "f" in payload and payload["f"] is None:
+            # The constructor reads f=None as "max"; a JSON null is not
+            # a spelling of the bound.
+            raise ValidationError("f", "f must be an int or 'max', got None")
+        fields = {name: value for name, value in payload.items() if name != "version"}
+        fields["graph"] = _graph_from_dict(payload["graph"])
+        return cls(**fields)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Canonical JSON text (sorted keys, so equal scenarios serialize
@@ -705,7 +660,7 @@ def run_scenarios(
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> ResultSet:
-    """Compile scenarios to cells, execute the plan, flatten the records.
+    """Execute the scenarios as one plan and flatten the records.
 
     The shared engine behind :meth:`Scenario.run` and
     :meth:`ScenarioGrid.run`; inherits every executor guarantee (order
@@ -715,8 +670,7 @@ def run_scenarios(
     compatible cells — records byte-identical to per-cell runs).  Quarantined cells surface in the returned set as failure
     records — :meth:`ResultSet.failures` selects them.
     """
-    cells = [s.cell() for s in scenarios]
-    lists = execute_plan(cells, workers=workers, store=store,
+    lists = execute_plan(scenarios, workers=workers, store=store,
                          resume=resume, chunk=chunk,
                          policy=policy, faults=faults)
     return ResultSet(rec for recs in lists for rec in recs)
@@ -750,9 +704,8 @@ class ScenarioGrid:
     """An explicit, ordered scenario list (what a sweep *is*).
 
     Construct directly from any scenario sequence, or declaratively with
-    :func:`grid`.  A grid is itself serializable (``to_dicts``), compiles
-    to the executor's cell list (``cells``), names its store entries
-    (``keys``), and runs as one plan (``run``).
+    :func:`grid`.  A grid is itself serializable (``to_dicts``), names
+    its store entries (``keys``), and runs as one plan (``run``).
     """
 
     scenarios: Tuple[Scenario, ...]
@@ -867,8 +820,6 @@ class ScenarioGrid:
                     else f"scenarios[{i}].{exc.field}"
                 )
                 raise ValidationError(field, exc.reason)
-            except ConfigurationError as exc:
-                raise ValidationError(f"scenarios[{i}]", str(exc))
         return cls(scenarios)
 
 

@@ -47,10 +47,6 @@ class EventBroker:
     def known(self, key: str) -> bool:
         return key in self._logs
 
-    def is_done(self, key: str) -> bool:
-        log = self._logs.get(key)
-        return log is not None and log.done
-
     def publish(self, key: str, event: str, data: dict, done: bool = False) -> None:
         """Append an event to ``key``'s log and wake its subscribers.
 

@@ -22,9 +22,10 @@ GET       ``/healthz``          liveness
 
 Error mapping: malformed/invalid payloads → 400 (with the offending
 ``field`` when :class:`~repro.errors.ValidationError` names one),
-deterministic :class:`~repro.errors.ReproError` rejections during a run
-→ 422, quarantined cells → 500 with the structured failure records as
-the body — the server never crashes on a failing cell.
+deterministic :class:`~repro.errors.ReproError` rejections while keying
+or running a cell → 422, quarantined cells → 500 with the structured
+failure records as the body — the server never crashes on a failing
+cell.
 
 :class:`ServerThread` runs the whole stack on a background thread for
 tests, benchmarks, and the README tour; :func:`run_server` is the
@@ -168,12 +169,23 @@ class ServeApp:
             status, key, result = self.service.submit(scenario)
         except Busy as exc:
             raise HttpError(429, str(exc), retry_after=exc.retry_after)
+        except ReproError as exc:
+            raise self._unkeyable(exc)
         if status == "warm":
             return 200, {"key": key, "status": "warm", "records": result}, ()
         if not request.flag("wait", True):
             return 202, {"key": key, "status": status}, ()
         outcome: RunOutcome = await result
         return self._outcome_response(outcome)
+
+    @staticmethod
+    def _unkeyable(exc: ReproError, field: Optional[str] = None) -> HttpError:
+        """The 422 for a scenario rejected while it is keyed: keying
+        ``f="max"`` for a tolerance or scaling cell builds the graph, and
+        a generator may refuse its arguments (``ring`` needs ``n >= 3``).
+        The same status as a rejection while computing, but nothing is
+        queued or retried."""
+        return HttpError(422, f"{type(exc).__name__}: {exc}", field=field)
 
     @staticmethod
     def _outcome_response(outcome: RunOutcome) -> Tuple[int, Dict, Headers]:
@@ -207,6 +219,11 @@ class ServeApp:
             raise HttpError(400, str(exc), field=exc.field)
         except ReproError as exc:
             raise HttpError(400, str(exc))
+        for i, scenario in enumerate(grid):
+            try:
+                scenario.key()  # before any submission: a 422 queues nothing
+            except ReproError as exc:
+                raise self._unkeyable(exc, field=f"scenarios[{i}]")
         submitted: List[Tuple[str, str, object]] = []
         busy: Optional[Busy] = None
         for scenario in grid:

@@ -287,7 +287,7 @@ class DispersionService:
         try:
             with progress.observe(sink):
                 lists = execute_plan(
-                    [scenario.cell()],
+                    [scenario],
                     workers=None,
                     store=self.store,
                     resume=True,

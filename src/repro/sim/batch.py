@@ -113,13 +113,6 @@ class BatchWorld:
 
     # -- queries -------------------------------------------------------- #
 
-    def others_here(self, robot: int) -> np.ndarray:
-        """``[n_sims, n_robots]`` mask: co-located with ``robot`` this
-        round, excluding the robot itself (the ``colocated`` view set)."""
-        here = self.pos == self.pos[:, robot : robot + 1]
-        here[:, robot] = False
-        return here
-
     def all_honest_terminated(self) -> np.ndarray:
         """``[n_sims]`` mask: every honest robot has terminated."""
         return (self.terminated | ~self.honest).all(axis=1)

@@ -414,8 +414,3 @@ class ByzantineAPI(RobotAPI):
             self._robot._touch_record(self._world)
             self._robot.claimed_id = claimed
             self._world._order_dirty = True  # sub-round rank changed
-
-    def mark_settled_record(self, node_hint: Optional[int] = None) -> None:
-        """Record a *claimed* settle (no honest bookkeeping) — pure lie."""
-        self._robot._touch_record(self._world)
-        self._robot.state = SETTLED

@@ -201,11 +201,6 @@ class World:
         """True IDs of non-Byzantine robots, ascending."""
         return sorted(i for i, r in self.robots.items() if not r.byzantine)
 
-    @property
-    def byzantine_ids(self) -> List[int]:
-        """True IDs of Byzantine robots, ascending."""
-        return sorted(i for i, r in self.robots.items() if r.byzantine)
-
     def robots_at(self, node: int) -> Tuple[Robot, ...]:
         """Robots currently located at ``node`` (stable within a round).
 
@@ -441,14 +436,6 @@ class World:
         robot.node = node
         robot.arrival_port = None
         self._by_node = None
-
-    # ------------------------------------------------------------------ #
-    # Messaging internals (used by RobotAPI)
-    # ------------------------------------------------------------------ #
-
-    def post_message(self, node: int, claimed_sender: int, payload: Any) -> None:
-        """Append a message to the current round's board at ``node``."""
-        self.board_current.setdefault(node, []).append((claimed_sender, payload))
 
     # ------------------------------------------------------------------ #
     # Inspection helpers

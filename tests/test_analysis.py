@@ -125,7 +125,7 @@ class TestComplexityFit:
         fit = fit_power_law(xs, ys)
         assert fit.alpha == pytest.approx(3.0, abs=1e-9)
         assert fit.r2 == pytest.approx(1.0)
-        assert fit.predict(10) == pytest.approx(1000.0, rel=1e-6)
+        assert fit.log_c == pytest.approx(0.0, abs=1e-9)  # c = 1
 
     def test_noisy_power_law(self):
         xs = [4, 8, 16, 32, 64]

@@ -34,15 +34,11 @@ import pytest
 
 from repro.analysis import batching
 from repro.analysis.batching import batchable, plan_groups, run_batch_group
-from repro.analysis.experiments import (
-    SweepCell,
-    _payload_fingerprint,
-    cell_key_of,
-    execute_plan,
-)
+from repro.analysis.experiments import cell_key_of, execute_plan
 from repro.analysis.faults import FaultPlan, FaultSpec
 from repro.analysis.store import RunStore
-from repro.graphs import random_connected, ring
+from repro.graphs import graph_fingerprint, random_connected, ring
+from repro.scenarios import Scenario
 
 #: ``random_connected(12, seed=0)`` is connected and quotient-isomorphic
 #: (n=12, m=18) — a Theorem 1 graph without any seed scanning.
@@ -65,7 +61,7 @@ def _plan(cells, faults=None):
         cells,
         list(range(len(cells))),
         keys,
-        lambda i: _payload_fingerprint(cells[i].payload),
+        lambda i: graph_fingerprint(cells[i].graph),
         faults=faults,
     )
 
@@ -95,7 +91,7 @@ def _run_both(cells, tmp_path, faults_a=None, faults_b=None):
 class TestGrouping:
     def test_compatible_seed_sweep_groups(self, g):
         cells = [
-            SweepCell("table1", 1, g, "squatter", seed, f=4) for seed in range(5)
+            Scenario(1, g, "squatter", seed=seed, f=4) for seed in range(5)
         ]
         groups, rest = _plan(cells)
         assert groups == [[0, 1, 2, 3, 4]]
@@ -103,7 +99,7 @@ class TestGrouping:
 
     def test_f_and_placement_vary_within_group(self, g):
         cells = [
-            SweepCell("tolerance", 1, g, "idle", 0, f=f, placement=p)
+            Scenario(1, g, "idle", kind="tolerance", seed=0, f=f, placement=p)
             for f in (0, 3, 7)
             for p in ("lowest", "highest", "random")
         ]
@@ -113,8 +109,8 @@ class TestGrouping:
 
     def test_singletons_stay_serial(self, g):
         cells = [
-            SweepCell("table1", 1, g, "squatter", 0, f=4),
-            SweepCell("table1", 1, g, "idle", 0, f=4),
+            Scenario(1, g, "squatter", seed=0, f=4),
+            Scenario(1, g, "idle", seed=0, f=4),
         ]
         groups, rest = _plan(cells)
         assert groups == []
@@ -122,11 +118,11 @@ class TestGrouping:
 
     def test_ineligible_cells_never_batch(self, g):
         ineligible = [
-            SweepCell("table1", 1, g, "ghost_squatter", 0, f=4),
-            SweepCell("table1", 1, g, "squatter", 0, f=4,
-                      scheduler="semi_synchronous(p=0.5)"),
-            SweepCell("table1", 2, g, "squatter", 0, f=4),
-            SweepCell("scaling", 1, g, "squatter", 0, f=4),
+            Scenario(1, g, "ghost_squatter", seed=0, f=4),
+            Scenario(1, g, "squatter", seed=0, f=4,
+                     scheduler="semi_synchronous(p=0.5)"),
+            Scenario(2, g, "squatter", seed=0, f=4),
+            Scenario(1, g, "squatter", kind="scaling", seed=0, f=4),
         ]
         for cell in ineligible:
             assert not batchable(cell)
@@ -139,7 +135,7 @@ class TestGrouping:
 
     def test_fault_targeted_cells_excluded(self, g):
         cells = [
-            SweepCell("table1", 1, g, "squatter", seed, f=4) for seed in range(4)
+            Scenario(1, g, "squatter", seed=seed, f=4) for seed in range(4)
         ]
         faults = FaultPlan({cell_key_of(cells[2]): FaultSpec("error")})
         groups, rest = _plan(cells, faults=faults)
@@ -161,10 +157,11 @@ class TestGrouping:
         graphs = [g, g2]
         for _ in range(20):
             cells = [
-                SweepCell(
-                    rng.choice(kinds), rng.choice(serials), rng.choice(graphs),
-                    rng.choice(strategies), rng.randrange(4),
-                    f=rng.choice([None, 0, 4, 11]),
+                Scenario(
+                    rng.choice(serials), rng.choice(graphs),
+                    rng.choice(strategies), kind=rng.choice(kinds),
+                    seed=rng.randrange(4),
+                    f=rng.choice(["max", 0, 4, 11]),
                     placement=rng.choice(placements),
                     rounds=rng.choice(rounds),
                     scheduler=rng.choice(schedulers),
@@ -179,9 +176,7 @@ class TestGrouping:
             for group in groups:
                 assert len(group) >= 2
                 keys = {
-                    batching._group_key(
-                        cells[i], _payload_fingerprint(cells[i].payload)
-                    )
+                    batching._group_key(cells[i], graph_fingerprint(cells[i].graph))
                     for i in group
                 }
                 assert len(keys) == 1, "group mixes incompatible cells"
@@ -191,7 +186,7 @@ class TestGrouping:
 class TestByteIdentity:
     def test_strategies_and_placements(self, g, tmp_path):
         cells = [
-            SweepCell("table1", 1, g, strategy, seed, f=5, placement=placement)
+            Scenario(1, g, strategy, seed=seed, f=5, placement=placement)
             for strategy in ("crash", "idle", "squatter", "flag_spammer")
             for placement in ("lowest", "highest", "random")
             for seed in (0, 1)
@@ -203,7 +198,7 @@ class TestByteIdentity:
         # rejected record, and the batch path must hand the cell back
         # rather than invent its own rejection.
         cells = [
-            SweepCell("tolerance", 1, g, "squatter", seed, f=f)
+            Scenario(1, g, "squatter", kind="tolerance", seed=seed, f=f)
             for f in range(g.n + 1)
             for seed in (0, 1)
         ]
@@ -213,7 +208,7 @@ class TestByteIdentity:
 
     def test_round_budgets(self, g, tmp_path):
         cells = [
-            SweepCell("table1", 1, g, "idle", seed, f=3, rounds=rounds)
+            Scenario(1, g, "idle", seed=seed, f=3, rounds=rounds)
             for rounds in (None, 0, 5, 40)
             for seed in (0, 1)
         ]
@@ -228,8 +223,7 @@ class TestByteIdentity:
 
     def test_nonsync_scheduler_falls_back_identically(self, g, tmp_path):
         cells = [
-            SweepCell("table1", 1, g, "squatter", seed, f=4,
-                      scheduler=scheduler)
+            Scenario(1, g, "squatter", seed=seed, f=4, scheduler=scheduler)
             for scheduler in ("synchronous", "semi_synchronous(p=0.5)")
             for seed in (0, 1)
         ]
@@ -246,7 +240,7 @@ class TestByteIdentity:
         """A fault-targeted cell rides the per-cell retry machinery and
         still lands byte-identical next to its batched siblings."""
         cells = [
-            SweepCell("table1", 1, g, "squatter", seed, f=4)
+            Scenario(1, g, "squatter", seed=seed, f=4)
             for seed in range(6)
         ]
         spec = FaultSpec("error", attempts=1)
@@ -271,7 +265,7 @@ class TestByteIdentity:
 
         monkeypatch.setattr(batching, "run_batch_group", spy)
         cells = [
-            SweepCell("table1", 1, g, "squatter", seed, f=4) for seed in range(4)
+            Scenario(1, g, "squatter", seed=seed, f=4) for seed in range(4)
         ]
         execute_plan(cells)
         assert ran == [([0, 1, 2, 3], [])]
@@ -280,7 +274,7 @@ class TestByteIdentity:
         """``ring(6)`` is connected but not quotient-isomorphic: the
         engine must hand the whole group back untouched."""
         cells = [
-            SweepCell("table1", 1, ring(6), "squatter", seed, f=2)
+            Scenario(1, ring(6), "squatter", seed=seed, f=2)
             for seed in (0, 1)
         ]
 
@@ -294,7 +288,7 @@ class TestByteIdentity:
         batch engine wrote recomputes *zero* cells (poison faults on
         every key would quarantine any recompute)."""
         cells = [
-            SweepCell(kind, 1, g, "idle", seed, f=4)
+            Scenario(1, g, "idle", kind=kind, seed=seed, f=4)
             for kind in ("table1", "tolerance")
             for seed in range(3)
         ]
@@ -314,7 +308,7 @@ class TestFallback:
         naming the group's size, its first cell key and the exception,
         and still returns the per-cell records byte for byte."""
         cells = [
-            SweepCell("table1", 1, g, "squatter", seed, f=4) for seed in range(4)
+            Scenario(1, g, "squatter", seed=seed, f=4) for seed in range(4)
         ]
         reference = _per_cell(cells)
 

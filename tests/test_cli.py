@@ -52,6 +52,23 @@ class TestCommands:
         assert rc == 0
         assert "Tolerance sweep" in out
 
+    def test_tolerance_fails_when_an_in_bound_cell_fails(self, capsys, monkeypatch):
+        """A run at f <= f_max that does not disperse is the failure
+        `repro tolerance` exists to catch: the command exits 1."""
+        from repro.core import runner
+
+        real = runner.solve_theorem4
+
+        def starved_at_f1(graph, f, **kw):
+            if f == 1:
+                kw["max_rounds"] = 0  # nobody settles in zero rounds
+            return real(graph, f=f, **kw)
+
+        monkeypatch.setattr(runner, "solve_theorem4", starved_at_f1)
+        rc = main(["tolerance", "--row", "5", "--n", "8", "--strategy", "idle"])
+        assert "(bound f<=1)" in capsys.readouterr().out
+        assert rc == 1
+
     def test_table1_small(self, capsys):
         rc = main(["table1", "--n", "8", "--strategy", "squatter"])
         out = capsys.readouterr().out
@@ -121,8 +138,10 @@ class TestSweep:
         assert "answered from cache" not in capsys.readouterr().out
 
     def test_sweep_rejects_unknown_strategy(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "--n", "8", "--strategies", "teleporter"])
+        assert str(exc.value).startswith(
+            "sweep rejected: ValidationError: strategy: unknown strategy 'teleporter'")
 
     def test_sweep_with_no_applicable_cells_fails(self, capsys):
         """A sweep in which nothing ran must not exit 0 with an empty

@@ -27,7 +27,6 @@ from repro.analysis import experiments
 from repro.analysis.experiments import (
     DEFAULT_POLICY,
     ExecutionPolicy,
-    SweepCell,
     cell_key_of,
     execute_plan,
 )
@@ -44,7 +43,7 @@ from repro.analysis.store import RunStore, _records_sha
 from repro.cli import main
 from repro.errors import ConfigurationError, SweepFaultError
 from repro.graphs import random_connected
-from repro.scenarios import ResultSet, grid
+from repro.scenarios import ResultSet, Scenario, grid
 
 #: Generous per-test wall-clock bound; any legitimate test here finishes
 #: in seconds, so tripping it means a hang in the machinery under test.
@@ -79,7 +78,7 @@ def g():
 def cells(g):
     """Four fast, independent cells (two rows x two strategies)."""
     return [
-        SweepCell("table1", serial, g, strategy, 0, None)
+        Scenario(serial, g, strategy, seed=0)
         for serial in (5, 6)
         for strategy in ("idle", "squatter")
     ]
@@ -251,7 +250,7 @@ class TestTransientFaults:
             raise ConfigurationError("deterministic rejection")
 
         monkeypatch.setattr(experiments, "_cell_records", rejecting)
-        cell = SweepCell("table1", 5, g, "idle", 0, None)
+        cell = Scenario(5, g, "idle", seed=0)
         with pytest.raises(ConfigurationError, match="deterministic rejection"):
             execute_plan([cell], policy=FAST)
         assert len(calls) == 1  # no retry: rejection is not a fault

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graphs import (
-    FAMILIES,
     GraphSpec,
     PortLabeledGraph,
     clique,
@@ -386,10 +385,3 @@ class TestOtherFamilies:
         )
         assert hits >= 6
 
-
-class TestFamilyRegistry:
-    @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_registry_generates_connected(self, name):
-        g = FAMILIES[name](9, seed=2)
-        assert g.is_connected()
-        assert g.n >= 8  # registry may round n for parity constraints

@@ -17,12 +17,12 @@ return records identical to serial, and to each other.
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis.experiments import SweepCell, _cell_records, _graph_payload
+from repro.analysis.experiments import _cell_records, _wire_cell
 from repro.core import get_row
 from repro.core.runner import Table1Row
 from repro.errors import ConfigurationError
 from repro.graphs import GraphSpec, PortLabeledGraph, random_connected, spec_of
-from repro.scenarios import grid, scaling_grid, table1_grid, tolerance_grid
+from repro.scenarios import Scenario, grid, scaling_grid, table1_grid, tolerance_grid
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +66,21 @@ class TestSpecDispatch:
     graph-pickling runs of a spec-less copy of the same graph."""
 
     def test_generator_graph_ships_as_spec(self, g):
-        payload = _graph_payload(g)
-        assert isinstance(payload, GraphSpec)
-        assert payload == spec_of(g)
+        scenario = Scenario(5, g, "idle", kind="tolerance", f=1)
+        wire = _wire_cell(scenario)
+        assert isinstance(wire.graph, GraphSpec)
+        assert wire.graph == spec_of(g)
+        assert wire == scenario and wire.key() == scenario.key()
+        # Each scaling graph appears in one cell only: it ships whole.
+        scaling = Scenario(5, g, "idle", kind="scaling", f=1)
+        assert _wire_cell(scaling) is scaling
 
     def test_hand_built_graph_ships_whole(self, spec_less):
         hand_built = PortLabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert spec_of(hand_built) is None
-        assert _graph_payload(hand_built) is hand_built
-        assert _graph_payload(spec_less) is spec_less
+        for graph in (hand_built, spec_less):
+            scenario = Scenario(5, graph, "idle")
+            assert _wire_cell(scenario) is scenario
 
     def test_run_table1_spec_vs_pickled_vs_serial(self, g, spec_less):
         serial = table1_grid(g, ["squatter"], serials=[4, 5]).run()
@@ -131,7 +137,8 @@ class TestToleranceExceptionNarrowing:
         return [
             rec
             for f in f_values
-            for rec in _cell_records(SweepCell("tolerance", 1, g, "idle", 0, f))
+            for rec in _cell_records(
+                Scenario(1, g, "idle", kind="tolerance", seed=0, f=f))
         ]
 
     def test_repro_errors_recorded_as_rejected(self, g, monkeypatch):
@@ -157,4 +164,4 @@ class TestToleranceExceptionNarrowing:
         beyond the row's bound raises the driver's error."""
         beyond = get_row(4).f_max(g) + 1
         with pytest.raises(ConfigurationError):
-            _cell_records(SweepCell("table1", 4, g, "idle", 0, beyond))
+            _cell_records(Scenario(4, g, "idle", seed=0, f=beyond))

@@ -2,11 +2,11 @@
 
 The contracts under test:
 
-* ``Scenario.key()`` is *definitionally* the run-store cell key of the
-  compiled cell — the scenario that describes a cell addresses its cache
-  entry (pinned against hand-built ``SweepCell``s and against a golden
-  key file, so an accidental canonicalisation change is caught even if
-  both sides drift together);
+* ``Scenario.key()`` is *definitionally* the run-store cell key — the
+  scenario that describes a cell addresses its cache entry (pinned
+  against ``store.cell_key`` called with explicit arguments and against
+  a golden key file, so an accidental canonicalisation change is caught
+  even if both sides drift together);
 * ``to_dict → from_dict → key`` is a fixed point, including through an
   actual JSON byte round-trip, for spec-built and hand-built graphs;
 * ``grid(...)`` expansion is deterministic with a documented axis order
@@ -25,12 +25,19 @@ import pathlib
 
 import pytest
 
-from repro.analysis import RunStore
-from repro.analysis.experiments import SweepCell, cell_key_of
+from repro.analysis import RunStore, cell_key
+from repro.byzantine import Adversary
 from repro.cli import main as cli_main
 from repro.core import TABLE1, get_row
-from repro.errors import ConfigurationError
-from repro.graphs import PortLabeledGraph, random_connected, ring, spec_of
+from repro.errors import ConfigurationError, ValidationError
+from repro.graphs import (
+    GraphSpec,
+    PortLabeledGraph,
+    graph_fingerprint,
+    random_connected,
+    ring,
+    spec_of,
+)
 from repro.scenarios import (
     ResultSet,
     Scenario,
@@ -81,19 +88,31 @@ class TestNormalization:
         with pytest.raises(ConfigurationError, match="not the registry's"):
             Scenario(algorithm=hand_built, graph=g)
 
-    def test_invalid_fields_rejected(self, g):
-        with pytest.raises(ConfigurationError):
-            Scenario(algorithm=5, graph=g, kind="nope")
-        with pytest.raises(ConfigurationError):
-            Scenario(algorithm=5, graph=g, strategy="teleporter")
-        with pytest.raises(ConfigurationError):
-            Scenario(algorithm=5, graph=g, placement="middle")
-        with pytest.raises(ConfigurationError):
-            Scenario(algorithm=5, graph=g, f="half")
-        with pytest.raises(ConfigurationError):
-            Scenario(algorithm=5, graph=g, rounds=-1)
-        with pytest.raises(ConfigurationError):
-            Scenario(algorithm=5, graph="not a graph")
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("algorithm", 99, id="algorithm"),
+        pytest.param("graph", "not a graph", id="graph"),
+        pytest.param("graph", GraphSpec("ring", (("n", "x"),)), id="graph-spec"),
+        pytest.param("strategy", "teleporter", id="strategy"),
+        pytest.param("f", "half", id="f"),
+        pytest.param("kind", "nope", id="kind"),
+        pytest.param("placement", "middle", id="placement"),
+        pytest.param("seed", True, id="seed"),
+        pytest.param("rounds", -1, id="rounds"),
+        pytest.param("scheduler", "warp(speed=9)", id="scheduler"),
+    ])
+    def test_invalid_fields_rejected(self, g, field, value):
+        """The constructor is the one field validator: built in Python or
+        parsed from JSON, a bad value raises ``ValidationError`` naming
+        its field."""
+        with pytest.raises(ValidationError) as built:
+            Scenario(**{"algorithm": 5, "graph": g, field: value})
+        json_value = value
+        if isinstance(value, GraphSpec):
+            json_value = {"family": value.family, "args": dict(value.args)}
+        payload = dict(Scenario(algorithm=5, graph=g).to_dict(), **{field: json_value})
+        with pytest.raises(ValidationError) as parsed:
+            Scenario.from_dict(payload)
+        assert built.value.field == parsed.value.field == field
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
     def test_seed_must_be_a_non_negative_int(self, g, seed):
@@ -114,9 +133,12 @@ class TestNormalization:
 class TestKeyIsTheStoreKey:
     def test_definitional_equality(self, g):
         s = Scenario(algorithm=5, graph=g, strategy="idle", seed=1)
-        assert s.key() == cell_key_of(SweepCell("table1", 5, g, "idle", 1, None))
+        assert s.key() == cell_key(
+            kind="table1", serial=5, graph=graph_fingerprint(g),
+            adversary=Adversary("idle", seed=1).descriptor(), f=None, seed=1,
+        )
 
-    def test_spec_and_graph_payloads_key_identically(self, g):
+    def test_spec_and_graph_forms_key_identically(self, g):
         spec = spec_of(g)
         assert Scenario(algorithm=5, graph=spec).key() == \
             Scenario(algorithm=5, graph=g).key()
@@ -126,8 +148,13 @@ class TestKeyIsTheStoreKey:
     def test_default_extras_leave_key_bit_identical(self, g):
         """placement='lowest' and rounds=None canonicalise out of the
         hash: a default scenario addresses the cell a PR-3 sweep wrote."""
-        legacy = cell_key_of(SweepCell("table1", 5, g, "squatter", 0, None))
-        assert Scenario(algorithm=5, graph=g, strategy="squatter").key() == legacy
+        legacy = cell_key(
+            kind="table1", serial=5, graph=graph_fingerprint(g),
+            adversary=Adversary("squatter", seed=0).descriptor(), f=None, seed=0,
+        )
+        explicit = Scenario(algorithm=5, graph=g, strategy="squatter",
+                            placement="lowest", rounds=None)
+        assert explicit.key() == legacy
 
     def test_non_default_extras_change_key(self, g):
         base = Scenario(algorithm=5, graph=g)
@@ -193,8 +220,6 @@ class TestSerialization:
         identically to the generator-tagged spec — otherwise one cell
         splits across two store keys and the round trip is not a fixed
         point."""
-        from repro.graphs import GraphSpec
-
         partial = Scenario(
             algorithm=4,
             graph=GraphSpec("random_connected", (("n", 8), ("seed", 5))),
@@ -204,8 +229,6 @@ class TestSerialization:
         assert Scenario.from_dict(partial.to_dict()).key() == partial.key()
 
     def test_unknown_or_unbindable_spec_rejected(self):
-        from repro.graphs import GraphSpec
-
         with pytest.raises(ConfigurationError, match="unknown graph family"):
             Scenario(algorithm=4, graph=GraphSpec("nope", ()))
         with pytest.raises(ConfigurationError, match="cannot build graph"):

@@ -22,11 +22,10 @@ The contracts under test:
 import pytest
 
 from repro import Adversary, Scenario, World, grid, solve_theorem4
-from repro.analysis import RunStore
-from repro.analysis.experiments import SweepCell, cell_key_of
+from repro.analysis import RunStore, cell_key
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError, SimulationError
-from repro.graphs import random_connected
+from repro.graphs import graph_fingerprint, random_connected
 from repro.sim import ReferenceWorld
 from repro.sim.robot import Stay
 from repro.sim.schedulers import (
@@ -236,13 +235,18 @@ class TestSynchronousPinned:
         assert "scheduler" not in rec and "activations" not in rec
 
     def test_cell_key_ignores_default_axis_only(self, g):
-        base = SweepCell(kind="table1", serial=5, payload=g, strategy="squatter", seed=0)
-        same = SweepCell(kind="table1", serial=5, payload=g, strategy="squatter",
-                         seed=0, scheduler="synchronous")
-        other = SweepCell(kind="table1", serial=5, payload=g, strategy="squatter",
-                          seed=0, scheduler="semi_synchronous(p=0.5)")
-        assert cell_key_of(base) == cell_key_of(same)
-        assert cell_key_of(other) != cell_key_of(base)
+        """Keys spelled out with ``store.cell_key``'s arguments: the
+        default scheduler keys as if the axis did not exist, any other
+        scheduler lands in its own cell."""
+        args = dict(
+            kind="table1", serial=5, graph=graph_fingerprint(g),
+            adversary=Adversary("squatter", seed=0).descriptor(), f=None, seed=0,
+        )
+        sync = Scenario(5, g, "squatter", seed=0, scheduler="synchronous")
+        semi = Scenario(5, g, "squatter", seed=0, scheduler="semi_synchronous(p=0.5)")
+        assert sync.key() == cell_key(**args)
+        assert semi.key() == cell_key(**args, scheduler="semi_synchronous(p=0.5)")
+        assert semi.key() != sync.key()
 
 
 # --------------------------------------------------------------------- #

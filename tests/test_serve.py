@@ -276,6 +276,22 @@ class TestFailureResponses:
         assert body["status"] in ("rejected", "failed")
 
 
+    def test_graph_a_generator_refuses_is_4xx_without_retry(self, tmp_path):
+        """Keying a tolerance cell at ``f="max"`` builds its graph; a
+        generator refusing its arguments there is a 4xx rejection, and
+        nothing is queued, computed or retried."""
+        payload = {"algorithm": 4, "kind": "tolerance",
+                   "graph": {"family": "ring", "args": {"n": 2}}}
+        with ServerThread(store=RunStore(str(tmp_path / "store"))) as server:
+            status, body, _ = _request(server, "POST", "/run", payload)
+            assert status == 422, body
+            assert "ring needs n >= 3" in body["error"]
+            status, body, _ = _request(server, "POST", "/sweep", [SCENARIO, payload])
+            assert status == 422 and body["field"] == "scenarios[1]", body
+            _, stats, _ = _request(server, "GET", "/stats")
+        assert stats["counters"]["requests"] == stats["counters"]["enqueued"] == 0
+
+
 class TestByteIdentity:
     def test_server_store_is_byte_identical_to_cli_store(self, tmp_path):
         """Same scenarios, two stores — CLI-written and server-written —
@@ -634,6 +650,9 @@ class TestScenarioValidation:
           "seed": -1}, "seed"),
         ({"algorithm": 4, "graph": {"family": "random_connected",
                                     "args": {"n": 7, "seed": -1}}}, "graph"),
+        # A generator argument of the wrong type used to reach the
+        # generator and fail every attempt with a 500.
+        ({"algorithm": 4, "graph": {"family": "ring", "args": {"n": "x"}}}, "graph"),
     ])
     def test_bad_input_names_the_field(self, payload, field):
         with pytest.raises(ValidationError) as excinfo:
@@ -670,9 +689,9 @@ class TestScenarioValidation:
         if not (scenario.f == "max" and scenario.kind != "table1"
                 and not isinstance(scenario.graph, PortLabeledGraph)):
             # Keying a spec scenario at f="max" for the other kinds builds
-            # the graph (its bound is resolved), and generator arguments
-            # are checked only when a graph is built; every other key is
-            # computed from the JSON alone.
+            # the graph (its bound is resolved), and a generator checks
+            # its own ranges (ring needs n >= 3) only when it builds;
+            # every other key is computed from the JSON alone.
             assert again.key() == scenario.key()
 
     def test_grid_prefixes_the_entry_index(self):

@@ -23,17 +23,12 @@ import pytest
 from repro.analysis import RunStore, cell_key
 from repro.analysis import experiments
 from repro.analysis import store as store_module
-from repro.analysis.experiments import (
-    ExecutionPolicy,
-    SweepCell,
-    cell_key_of,
-    execute_plan,
-)
+from repro.analysis.experiments import cell_key_of, execute_plan
 from repro.analysis.store import SCHEMA_VERSION, _records_sha
 from repro.byzantine import Adversary
-from repro.errors import ConfigurationError, SweepFaultError
+from repro.errors import ConfigurationError
 from repro.graphs import PortLabeledGraph, random_connected, spec_of
-from repro.scenarios import grid, scaling_grid, table1_grid, tolerance_grid
+from repro.scenarios import Scenario, grid, scaling_grid, table1_grid, tolerance_grid
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +174,8 @@ class TestKeyCanonicalisation:
     def test_graph_and_spec_payloads_key_identically(self, g):
         spec = spec_of(g)
         assert spec is not None
-        as_graph = cell_key_of(SweepCell("table1", 5, g, "idle", 0, None))
-        as_spec = cell_key_of(SweepCell("table1", 5, spec, "idle", 0, None))
+        as_graph = cell_key_of(Scenario(5, g, "idle", seed=0))
+        as_spec = cell_key_of(Scenario(5, spec, "idle", seed=0))
         assert as_graph == as_spec
 
     def test_equal_hand_built_graphs_key_identically(self):
@@ -188,19 +183,19 @@ class TestKeyCanonicalisation:
         g1 = PortLabeledGraph.from_edges(4, edges)
         g2 = PortLabeledGraph.from_edges(4, edges)
         assert spec_of(g1) is None
-        k1 = cell_key_of(SweepCell("table1", 5, g1, "idle", 0, None))
-        k2 = cell_key_of(SweepCell("table1", 5, g2, "idle", 0, None))
+        k1 = cell_key_of(Scenario(5, g1, "idle", seed=0))
+        k2 = cell_key_of(Scenario(5, g2, "idle", seed=0))
         assert k1 == k2
 
     def test_every_config_field_is_load_bearing(self, g):
-        base = SweepCell("table1", 5, g, "idle", 0, None)
+        base = Scenario(5, g, "idle", seed=0)
         variants = [
-            SweepCell("tolerance", 5, g, "idle", 0, None),
-            SweepCell("table1", 4, g, "idle", 0, None),
-            SweepCell("table1", 5, random_connected(8, seed=6), "idle", 0, None),
-            SweepCell("table1", 5, g, "squatter", 0, None),
-            SweepCell("table1", 5, g, "idle", 1, None),
-            SweepCell("table1", 5, g, "idle", 0, 2),
+            Scenario(5, g, "idle", kind="tolerance", seed=0),
+            Scenario(4, g, "idle", seed=0),
+            Scenario(5, random_connected(8, seed=6), "idle", seed=0),
+            Scenario(5, g, "squatter", seed=0),
+            Scenario(5, g, "idle", seed=1),
+            Scenario(5, g, "idle", seed=0, f=2),
         ]
         keys = {cell_key_of(c) for c in variants}
         assert cell_key_of(base) not in keys
@@ -368,33 +363,15 @@ class TestStoreMaintenance:
 class TestExecutePlan:
     def test_results_align_with_cells(self, g):
         cells = [
-            SweepCell("table1", 5, g, "idle", 0, None),
-            SweepCell("tolerance", 5, g, "idle", 0, 1),
-            SweepCell("scaling", 5, g, "idle", 0, 1),
+            Scenario(5, g, "idle", seed=0),
+            Scenario(5, g, "idle", kind="tolerance", seed=0, f=1),
+            Scenario(5, g, "idle", kind="scaling", seed=0, f=1),
         ]
         lists = execute_plan(cells)
         assert [len(recs) for recs in lists] == [1, 1, 1]
         assert lists[0][0]["serial"] == 5
         assert lists[1][0]["rejected"] is False
         assert "m" in lists[2][0]
-
-    def test_unknown_kind_quarantined_by_default(self, g):
-        """A ValueError is a fault, not a ReproError rejection: the
-        default executor quarantines it as a structured failure record
-        instead of crashing the sweep."""
-        policy = ExecutionPolicy(max_retries=0, backoff=0.0)
-        [recs] = execute_plan([SweepCell("nope", 5, g, "idle", 0, None)],
-                              policy=policy)
-        assert recs[0]["failed"] is True
-        assert recs[0]["success"] is False
-        assert recs[0]["reason"] == "ValueError"
-        assert "unknown cell kind" in recs[0]["error"]
-
-    def test_unknown_kind_raises_under_strict(self, g):
-        policy = ExecutionPolicy(max_retries=0, backoff=0.0, strict=True)
-        with pytest.raises(SweepFaultError, match="unknown cell kind"):
-            execute_plan([SweepCell("nope", 5, g, "idle", 0, None)],
-                         policy=policy)
 
     def test_store_roundtrip_preserves_record_types(self, g, store):
         """JSON round-tripping must not perturb values: huge paper-bound
