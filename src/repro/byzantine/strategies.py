@@ -7,7 +7,10 @@ adaptive adversary) plus, in the strong model, ID faking — and may do
 anything a robot physically can: lie in the public record, squat, desert,
 spam flags and messages, chase honest robots.  They may **not** teleport
 (robots move one edge per round) or, in the weak model, fake IDs
-(Section 1.1's weak Byzantine definition, after [24]).
+(Section 1.1's weak Byzantine definition, after [24]).  A strategy that
+stays put for good yields :class:`~repro.sim.robot.Wait` rather than a
+loop of ``STAY``: the engine counts its rounds without resuming it, and
+the robot behaves exactly as the loop would.
 
 The zoo is organised around the attack surfaces of the paper's algorithms:
 
@@ -37,7 +40,7 @@ from typing import Callable, Dict, Iterator, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.robot import MOVES, SETTLED, STAY, TOBESETTLED, Action, ByzantineAPI
+from ..sim.robot import MOVES, SETTLED, STAY, TOBESETTLED, Action, ByzantineAPI, Wait
 
 __all__ = [
     "Strategy",
@@ -73,7 +76,7 @@ def idle(api: ByzantineAPI, rng) -> Iterator[Action]:
     shared node, forcing them through the flag dance each time.
     """
     while True:
-        yield STAY
+        yield Wait()
 
 
 def squatter(api: ByzantineAPI, rng) -> Iterator[Action]:
@@ -84,7 +87,7 @@ def squatter(api: ByzantineAPI, rng) -> Iterator[Action]:
     """
     api.set_state(SETTLED)
     while True:
-        yield STAY
+        yield Wait()
 
 
 def ghost_squatter(api: ByzantineAPI, rng, period: int = 3) -> Iterator[Action]:
@@ -250,7 +253,7 @@ def decoy_token(api: ByzantineAPI, rng, walk_rounds: int = 3) -> Iterator[Action
             yield STAY
     api.set_state(SETTLED)
     while True:
-        yield STAY
+        yield Wait()
 
 
 def sleeper(delay: int, inner: Strategy) -> Strategy:
@@ -283,7 +286,7 @@ def impersonator(api: ByzantineAPI, rng) -> Iterator[Action]:
         api.set_claimed_id(honest[0])
     api.set_state(SETTLED)
     while True:
-        yield STAY
+        yield Wait()
 
 
 def id_cycler(api: ByzantineAPI, rng) -> Iterator[Action]:

@@ -66,7 +66,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from ..errors import GraphStructureError, MapError
 from ..graphs.isomorphism import CanonicalForm, canonical_form
 from ..graphs.port_labeled import PortLabeledGraph
-from ..sim.robot import MOVES, STAY, Action, RobotAPI, Sleep
+from ..sim.robot import MOVES, STAY, Action, RobotAPI, Sleep, Wait
 from .map_merge import decode_canonical
 
 __all__ = [
@@ -559,6 +559,11 @@ def token_program(
     Obeys quorum-backed commands during the active phase, then replays its
     reverse trail home.  In exchange mode, collects the map the agent
     group broadcasts into ``out[("exchanged", run.tag)]``.
+
+    Between commands it listens with ``Wait(active_end)``: the engine
+    resumes it only once a message is posted at its node or the active
+    phase ends, and a round it would have spent on an empty board is a
+    ``Stay`` either way.
     """
     start = run.start_round
     yield from sleep_until(api, start)
@@ -570,11 +575,12 @@ def token_program(
     cmd_threshold = run.cmd_threshold
     degree = api.degree
     messages_prev = api.messages_prev
+    listen = Wait(active_end)
     trail: List[int] = []
     while (rnd := api.round) < active_end:
         rel = rnd - start
         if rel % 2 == 0:
-            yield STAY  # command round: listen only
+            yield listen  # command round: listen only
             continue
         best_port = 0
         messages = messages_prev()
@@ -606,7 +612,7 @@ def token_program(
             yield MOVES[best_port]
             trail.append(api.arrival_port)
         else:
-            yield STAY
+            yield listen
     # Return phase: retrace every move (correct from wherever we stand).
     for port in reversed(trail):
         yield MOVES[port]

@@ -516,16 +516,21 @@ class Scenario:
             return resolve_spec(self.graph)
         return self.graph
 
+    @property
+    def f_needs_graph(self) -> bool:
+        """Whether :meth:`resolved_f`, and so :meth:`key`, resolves the
+        graph: ``f="max"`` outside the table1 kind is the row's bound on
+        it."""
+        return self.f == "max" and self.kind != "table1"
+
     def resolved_f(self) -> Optional[int]:
         """The cell-level ``f``: ``"max"`` stays ``None`` for the table1
         kind (the historical "row's bound" marker, cacheable as such) and
         resolves to the row's concrete bound for the other kinds (their
         executors need an explicit int)."""
-        if self.f == "max":
-            if self.kind == "table1":
-                return None
+        if self.f_needs_graph:
             return self.row.f_max(self.resolved_graph())
-        return self.f  # type: ignore[return-value]
+        return None if self.f == "max" else self.f  # type: ignore[return-value]
 
     def applicable(self) -> bool:
         """Whether the row's graph-class restriction admits this graph."""
@@ -583,17 +588,22 @@ class Scenario:
         """Build a scenario from its dict form (tolerant of omitted
         defaults, so hand-written JSON files stay short).
 
-        Hardened for untrusted input: a payload that is not an object,
-        an unknown or missing key and a graph slot of the wrong shape
-        are rejected here, every field value by the constructor — each
-        as a :class:`~repro.errors.ValidationError` naming the offending
+        Hardened for untrusted input: a payload that is not an object
+        with string field names, a version other than the ``int``
+        :data:`FORMAT_VERSION`, an unknown or missing key and a graph
+        slot of the wrong shape are rejected here, every field value by
+        the constructor — each as a
+        :class:`~repro.errors.ValidationError` naming the offending
         field, which the serve subsystem maps to a 400 response with the
         field in the body.
         """
         if not isinstance(payload, dict):
             raise ValidationError("scenario", "must be a JSON object")
+        if not all(isinstance(name, str) for name in payload):
+            raise ValidationError("scenario", "field names must be strings")
         version = payload.get("version", FORMAT_VERSION)
-        if version != FORMAT_VERSION:
+        # ``True == 1`` and ``1.0 == 1``: equality alone would take them.
+        if type(version) is not int or version != FORMAT_VERSION:
             raise ValidationError(
                 "version", f"unsupported scenario format version {version!r}"
             )

@@ -166,17 +166,30 @@ class ServeApp:
     async def _run(self, request: Request) -> Tuple[int, Dict, Headers]:
         scenario = self._parse_scenario(request.json())
         try:
-            status, key, result = self.service.submit(scenario)
-        except Busy as exc:
-            raise HttpError(429, str(exc), retry_after=exc.retry_after)
+            key = await self._key(scenario)
         except ReproError as exc:
             raise self._unkeyable(exc)
+        try:
+            status, _, result = self.service.submit(scenario, key)
+        except Busy as exc:
+            raise HttpError(429, str(exc), retry_after=exc.retry_after)
         if status == "warm":
             return 200, {"key": key, "status": "warm", "records": result}, ()
         if not request.flag("wait", True):
             return 202, {"key": key, "status": status}, ()
         outcome: RunOutcome = await result
         return self._outcome_response(outcome)
+
+    @staticmethod
+    async def _key(scenario: Scenario) -> str:
+        """``scenario.key()``, in a worker thread when keying resolves
+        the graph (:attr:`Scenario.f_needs_graph`): building a large
+        generator's graph can take seconds and would stall every other
+        connection.  Other keys are computed inline, so warm requests
+        pay no thread hop."""
+        if scenario.f_needs_graph:
+            return await asyncio.to_thread(scenario.key)
+        return scenario.key()
 
     @staticmethod
     def _unkeyable(exc: ReproError, field: Optional[str] = None) -> HttpError:
@@ -219,16 +232,17 @@ class ServeApp:
             raise HttpError(400, str(exc), field=exc.field)
         except ReproError as exc:
             raise HttpError(400, str(exc))
+        keys: List[str] = []
         for i, scenario in enumerate(grid):
             try:
-                scenario.key()  # before any submission: a 422 queues nothing
+                keys.append(await self._key(scenario))  # a 422 queues nothing
             except ReproError as exc:
                 raise self._unkeyable(exc, field=f"scenarios[{i}]")
         submitted: List[Tuple[str, str, object]] = []
         busy: Optional[Busy] = None
-        for scenario in grid:
+        for scenario, key in zip(grid, keys):
             try:
-                submitted.append(self.service.submit(scenario))
+                submitted.append(self.service.submit(scenario, key))
             except Busy as exc:
                 busy = exc
                 break

@@ -172,15 +172,17 @@ class DispersionService:
 
     # -- submission (event-loop side) ---------------------------------- #
 
-    def submit(self, scenario: Scenario):
-        """Route one scenario: warm answer, joined in-flight, or enqueue.
+    def submit(self, scenario: Scenario, key: str):
+        """Route one scenario under its store ``key``: warm answer,
+        joined in-flight, or enqueue.
 
-        Returns ``("warm", key, records)`` for a store hit (zero solver
-        calls), or ``(status, key, future)`` with ``status`` one of
-        ``"joined"`` / ``"queued"``.  Raises :class:`Busy` when the
-        bounded queue is full.
+        The caller keys the scenario (``scenario.key()``), off the event
+        loop when keying builds the graph.  Returns ``("warm", key,
+        records)`` for a store hit (zero solver calls), or ``(status,
+        key, future)`` with ``status`` one of ``"joined"`` /
+        ``"queued"``.  Raises :class:`Busy` when the bounded queue is
+        full.
         """
-        key = scenario.key()
         self.counters["requests"] += 1
         if self.store is not None:
             records = self.store.get(key)

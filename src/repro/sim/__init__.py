@@ -13,6 +13,7 @@ from .robot import (
     RobotAPI,
     Sleep,
     Stay,
+    Wait,
 )
 from .reference import ReferenceWorld
 from .report import RunReport, finish_report
@@ -47,6 +48,7 @@ __all__ = [
     "Stay",
     "STAY",
     "Sleep",
+    "Wait",
     "SETTLED",
     "TOBESETTLED",
     "RunReport",

@@ -9,6 +9,9 @@ the original (pre-optimization) engine did:
 * the node index is **fully rebuilt** after any movement,
 * board dictionaries are **reallocated** every round.
 
+:class:`~repro.sim.robot.Wait`, which the seed engine did not have,
+follows the same rule here in straight-line form.
+
 The optimized :class:`~repro.sim.world.World` must be observably
 indistinguishable from this class — same traces, same round counters,
 same positions — for any program and any seed.  Tests in
@@ -20,10 +23,11 @@ Keep this file boring: it is the executable specification of one round.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 from ..errors import ProtocolViolation, SimulationError
-from .robot import ByzantineAPI, Move, PublicView, RobotAPI, Sleep, Stay
+from .robot import ByzantineAPI, Move, PublicView, RobotAPI, Sleep, Stay, Wait
 from .world import World
 
 __all__ = ["ReferenceWorld", "ReferenceRobotAPI", "ReferenceByzantineAPI"]
@@ -135,6 +139,11 @@ class ReferenceWorld(World):
                 if robot.sleep_until > self.round:
                     robot.pending_action = None
                     continue
+                if robot.wait_until > self.round:
+                    if not self.board_previous.get(robot.node):
+                        robot.pending_action = None  # still waiting
+                        continue
+                    robot.wait_until = 0  # a message wakes it
                 try:
                     action = next(robot.program)
                 except StopIteration:
@@ -146,6 +155,15 @@ class ReferenceWorld(World):
                     if action.rounds < 1:
                         raise SimulationError("Sleep must cover at least 1 round")
                     robot.sleep_until = self.round + action.rounds
+                    robot.pending_action = None
+                    continue
+                if isinstance(action, Wait):
+                    until = action.until
+                    if until is not None and type(until) is not int:
+                        raise SimulationError(
+                            f"Wait until must be None or an int round, got {until!r}"
+                        )
+                    robot.wait_until = math.inf if until is None else until
                     robot.pending_action = None
                     continue
                 if isinstance(action, Move):

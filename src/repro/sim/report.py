@@ -51,11 +51,12 @@ class RunReport:
         assignment, blacklist sizes; a non-default activation scheduler
         records its canonical spec under ``meta["scheduler"]``).
     activations:
-        Total program resumptions across the run (the world's tally):
-        one per robot per round in which it was awake (and, under a
-        non-default :mod:`~repro.sim.schedulers` scheduler, activated).
-        Sleeping robots are not counted, so this is not
-        live-robot-rounds.
+        Total activations across the run (the world's tally): one per
+        robot per round in which it was awake (and, under a
+        non-default :mod:`~repro.sim.schedulers` scheduler, activated),
+        including the rounds a :class:`~repro.sim.robot.Wait` spares
+        its program the resume.  Sleeping robots are not counted, so
+        this is not live-robot-rounds.
     """
 
     success: bool

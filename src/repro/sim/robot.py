@@ -10,8 +10,9 @@ honest robot program can observe *only*
   or the full board of the previous round).
 
 It acts by yielding :class:`Move` (the shared ``MOVES[port]``),
-:class:`Stay` (the shared :data:`STAY`) or :class:`Sleep`; movement is
-applied simultaneously at the end of the round (the model's task (ii)).
+:class:`Stay` (the shared :data:`STAY`), :class:`Sleep` or :class:`Wait`;
+movement is applied simultaneously at the end of the round (the model's
+task (ii)).
 
 Byzantine robots run strategy programs bound to a :class:`ByzantineAPI`,
 which additionally exposes the whole :class:`~repro.sim.world.World`
@@ -35,6 +36,7 @@ __all__ = [
     "Stay",
     "STAY",
     "Sleep",
+    "Wait",
     "Action",
     "PublicView",
     "Robot",
@@ -120,7 +122,32 @@ class Sleep:
     rounds: int
 
 
-Action = object  # Move | Stay | Sleep — kept loose for isinstance dispatch.
+@dataclass(frozen=True)
+class Wait:
+    """End the round without moving, and listen until round ``until``.
+
+    The robot stays this round and, without its program being resumed,
+    in every later round before ``until`` (forever when ``None``).  It
+    is resumed early in the first round in which it is activated and
+    the previous round's board at its node holds a message.  Every
+    waited round in which it is activated still counts one activation.
+
+    Observably identical to the loop ::
+
+        yield STAY
+        while (until is None or api.round < until) and not api.messages_prev():
+            yield STAY
+
+    under any scheduler, so a listening robot (a token awaiting its
+    agent's next command, a Byzantine robot that never moves) costs no
+    generator resume per round.  Unlike :class:`Sleep`, a waiting robot
+    blocks the all-asleep fast-forward exactly as a :class:`Stay` does.
+    """
+
+    until: Optional[int] = None
+
+
+Action = object  # Move | Stay | Sleep | Wait — kept loose for isinstance dispatch.
 
 
 @dataclass(frozen=True)
@@ -153,6 +180,7 @@ class Robot:
         "moves_made",
         "pending_action",
         "sleep_until",
+        "wait_until",
         "_view_cache",
         "start_view",
         "start_view_round",
@@ -181,6 +209,9 @@ class Robot:
         self.moves_made = 0
         self.pending_action: Optional[Action] = None
         self.sleep_until = 0  # robot is dormant while world.round < sleep_until
+        # Robot listens, un-resumed, while world.round < wait_until and
+        # its node's previous-round board is empty (math.inf: no deadline).
+        self.wait_until: float = 0
         self._view_cache: Optional[PublicView] = None
         # Copy-on-write round-start record: raw fields captured just
         # before the first public-record mutation of a round (allocation

@@ -5,8 +5,13 @@ Section 2.2:
 
 * Each round, robots act in ascending ``(claimed_id, true_id)`` order —
   the paper's "robot of rank Y waits until sub-round Y".  A robot's
-  program is resumed exactly once per round and must yield a
-  :class:`~repro.sim.robot.Move` or :class:`~repro.sim.robot.Stay`.
+  program is resumed at most once per round and yields a
+  :class:`~repro.sim.robot.Move` or :class:`~repro.sim.robot.Stay`, or
+  one of the two shortcuts that spare it resumes: a
+  :class:`~repro.sim.robot.Sleep` (dormant for a fixed number of rounds)
+  or a :class:`~repro.sim.robot.Wait` (stays un-resumed until a deadline
+  or until its node's previous-round board holds a message; observably
+  a loop of ``Stay``).
 * During its sub-round a robot observes live public records (smaller-rank
   robots have already acted this round) and the frozen *round-start
   snapshot* (who was where, in which state, when the round began).
@@ -36,7 +41,11 @@ Hot-path engineering (see PERFORMANCE.md for measurements):
   reallocated; a shared immutable empty mapping stands in for decayed
   previous-round boards.
 * Actions are dispatched on their **exact class**, most frequent first
-  (``Stay``, then ``Move``, then ``Sleep``); nothing subclasses them.
+  (``Stay``, then ``Move``, ``Wait`` and ``Sleep``); nothing subclasses
+  them.
+* A **waiting** robot costs one slot check per round it is activated
+  in: it is counted as an activation and stays put without its program
+  being resumed.
 * Termination is an **O(1)** check: the world counts its live honest
   robots instead of scanning them before every round.
 * Traces keep **counters only** unless ``keep_trace=True``.
@@ -52,6 +61,7 @@ byte-identical to the scheduler-free engine.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -76,6 +86,7 @@ from .robot import (
     RobotAPI,
     Sleep,
     Stay,
+    Wait,
 )
 from .trace import Trace
 
@@ -136,10 +147,12 @@ class World:
         self.model = model
         self.robots: Dict[int, Robot] = {}
         self.round = 0
-        #: Total program resumptions so far: one per robot per round in
-        #: which it was awake (and, under a scheduler, activated).  A
-        #: sleeping robot is skipped before the count, so this is not
-        #: live-robot-rounds.
+        #: Total activations so far: one per robot per round in which
+        #: it was awake (and, under a scheduler, activated).  A waiting
+        #: robot counts in every such round although its program is not
+        #: resumed (the count is that of the ``Stay`` loop a ``Wait``
+        #: stands for); a sleeping robot is skipped before the count, so
+        #: this is not live-robot-rounds.
         self.activations = 0
         if scheduler is not None:
             built = build_scheduler(scheduler)
@@ -240,6 +253,7 @@ class World:
         """
         rnd = self.round
         ports = self.graph._ports  # package-internal: skip method dispatch
+        board_prev = self.board_previous  # a waiting robot's wake-up signal
         trace = self.trace
         keep_events = trace.keep_events
         if self.board_current:  # posts made outside a round are discarded
@@ -286,6 +300,11 @@ class World:
                     ff_blocked = True
                     continue
                 activations += 1
+                if robot.wait_until > rnd:
+                    if not board_prev.get(robot.node):
+                        ff_blocked = True  # waits on: a Stay, un-resumed
+                        continue
+                    robot.wait_until = 0  # a message wakes it early
                 try:
                     action = next(robot.program)
                 except StopIteration:
@@ -311,6 +330,17 @@ class World:
                             f"at a degree-{deg} node"
                         )
                     append_mover((robot, port))
+                    ff_blocked = True
+                elif cls is Wait:
+                    until = action.until
+                    if until is None:
+                        robot.wait_until = math.inf
+                    elif type(until) is int:
+                        robot.wait_until = until
+                    else:
+                        raise SimulationError(
+                            f"Wait until must be None or an int round, got {until!r}"
+                        )
                     ff_blocked = True
                 elif cls is Sleep:
                     rounds = action.rounds

@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import random_connected, ring
 from repro.sim import (
+    MOVES,
     STAY,
     Move,
     ReferenceWorld,
     Sleep,
     Stay,
+    Wait,
     World,
     finish_report,
 )
@@ -268,6 +270,48 @@ def test_teleport_and_midrun_add_robot_match_reference():
     assert fingerprint(w_opt) == fingerprint(w_ref)
     assert full_trace(w_opt) == full_trace(w_ref)
     assert w_opt.total_rounds == w_ref.total_rounds
+
+
+def _waiter(until_rel, wakes):
+    """Wait ``until_rel`` rounds (forever for ``None``), log the wake,
+    step along port 1; repeat."""
+
+    def program(api):
+        while True:
+            yield Wait(None if until_rel is None else api.round + until_rel)
+            wakes.append((api.id, api.round, len(api.messages_prev())))
+            yield MOVES[1]
+
+    return program
+
+
+def _crier(api):
+    """Stay put and post every third round."""
+    while True:
+        if api.round % 3 == 1:
+            api.say(("psst", api.id))
+        yield STAY
+
+
+def test_waiting_robots_match_reference():
+    """Waiting robots woken by a message, woken by their deadline and
+    never woken agree across engines, event by event."""
+    runs = []
+    for cls in (World, ReferenceWorld):
+        w = cls(ring(6), keep_trace=True)
+        wakes = []
+        w.add_robot(1, 0, _crier)
+        w.add_robot(3, 0, _waiter(None, wakes))
+        w.add_robot(5, 3, _waiter(4, wakes))
+        w.add_robot(7, 5, _waiter(None, wakes), byzantine=True)
+        for _ in range(20):
+            w.step()
+        runs.append((fingerprint(w), full_trace(w), wakes))
+    assert runs[0] == runs[1]
+    wakes = runs[0][2]
+    assert wakes[0] == (3, 2, 1)  # woken by the crier's round-1 post
+    assert (5, 4, 0) in wakes  # woken by its deadline
+    assert all(rid != 7 for rid, _, _ in wakes)  # never woken
 
 
 class TestSleepFastForward:

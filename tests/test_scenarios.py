@@ -273,6 +273,23 @@ class TestSerialization:
             Scenario.from_dict({"algorithm": 5,
                                 "graph": {"family": "ring", "args": {"bogus": 9}}})
 
+    @pytest.mark.parametrize("payload, field", [
+        ({1: 2, "x": 3}, "scenario"),
+        ({"algorithm": 5, "graph": {"family": "ring", "args": {"n": 6}}, 7: "x"},
+         "scenario"),
+        ({"algorithm": 5, "graph": {"family": "ring", "args": {"n": 6}},
+          "version": True}, "version"),
+        ({"algorithm": 5, "graph": {"family": "ring", "args": {"n": 6}},
+          "version": 1.0}, "version"),
+    ])
+    def test_dicts_that_are_not_json_shaped_rejected(self, payload, field):
+        """Keys of mixed types used to escape as a ``TypeError`` from
+        sorting the unknown keys, and ``True`` and ``1.0`` passed the
+        version check because they equal 1."""
+        with pytest.raises(ValidationError) as excinfo:
+            Scenario.from_dict(payload)
+        assert excinfo.value.field == field
+
 
 class TestGridExpansion:
     def test_expansion_is_deterministic(self, g):

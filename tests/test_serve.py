@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.scenarios as scenarios_module
 import repro.serve.service as service_module
 from repro.analysis.faults import FaultPlan, FaultSpec
 from repro.analysis.store import RunStore
@@ -55,9 +56,9 @@ def _scenario(seed: int = 0) -> dict:
     return dict(SCENARIO, seed=seed)
 
 
-def _request(server, method, path, payload=None):
+def _request(server, method, path, payload=None, timeout=60):
     """One request; returns (status, parsed body, response headers)."""
-    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=timeout)
     try:
         body = None if payload is None else json.dumps(payload)
         conn.request(method, path, body=body,
@@ -290,6 +291,41 @@ class TestFailureResponses:
             assert status == 422 and body["field"] == "scenarios[1]", body
             _, stats, _ = _request(server, "GET", "/stats")
         assert stats["counters"]["requests"] == stats["counters"]["enqueued"] == 0
+
+
+class TestOffLoopKeying:
+    def test_graph_build_while_keying_leaves_the_loop_free(self, tmp_path, monkeypatch):
+        """Keying a tolerance cell at ``f="max"`` builds its graph.  The
+        build runs in a worker thread: while it is blocked the server
+        still answers ``/healthz``, and the ``/run`` completes, with the
+        records of a direct run, once the build is released."""
+        payload = {"algorithm": 4, "kind": "tolerance", "strategy": "squatter",
+                   "graph": {"family": "random_connected", "args": {"n": 7, "seed": 0}}}
+        expected = list(Scenario.from_dict(payload).run())
+        entered, release = threading.Event(), threading.Event()
+        real = scenarios_module.resolve_spec
+
+        def blocked(spec):
+            entered.set()
+            release.wait(60)
+            return real(spec)
+
+        monkeypatch.setattr(scenarios_module, "resolve_spec", blocked)
+        answers = []
+        with ServerThread(store=RunStore(str(tmp_path / "store"))) as server:
+            client = threading.Thread(
+                target=lambda: answers.append(_request(server, "POST", "/run", payload)))
+            client.start()
+            try:
+                assert entered.wait(30), "keying never resolved the graph"
+                status, body, _ = _request(server, "GET", "/healthz", timeout=5)
+                assert status == 200 and body["ok"] is True
+            finally:
+                release.set()
+                client.join(60)
+        [(status, body, _)] = answers
+        assert status == 200 and body["status"] == "ok"
+        assert body["records"] == expected
 
 
 class TestByteIdentity:
@@ -653,6 +689,9 @@ class TestScenarioValidation:
         # A generator argument of the wrong type used to reach the
         # generator and fail every attempt with a 500.
         ({"algorithm": 4, "graph": {"family": "ring", "args": {"n": "x"}}}, "graph"),
+        # ``True == 1``: equality alone took it as version 1.
+        ({"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}},
+          "version": True}, "version"),
     ])
     def test_bad_input_names_the_field(self, payload, field):
         with pytest.raises(ValidationError) as excinfo:

@@ -5,15 +5,20 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolViolation, SimulationError
-from repro.graphs import PortLabeledGraph, ring
+from repro.graphs import PortLabeledGraph, random_connected, ring
 from repro.sim import (
     MOVES,
+    SCHEDULERS,
     SETTLED,
+    STAY,
     Move,
+    ReferenceWorld,
     Sleep,
     Stay,
+    Wait,
     World,
     assign_ids,
     finish_report,
@@ -160,6 +165,20 @@ class TestRounds:
             w.add_robot(1, 0, bad)
             with pytest.raises(SimulationError, match="expected Move or Stay"):
                 w.step()
+
+    @pytest.mark.parametrize("engine", [World, ReferenceWorld])
+    @pytest.mark.parametrize("until", ["x", True, 1.5])
+    def test_bad_wait_rejected(self, engine, until):
+        """A ``Wait`` deadline is ``None`` or an ``int`` round; a bool is
+        not a round."""
+        w = engine(ring(3))
+
+        def bad(api):
+            yield Wait(until)
+
+        w.add_robot(1, 0, bad)
+        with pytest.raises(SimulationError, match="Wait until"):
+            w.step()
 
     def test_program_end_terminates_robot(self):
         g = ring(3)
@@ -382,6 +401,100 @@ class TestSleep:
         w.add_robot(1, 0, bad)
         with pytest.raises(SimulationError):
             w.step()
+
+
+def _script_program(script, log, spell_out_waits):
+    """Interpret ``script`` (a list of ``(op, arg)``) as a robot program.
+
+    ``("wait", d)`` yields ``Wait(round + d)`` (``Wait()`` for ``d=None``),
+    or, with ``spell_out_waits``, the ``Stay`` loop a ``Wait`` stands for.
+    After every action the program logs the round and the previous
+    round's board it resumes to.
+    """
+
+    def program(api):
+        for op, arg in script:
+            if op == "say":
+                api.say((api.id, arg))
+                continue
+            if op == "stay":
+                yield STAY
+            elif op == "move":
+                yield MOVES[arg % api.degree() + 1]
+            elif op == "sleep":
+                yield Sleep(arg)
+            else:
+                until = None if arg is None else api.round + arg
+                if spell_out_waits:
+                    yield STAY
+                    while (until is None or api.round < until) and not api.messages_prev():
+                        yield STAY
+                else:
+                    yield Wait(until)
+            log.append((api.round, api.messages_prev()))
+
+    return program
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("stay"), st.none()),
+    st.tuples(st.just("move"), st.integers(0, 3)),
+    st.tuples(st.just("say"), st.integers(0, 2)),
+    st.tuples(st.just("sleep"), st.integers(1, 5)),
+    st.tuples(st.just("wait"), st.none() | st.integers(-1, 6)),
+)
+_ROBOTS = st.lists(
+    st.tuples(st.integers(0, 4), st.booleans(), st.lists(_OPS, max_size=12)),
+    min_size=1, max_size=5,
+)
+
+#: One spec per registered scheduler other than the synchronous default.
+_NON_DEFAULT_SCHEDULERS = {
+    "semi_synchronous": "semi_synchronous(p=0.5)",
+    "adversarial": "adversarial(window=3)",
+    "crash_recovery": "crash_recovery(down=2,up=3)",
+}
+
+
+class TestWait:
+    def test_every_non_default_scheduler_is_covered(self):
+        assert set(_NON_DEFAULT_SCHEDULERS) == set(SCHEDULERS) - {"synchronous"}
+
+    @pytest.mark.parametrize("scheduler", [None, *_NON_DEFAULT_SCHEDULERS.values()])
+    @given(robots=_ROBOTS, seed=st.integers(0, 3))
+    @settings(max_examples=40, derandomize=True)
+    def test_wait_is_its_stay_loop(self, scheduler, robots, seed):
+        """Random programs mixing ``Wait(u)``, ``Wait()``, moves, stays,
+        sleeps and posts run beside the same programs with every
+        ``Wait`` spelled out as its ``Stay`` loop: positions, rounds
+        (a waiting robot blocks the sleep fast-forward as a ``Stay``
+        does), boards, trace counters, activations and what each
+        program observes match round for round."""
+        g = random_connected(5, seed=seed)
+        worlds, logs = [], []
+        for spell_out in (False, True):
+            w = World(g, scheduler=scheduler, scheduler_seed=seed)
+            log = {}
+            for rid, (node, byzantine, script) in enumerate(robots, start=1):
+                log[rid] = []
+                w.add_robot(rid, node, _script_program(script, log[rid], spell_out),
+                            byzantine=byzantine)
+            worlds.append(w)
+            logs.append(log)
+        waiting, looping = worlds
+        for _ in range(30):
+            waiting.step()
+            looping.step()
+            assert waiting.round == looping.round
+            assert waiting.positions() == looping.positions()
+            assert waiting.board_current == looping.board_current
+            assert waiting.board_previous == looping.board_previous
+            assert waiting.trace.counters == looping.trace.counters
+            assert waiting.activations == looping.activations
+        assert logs[0] == logs[1]
+        assert [r.terminated for r in waiting.robots.values()] == [
+            r.terminated for r in looping.robots.values()
+        ]
 
 
 class TestAccounting:

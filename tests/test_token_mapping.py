@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.graphs.traversal as traversal
 import repro.mapping.token_mapping as token_mapping
-from repro.byzantine.strategies import random_walker, squatter
+from repro.byzantine.strategies import idle, random_walker, squatter
 from repro.core import solve_theorem3, solve_theorem4, solve_theorem6
 from repro.graphs import (
     canonical_form,
@@ -30,7 +30,7 @@ from repro.mapping import (
     token_program,
 )
 from repro.mapping.token_mapping import _MapOverflow, explorer_core
-from repro.sim import World
+from repro.sim import STAY, World
 
 
 class TestPlanHonestRun:
@@ -142,6 +142,60 @@ class TestSimulatedPair:
         assert out[run.tag] is None  # budget abort
         assert w.robots[1].node == 0  # but still home (footnote 11)
         assert w.robots[2].node == 0
+
+
+def _logged(program, api, rounds):
+    """``program``, logging the round of each of its resumes."""
+    while True:
+        rounds.append(api.round)
+        try:
+            action = next(program)
+        except StopIteration:
+            return
+        yield action
+
+
+class TestListenersAreNotResumed:
+    """Listening robots yield ``Wait``: they count an activation in every
+    round but their program is resumed only when there is news."""
+
+    def test_token_beside_an_idle_agent(self, rc8):
+        """Nobody commands the token, so in its active phase it is resumed
+        at the run's start and at ``active_end`` (a ``Stay`` per round
+        resumed it 2 * ``tick_budget`` times before ``active_end``)."""
+        memo = ExplorerMemo()
+        ticks, _ = plan_honest_run(rc8, 0, memo)
+        run = RunSpec(
+            tag=("t", 0), start_round=0, tick_budget=ticks + 2,
+            agent_ids=frozenset({1}), token_ids=frozenset({2}),
+        )
+        resumed = []
+        w = World(rc8)
+        w.add_robot(1, 0, lambda api: idle(api, None), byzantine=True)
+        w.add_robot(2, 0, lambda api: _logged(token_program(api, run, {}), api, resumed))
+        assert w.run(max_rounds=run.end_round + 5)
+        active_end = run.start_round + run.active_rounds
+        assert [r for r in resumed if r <= active_end] == [run.start_round, active_end]
+        # Every round still counts: the agent's rounds 0..end_round, the
+        # token's rounds 0..active_end and its wake at end_round (it
+        # sleeps in between, which counts nothing).
+        assert w.round == run.end_round + 1
+        assert w.activations == w.round + (run.active_rounds + 1) + 1
+
+    def test_idle_robot_nobody_posts_to(self):
+        resumed = []
+
+        def ten_stays(api):
+            for _ in range(10):
+                yield STAY
+
+        w = World(ring(4))
+        w.add_robot(1, 0, lambda api: _logged(idle(api, None), api, resumed),
+                    byzantine=True)
+        w.add_robot(2, 2, ten_stays)
+        assert w.run(max_rounds=50)
+        assert resumed == [0]
+        assert w.activations == 2 * w.round == 22
 
 
 class TestRunSpecArithmetic:

@@ -5,7 +5,10 @@ Boots the real serve stack on an ephemeral port with a fresh temporary
 store, runs a cold+warm request pair (asserting the warm answer
 performed zero additional computations and returned identical
 records), reads one complete SSE stream, and checks ``/healthz`` +
-``/stats``.  Exit 0 on success, 1 with a reason on any failure::
+``/stats``.  Last, it sends one tolerance-kind scenario at ``f="max"``,
+whose key builds its graph (in a worker thread, off the event loop),
+and checks for a 200 whose records equal a direct ``Scenario.run()``.
+Exit 0 on success, 1 with a reason on any failure::
 
     python tools/load_serve.py
 
@@ -26,6 +29,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.store import RunStore  # noqa: E402
+from repro.scenarios import Scenario  # noqa: E402
 from repro.serve import ServerThread  # noqa: E402
 
 _SMOKE_SCENARIO = {
@@ -65,7 +69,8 @@ def _read_sse(server, key: str) -> list:
 
 
 def smoke() -> int:
-    """Boot, cold+warm pair, one SSE stream, health + stats.  0 = pass."""
+    """Boot, cold+warm pair, one SSE stream, health + stats, one
+    tolerance cell keyed off the loop.  0 = pass."""
     tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     failures = []
 
@@ -109,6 +114,15 @@ def smoke() -> int:
                 and stats["counters"]["warm_hits"] == 1
                 and stats["counters"]["computed"] == 1
                 and stats["store"]["cells"] == 1,
+            )
+
+            tolerance = dict(_SMOKE_SCENARIO, kind="tolerance")
+            direct = list(Scenario.from_dict(tolerance).run())
+            status, body = _request(server, "POST", "/run", tolerance)
+            check(
+                "tolerance run at f=max",
+                status == 200 and body.get("records") == direct,
+                f"status={status}, records equal a direct Scenario.run()",
             )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
