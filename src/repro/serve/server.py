@@ -185,8 +185,9 @@ class ServeApp:
         """``scenario.key()``, in a worker thread when keying resolves
         the graph (:attr:`Scenario.f_needs_graph`): building a large
         generator's graph can take seconds and would stall every other
-        connection.  Other keys are computed inline, so warm requests
-        pay no thread hop."""
+        connection.  Other keys are computed inline: a thread hop for
+        every key cost perfbench's ``serve`` a fifth of its warm cells
+        per second (PERFORMANCE.md, "Keying in serve")."""
         if scenario.f_needs_graph:
             return await asyncio.to_thread(scenario.key)
         return scenario.key()
