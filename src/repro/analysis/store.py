@@ -134,8 +134,8 @@ class RunStore:
     disk until :meth:`get` fetches them, so a store indexing millions of
     cells does not hold millions of records in memory.
 
-    ``hits``/``misses``/``puts`` count this handle's traffic (reported
-    by ``repro sweep``).
+    ``hits``/``misses``/``puts`` count this handle's traffic (every plan
+    command prints its hits and puts after its records).
     """
 
     def __init__(self, path: str, schema_version: int = SCHEMA_VERSION):

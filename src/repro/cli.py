@@ -2,10 +2,11 @@
 
 Commands
 --------
-``table1``       regenerate the paper's Table 1 on a random graph
+``table1``       the paper's Table 1 on a random graph: every applicable
+                 row × strategy × scheduler at the row's bound, resumable
+                 from an on-disk run store (``sweep`` is an alias)
 ``run``          run one Table 1 row with explicit parameters
 ``tolerance``    sweep f for one row
-``sweep``        resumable Table 1 grid backed by an on-disk run store
 ``scenario``     run scenario(s) from a JSON file (the declarative API)
 ``store``        inspect or maintain an on-disk run store
                  (``store stats|verify|compact DIR``)
@@ -24,38 +25,41 @@ Commands
                  ``--json`` the payload ``benchmarks/check_evals.py``
                  pins in ``benchmarks/EVAL_<suite>.json``
 
-Every solver-running command (``table1``, ``run``, ``tolerance``,
-``sweep``, ``scenario``) builds a scenario grid and runs it through one
-helper with the same plan flags: ``--workers N`` fans independent cells
-out over ``N`` processes (records identical to, and ordered like, a
-serial run); ``--store DIR`` caches completed cells in a
-content-addressed run store; ``--resume/--no-resume`` and ``--chunk``
-control replay and dispatch; ``--timeout``/``--retries``/``--strict``
-set the fault policy.  Compatible cells always go through the batched
-engine (records are byte-identical to per-cell runs).  A re-run of any
-of them against a warm store answers entirely from disk with zero
-solver calls.  Input the library rejects (``f`` beyond a row's bound, a
-bad flag value) exits with one ``<command> rejected: ...`` line, never
-a traceback.
+Every plan command (``table1``, ``run``, ``tolerance``, ``scenario``)
+builds a scenario grid, runs it with the same plan flags and prints its
+records through one renderer: one table (``scenario --json`` prints the
+records instead), a per-scheduler summary when they span several
+schedulers, the quarantined cells and the store traffic.  ``--workers
+N`` fans independent cells out over ``N`` processes (records identical
+to, and ordered like, a serial run); ``--store DIR`` caches completed
+cells in a content-addressed run store; ``--resume/--no-resume`` and
+``--chunk`` control replay and dispatch; ``--timeout``/``--retries``/
+``--strict`` set the fault policy.  Compatible cells always go through
+the batched engine (records are byte-identical to per-cell runs).  A
+re-run against a warm store answers entirely from disk with zero solver
+calls.  Input the library rejects (``f`` beyond a row's bound, an
+unknown ``table1`` strategy, a non-positive ``--timeout``) exits with
+one ``<command> rejected: ...`` line, never a traceback.
 
-``scenario`` takes a JSON file holding one scenario object or a list —
-the serialized form of :class:`repro.scenarios.Scenario` — and hits
-exactly the same store cells as the equivalent sweep.
-
-``run`` and ``sweep`` take ``--scheduler`` activation-model specs
-(:mod:`repro.sim.schedulers`): ``sweep`` accepts a comma-separated list
-and crosses it into the grid, printing a per-scheduler summary; the
-``synchronous`` default is byte-identical — records and store cells —
-to the historical sweep.
+``table1`` takes comma-separated ``--strategies`` (also spelled
+``--strategy``), ``--serials`` and ``--scheduler`` activation-model
+specs (:mod:`repro.sim.schedulers`) and crosses them into one grid; at
+the ``synchronous`` default its cells and store keys are exactly
+``table1_grid``'s.  ``run`` takes one ``--scheduler`` spec, and ``run
+--detail`` calls the solver directly for its per-phase rounds and
+violation messages.  ``scenario`` takes a JSON file holding one scenario
+object or a list — the serialized form of
+:class:`repro.scenarios.Scenario` — and hits exactly the same store
+cells as the equivalent ``table1`` run.
 
 Examples::
 
     python -m repro table1 --n 10 --strategy ghost_squatter --workers 4
-    python -m repro run --row 4 --n 9 --f 3 --strategy squatter --store runs/
-    python -m repro tolerance --row 5 --n 9 --store runs/ --workers 2
-    python -m repro sweep --n 9 --strategies squatter,idle --store runs/ --workers 4
+    python -m repro table1 --n 9 --strategies squatter,idle --store runs/ --workers 4
     python -m repro sweep --n 9 --scheduler 'synchronous,adversarial(window=4)'
+    python -m repro run --row 4 --n 9 --f 3 --strategy squatter --store runs/
     python -m repro run --row 4 --n 9 --scheduler 'semi_synchronous(p=0.5)' --detail
+    python -m repro tolerance --row 5 --n 9 --store runs/ --workers 2
     python -m repro scenario experiment.json --store runs/
     python -m repro scenario experiment.json --key   # print cell keys only
     python -m repro store stats runs/
@@ -74,9 +78,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .analysis import ExecutionPolicy, render_table
 from .analysis.store import RunStore
@@ -84,10 +89,17 @@ from .byzantine import STRATEGIES, STRONG_STRATEGIES, WEAK_STRATEGIES, Adversary
 from .core import TABLE1, demonstrate_impossibility, get_row
 from .errors import ReproError, SweepFaultError
 from .graphs import is_quotient_isomorphic, random_connected
-from .scenarios import ResultSet, Scenario, ScenarioGrid, grid, table1_grid, tolerance_grid
-from .sim.schedulers import SCHEDULERS, parse_scheduler
+from .scenarios import Scenario, ScenarioGrid, grid, tolerance_grid
+from .sim.schedulers import SCHEDULERS, canonical_scheduler
 
 __all__ = ["main"]
+
+#: The columns of ``table1`` and ``run``; ``_show`` adds ``scheduler``
+#: and ``activations`` when a record carries them.
+_TABLE1_COLUMNS = [
+    "serial", "theorem", "running_time", "start", "strong", "strategy", "f",
+    "success", "rounds_simulated", "rounds_charged", "paper_bound",
+]
 
 
 def _sample_graph(n: int, require_view_distinct: bool, seed: int):
@@ -96,6 +108,17 @@ def _sample_graph(n: int, require_view_distinct: bool, seed: int):
         if not require_view_distinct or is_quotient_isomorphic(g):
             return g
     raise SystemExit(f"could not sample a suitable graph with n={n}")
+
+
+def _split(text: str, flag: str, parse: Callable = str) -> List:
+    """A comma-separated flag value, each item through ``parse``.  A
+    comma inside parentheses does not split
+    (``crash_recovery(down=2,up=6),synchronous`` is two items); an item
+    ``parse`` rejects exits with one line."""
+    try:
+        return [parse(s.strip()) for s in re.split(r",(?![^(]*\))", text) if s.strip()]
+    except (ValueError, ReproError) as exc:
+        raise SystemExit(f"bad {flag} value {text!r}: {exc}")
 
 
 def _store_of(args) -> Optional[RunStore]:
@@ -110,24 +133,6 @@ def _policy_of(args) -> ExecutionPolicy:
         max_retries=getattr(args, "retries", 2),
         strict=getattr(args, "strict", False),
     )
-
-
-def _run_grid(args, plan: ScenarioGrid) -> Tuple[ResultSet, Optional[RunStore]]:
-    """Run ``plan`` with the command's plan flags; returns the records and
-    the store they went through (``None`` without ``--store``)."""
-    policy = _policy_of(args)
-    store = _store_of(args)
-    records = plan.run(workers=args.workers, store=store, resume=args.resume,
-                       chunk=args.chunk, policy=policy)
-    return records, store
-
-
-def _exit_code(records) -> int:
-    """A plan command's exit status: 1 when nothing ran or when a record
-    neither succeeded nor was rejected (a run that did not disperse, or
-    a cell quarantined after its retries), 0 otherwise."""
-    ok = all(r.get("success") or r.get("rejected") for r in records)
-    return 0 if records and ok else 1
 
 
 def _print_failures(records) -> None:
@@ -156,28 +161,65 @@ def _print_store_traffic(store: Optional[RunStore]) -> None:
         )
 
 
-def _cmd_table1(args) -> int:
-    graph = _sample_graph(args.n, require_view_distinct=True, seed=args.seed)
-    records, store = _run_grid(args, table1_grid(graph, [args.strategy], seed=args.seed))
-    print(
-        render_table(
-            records,
-            columns=[
-                "serial", "theorem", "running_time", "start", "strong", "f",
-                "success", "rounds_simulated", "rounds_charged", "paper_bound",
-            ],
-            title=f"Table 1 reproduction (n={graph.n}, m={graph.m}, strategy={args.strategy})",
-        )
-    )
-    _print_failures(records)
+def _show(args, plan: ScenarioGrid, title: str,
+          columns: Optional[List[str]] = None) -> int:
+    """Run ``plan`` with the command's plan flags and print its records:
+    the ``--json`` records or one table (``columns``, plus ``scheduler``
+    and ``activations`` when a record carries them), a per-scheduler
+    summary when the records span several schedulers, the quarantined
+    cells, and the store traffic.
+
+    Returns the exit code: 1 when nothing ran or when a record neither
+    succeeded nor was rejected (a run that did not disperse, or a cell
+    quarantined after its retries), 0 otherwise.
+    """
+    policy = _policy_of(args)
+    if not len(plan):
+        print(f"{title}: no applicable cells — nothing ran")
+        return 1
+    store = _store_of(args)
+    records = plan.run(workers=args.workers, store=store, resume=args.resume,
+                       chunk=args.chunk, policy=policy)
+    if getattr(args, "json", False):
+        print(records.to_json(indent=2))
+    else:
+        if columns and any("scheduler" in r for r in records):
+            at = columns.index("f")
+            columns = [*columns[:at], "scheduler", "activations", *columns[at:]]
+        print(render_table(records, columns=columns, title=title))
+        if len({r.get("scheduler", "synchronous") for r in records}) > 1:
+            # Synchronous records omit the key (cache compatibility) and
+            # group under the default label.
+            print()
+            print(render_table(records.summarize("scheduler", missing="synchronous"),
+                               title="By scheduler"))
+        _print_failures(records)
     _print_store_traffic(store)
-    return _exit_code(records)
+    return 0 if all(r.get("success") or r.get("rejected") for r in records) else 1
+
+
+def _cmd_table1(args) -> int:
+    strategies = _split(args.strategies, "--strategies")
+    serials = _split(args.serials, "--serials", int) if args.serials else None
+    schedulers = _split(args.scheduler, "--scheduler", canonical_scheduler)
+    graph = _sample_graph(args.n, require_view_distinct=True, seed=args.seed)
+    # Rows keep TABLE1 order; at the default scheduler axis this is
+    # exactly table1_grid's plan (same cells, same store keys).
+    rows = [row.serial for row in TABLE1 if serials is None or row.serial in serials]
+    plan = (
+        grid(rows=rows, graphs=graph, strategies=strategies, f="max",
+             schedulers=schedulers, seeds=args.seed)
+        if rows else ScenarioGrid([])
+    )
+    title = (f"Table 1 reproduction (n={graph.n}, m={graph.m}, "
+             f"strategies={','.join(strategies)})")
+    return _show(args, plan, title, _TABLE1_COLUMNS)
 
 
 def _cmd_run(args) -> int:
     row = get_row(args.row)
     try:
-        scheduler = parse_scheduler(args.scheduler).canonical()
+        scheduler = canonical_scheduler(args.scheduler)
     except ReproError as exc:
         raise SystemExit(f"bad --scheduler value: {exc}")
     graph = _sample_graph(args.n, require_view_distinct=(args.row == 1), seed=args.seed)
@@ -208,129 +250,24 @@ def _cmd_run(args) -> int:
         f="max" if args.f is None else args.f, seed=args.seed,
         scheduler=scheduler,
     )
-    records, store = _run_grid(args, ScenarioGrid([scenario]))
-    rec = records[0]
-    if rec.get("failed"):
-        print(f"row {row.serial} (Theorem {row.theorem}), n={graph.n}, "
-              f"strategy={args.strategy}")
-        print(f"  quarantined      : {rec['reason']}: {rec['error']}")
-        print(f"  attempts         : {rec['attempts']}")
-        print(f"  cell key         : {rec['key']}")
-        _print_store_traffic(store)
-        return 1
-    print(f"row {row.serial} (Theorem {row.theorem}), n={graph.n}, f={rec['f']}, "
-          f"strategy={args.strategy}")
-    print(f"  success          : {rec['success']}")
-    print(f"  simulated rounds : {rec['rounds_simulated']:,}")
-    print(f"  charged rounds   : {rec['rounds_charged']:,}")
-    print(f"  violations       : {rec['n_violations']}")
-    if not rec["success"]:
-        print("  (re-run with --detail for the per-phase breakdown and "
+    code = _show(args, ScenarioGrid([scenario]),
+                 f"Table 1 row {row.serial} (n={graph.n}, m={graph.m})", _TABLE1_COLUMNS)
+    if code:
+        print("(re-run with --detail for the per-phase breakdown and "
               "violation messages)")
-    _print_store_traffic(store)
-    return _exit_code(records)
+    return code
 
 
 def _cmd_tolerance(args) -> int:
     row = get_row(args.row)
     graph = _sample_graph(args.n, require_view_distinct=(args.row == 1), seed=args.seed)
     f_max = row.f_max(graph)
-    fs = list(range(0, min(f_max + 3, graph.n)))
-    records, store = _run_grid(
-        args, tolerance_grid(row.serial, graph, fs, args.strategy, seed=args.seed))
-    print(
-        render_table(
-            records,
-            columns=["f", "rejected", "success", "rounds_simulated", "rounds_total"],
-            title=f"Tolerance sweep, row {row.serial} (bound f<={f_max}), n={graph.n}",
-        )
+    fs = range(0, min(f_max + 3, graph.n))
+    return _show(
+        args, tolerance_grid(row.serial, graph, fs, args.strategy, seed=args.seed),
+        f"Tolerance sweep, row {row.serial} (bound f<={f_max}), n={graph.n}",
+        ["f", "rejected", "success", "rounds_simulated", "rounds_total"],
     )
-    _print_failures(records)
-    _print_store_traffic(store)
-    return _exit_code(records)
-
-
-def _parse_schedulers(text: str) -> List[str]:
-    """Canonicalise a comma-separated ``--scheduler`` value (parens keep
-    their commas: ``crash_recovery(down=2,up=6),synchronous`` is two)."""
-    specs, depth, token = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            specs.append("".join(token))
-            token = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        token.append(ch)
-    specs.append("".join(token))
-    specs = [s.strip() for s in specs if s.strip()]
-    if not specs:
-        raise SystemExit("--scheduler needs at least one spec")
-    try:
-        return [parse_scheduler(s).canonical() for s in specs]
-    except ReproError as exc:
-        raise SystemExit(f"bad --scheduler value: {exc}")
-
-
-def _cmd_sweep(args) -> int:
-    strategies = [s for s in (p.strip() for p in args.strategies.split(",")) if s]
-    schedulers = _parse_schedulers(args.scheduler)
-    try:
-        serials = (
-            [int(s) for s in args.serials.split(",") if s.strip()]
-            if args.serials else None
-        )
-    except ValueError:
-        raise SystemExit(
-            f"bad --serials value {args.serials!r}: expected comma-separated "
-            f"Table 1 serials, e.g. 4,5"
-        )
-    graph = _sample_graph(args.n, require_view_distinct=True, seed=args.seed)
-    # Rows keep TABLE1 order; with the default scheduler axis this is
-    # exactly table1_grid's plan (same cells, same store keys).
-    rows = [
-        row.serial for row in TABLE1
-        if serials is None or row.serial in serials
-    ]
-    plan = (
-        grid(rows=rows, graphs=graph, strategies=strategies, f="max",
-             schedulers=schedulers, seeds=args.seed)
-        if rows else ScenarioGrid([])
-    )
-    records, store = _run_grid(args, plan)
-    if not records:
-        print(
-            f"no applicable (row x strategy) cells for n={graph.n}, "
-            f"serials={args.serials or 'all'} — nothing ran"
-        )
-        return 1
-    columns = [
-        "serial", "theorem", "strategy", "f", "success",
-        "rounds_simulated", "rounds_charged", "paper_bound",
-    ]
-    if schedulers != ["synchronous"]:
-        # Non-default runs tag their records; synchronous cells omit the
-        # key for cache compatibility and group under the default label.
-        columns[3:3] = ["scheduler", "activations"]
-    print(
-        render_table(
-            records,
-            columns=columns,
-            title=f"Sweep (n={graph.n}, m={graph.m}, "
-                  f"strategies={','.join(strategies)})",
-        )
-    )
-    if len(schedulers) > 1:
-        print()
-        print(
-            render_table(
-                records.summarize("scheduler", missing="synchronous"),
-                title="By scheduler",
-            )
-        )
-    _print_failures(records)
-    _print_store_traffic(store)
-    return _exit_code(records)
 
 
 def _cmd_scenario(args) -> int:
@@ -353,14 +290,7 @@ def _cmd_scenario(args) -> int:
         print(f"  key: {scenario.key()}")
     if args.key:
         return 0
-    records, store = _run_grid(args, scenario_grid)
-    if args.json:
-        print(records.to_json(indent=2))
-    else:
-        print(records.table(title=f"Scenario records ({len(records)})"))
-        _print_failures(records)
-    _print_store_traffic(store)
-    return _exit_code(records)
+    return _show(args, scenario_grid, f"Scenario records ({len(scenario_grid)})")
 
 
 def _existing_store(path: str) -> RunStore:
@@ -459,9 +389,7 @@ def _cmd_impossible(args) -> int:
 def _cmd_lint(args) -> int:
     from .lint import CHECKERS, lint_paths
 
-    select = None
-    if args.select:
-        select = [token.strip() for token in args.select.split(",") if token.strip()]
+    select = _split(args.select, "--select") if args.select else None
     try:
         findings = lint_paths(args.paths or None, select=select)
     except ValueError as exc:  # unknown checker name(s)
@@ -531,9 +459,7 @@ def _eval_epilog() -> str:
 def _cmd_eval(args) -> int:
     from .evals import run_suite
 
-    solvers = None
-    if args.solvers:
-        solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
+    solvers = _split(args.solvers, "--solvers") if args.solvers else None
     store = _store_of(args)
     try:
         report = run_suite(
@@ -588,11 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t1 = sub.add_parser(
-        "table1", help="regenerate the paper's Table 1",
-        epilog="example: python -m repro table1 --n 10 --strategy ghost_squatter --workers 4",
+        "table1", aliases=["sweep"],
+        help="the paper's Table 1: rows x strategies x schedulers on a random graph",
+        epilog="example: python -m repro table1 --n 9 --strategies squatter,idle "
+               "--scheduler 'synchronous,semi_synchronous(p=0.5)' --store runs/",
     )
     t1.add_argument("--n", type=int, default=9)
-    t1.add_argument("--strategy", default="ghost_squatter", choices=sorted(STRATEGIES))
+    t1.add_argument("--strategies", "--strategy", default="ghost_squatter",
+                    help="comma-separated adversary strategies (default: ghost_squatter)")
+    t1.add_argument("--serials", default=None,
+                    help="comma-separated Table 1 serials (default: all applicable)")
+    t1.add_argument("--scheduler", default="synchronous",
+                    help="comma-separated activation-scheduler specs, e.g. "
+                         "'synchronous,adversarial(window=4)' (default: "
+                         "synchronous)")
     t1.add_argument("--seed", type=int, default=0)
     _add_plan_args(t1)
     t1.set_defaults(func=_cmd_table1)
@@ -627,25 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--seed", type=int, default=0)
     _add_plan_args(tol)
     tol.set_defaults(func=_cmd_tolerance)
-
-    sw = sub.add_parser(
-        "sweep", help="resumable Table 1 grid backed by an on-disk run store",
-        epilog="example: python -m repro sweep --n 9 --strategies squatter,idle "
-               "--scheduler 'synchronous,semi_synchronous(p=0.5)' --store runs/",
-    )
-    sw.add_argument("--n", type=int, default=9)
-    sw.add_argument("--strategies", default="ghost_squatter",
-                    help="comma-separated adversary strategies")
-    sw.add_argument("--serials", default=None,
-                    help="comma-separated Table 1 serials (default: all applicable)")
-    sw.add_argument("--scheduler", default="synchronous",
-                    help="comma-separated activation-scheduler specs, e.g. "
-                         "'synchronous,adversarial(window=4)' (default: "
-                         "synchronous — identical cells and store keys to "
-                         "the historical sweep)")
-    sw.add_argument("--seed", type=int, default=0)
-    _add_plan_args(sw)
-    sw.set_defaults(func=_cmd_sweep)
 
     sc = sub.add_parser(
         "scenario",

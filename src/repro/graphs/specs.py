@@ -11,7 +11,9 @@ The point is sweep dispatch: shipping a 30-byte spec to a worker process
 instead of a pickled ``2m``-entry graph, and memoising resolution
 per-process (:data:`_CACHE`), means a 20-cell strategy matrix constructs
 each graph **once per worker** instead of once per cell — and the parent
-process never serialises the graph at all.  Generators are deterministic
+process never serialises the graph at all.  The memo is bounded
+(:data:`_CACHE_BUDGET`), so a long-lived ``repro serve`` that keys many
+distinct large graphs does not keep them all.  Generators are deterministic
 functions of their arguments, so the resolved graph is ``==`` the tagged
 original and sweep records stay byte-identical to a serial run.
 
@@ -26,6 +28,8 @@ import functools
 import hashlib
 import inspect
 import math
+import threading
+from collections import OrderedDict
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
@@ -60,10 +64,20 @@ class GraphSpec(NamedTuple):
 #: :mod:`repro.graphs.generators` at import time).
 _REGISTRY: Dict[str, Callable[..., PortLabeledGraph]] = {}
 
-#: Per-process memo: spec -> resolved graph.  In a sweep worker this is
-#: exactly the "construct each graph once per worker" cache.  Entries are
-#: immutable graphs, safe to share across cells.
-_CACHE: Dict[GraphSpec, PortLabeledGraph] = {}
+#: Per-process memo: spec -> resolved graph, least recently resolved
+#: first.  In a sweep worker this is exactly the "construct each graph
+#: once per worker" cache.  Entries are immutable graphs, safe to share
+#: across cells and threads.
+_CACHE: OrderedDict[GraphSpec, PortLabeledGraph] = OrderedDict()
+_CACHE_LOCK = threading.Lock()
+#: Nodes + edges of the graphs in :data:`_CACHE`.
+_cache_held = 0
+
+#: The most nodes + edges the memo's graphs may total (a CSR graph takes
+#: ~130 bytes per node or edge, so ~13 MB).  Past it the least recently
+#: resolved spec is evicted first; the latest is always kept.  A graph
+#: large enough to evict costs far more to simulate than to rebuild.
+_CACHE_BUDGET = 100_000
 
 
 def register_family(name: str, fn: Callable[..., PortLabeledGraph]) -> None:
@@ -96,22 +110,35 @@ def tagged(fn: Callable[..., PortLabeledGraph]) -> Callable[..., PortLabeledGrap
 
 def resolve_spec(spec: GraphSpec) -> PortLabeledGraph:
     """Rebuild (or fetch from the per-process memo) the graph for ``spec``."""
-    graph = _CACHE.get(spec)
-    if graph is None:
-        if spec.family not in _REGISTRY:
-            # A worker may resolve before anything imported the generators.
-            from . import generators  # noqa: F401  (import populates the registry)
-        fn = _REGISTRY.get(spec.family)
-        if fn is None:
-            raise ConfigurationError(f"unknown graph family {spec.family!r}")
-        graph = fn(**dict(spec.args))
-        _CACHE[spec] = graph
+    global _cache_held
+    with _CACHE_LOCK:
+        graph = _CACHE.get(spec)
+        if graph is not None:
+            _CACHE.move_to_end(spec)
+            return graph
+    if spec.family not in _REGISTRY:
+        # A worker may resolve before anything imported the generators.
+        from . import generators  # noqa: F401  (import populates the registry)
+    fn = _REGISTRY.get(spec.family)
+    if fn is None:
+        raise ConfigurationError(f"unknown graph family {spec.family!r}")
+    graph = fn(**dict(spec.args))
+    with _CACHE_LOCK:
+        if spec not in _CACHE:  # another thread may have resolved it meanwhile
+            _CACHE[spec] = graph
+            _cache_held += graph.n + graph.m
+        while _cache_held > _CACHE_BUDGET and len(_CACHE) > 1:
+            _, evicted = _CACHE.popitem(last=False)
+            _cache_held -= evicted.n + evicted.m
     return graph
 
 
 def clear_spec_cache() -> None:
-    """Drop the per-process memo (tests; long-lived servers with churn)."""
-    _CACHE.clear()
+    """Drop the per-process memo (tests)."""
+    global _cache_held
+    with _CACHE_LOCK:
+        _CACHE.clear()
+        _cache_held = 0
 
 
 def canonicalize_spec(spec: GraphSpec) -> GraphSpec:

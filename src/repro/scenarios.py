@@ -56,7 +56,7 @@ JSON scenario files
                                "args": {"n": 9, "seed": 0}},
      "strategy": "squatter", "f": "max", "seed": 0}
 
-which hits exactly the same store cell as the equivalent ``repro sweep``
+which hits exactly the same store cell as the equivalent ``repro table1``
 invocation.  An optional ``"scheduler"`` field selects a non-default
 activation model (``"semi_synchronous(p=0.5)"`` etc. — see
 :mod:`repro.sim.schedulers` and EXPERIMENTS.md); like every axis, its

@@ -320,20 +320,6 @@ class ServeApp:
 # Lifecycle
 # --------------------------------------------------------------------- #
 
-def _build_service(
-    store: Optional[RunStore],
-    workers: int,
-    queue_size: int,
-    policy: Optional[ExecutionPolicy],
-    faults: Optional[FaultPlan],
-    round_every: int,
-) -> DispersionService:
-    return DispersionService(
-        store=store, workers=workers, queue_size=queue_size,
-        policy=policy, faults=faults, round_every=round_every,
-    )
-
-
 class ServerThread:
     """The full serve stack on a background thread (tests, benchmarks,
     the README tour, and ``tools/load_serve.py`` all boot through this).
@@ -354,7 +340,12 @@ class ServerThread:
         faults: Optional[FaultPlan] = None,
         round_every: int = 100,
     ):
-        self._config = (store, workers, queue_size, policy, faults, round_every)
+        self.store = store
+        self.workers = workers
+        self.queue_size = queue_size
+        self.policy = policy
+        self.faults = faults
+        self.round_every = round_every
         self.host = host
         self.port = port
         self.service: Optional[DispersionService] = None
@@ -406,7 +397,10 @@ class ServerThread:
             ready.set()
 
     async def _amain(self, ready: threading.Event) -> None:
-        service = _build_service(*self._config)
+        service = DispersionService(
+            store=self.store, workers=self.workers, queue_size=self.queue_size,
+            policy=self.policy, faults=self.faults, round_every=self.round_every,
+        )
         app = ServeApp(service)
         server = await asyncio.start_server(app.handle, self.host, self.port)
         self.port = server.sockets[0].getsockname()[1]
@@ -433,8 +427,8 @@ def run_server(
     """Blocking entry point behind ``repro serve`` (Ctrl-C to stop)."""
 
     async def main() -> None:
-        service = _build_service(store, workers, queue_size, policy, None,
-                                 round_every)
+        service = DispersionService(store=store, workers=workers, queue_size=queue_size,
+                                    policy=policy, round_every=round_every)
         app = ServeApp(service)
         server = await asyncio.start_server(app.handle, host, port)
         bound = server.sockets[0].getsockname()

@@ -281,7 +281,7 @@ class DispersionService:
 
         ``execute_plan`` with this service's shared store performs the
         same resume check, the same solver invocation, and the same
-        ``store.put`` as ``repro scenario`` / ``repro sweep``; stored
+        ``store.put`` as ``repro scenario`` / ``repro table1``; stored
         bytes are identical by construction.  A progress sink streams
         sampled rounds back to the event loop.
         """

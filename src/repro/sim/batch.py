@@ -98,9 +98,6 @@ class BatchWorld:
         self.settled_node = np.full(shape, -1, dtype=np.int64)
         self.terminated = np.zeros(shape, dtype=bool)
         self.honest = np.ones(shape, dtype=bool)
-        #: sleep counters (rounds to skip); unused by the synchronous
-        #: Theorem 1 program but part of the engine's state contract
-        self.sleep = np.zeros(shape, dtype=np.int64)
         self.round = 0
         #: per-simulation completion (all honest robots terminated)
         self.done = np.zeros(n_sims, dtype=bool)

@@ -40,8 +40,8 @@ class _SeedReadPaths:
     every :meth:`colocated` call and resolved
     :meth:`colocated_at_round_start` by scanning the eager snapshot of the
     *entire* population.  The optimized engine replaced both; these
-    variants keep the old cost model so benchmark comparisons are honest
-    and behaviour stays pinned to the original read semantics.
+    variants keep those original reads, so the reference pins the read
+    semantics every engine change is compared against.
     """
 
     def colocated(self) -> List[PublicView]:

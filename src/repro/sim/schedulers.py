@@ -44,7 +44,7 @@ Specs and determinism
 Schedulers are addressed by **canonical spec strings** — the left column
 above — exactly like adversary strategies are addressed by registry
 names: a spec is what a :class:`~repro.scenarios.Scenario` serializes,
-what ``repro sweep --scheduler`` parses, and what joins the run-store
+what ``repro table1 --scheduler`` parses, and what joins the run-store
 cell key (the ``synchronous`` default canonicalises *out* of the key, so
 every pre-existing store cell stays warm).  :func:`parse_scheduler`
 accepts positional or named arguments (``semi_synchronous(0.5)`` ==

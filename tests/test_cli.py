@@ -2,7 +2,24 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis import experiments
+from repro.analysis.store import RunStore
+from repro.cli import _sample_graph, build_parser, main
+from repro.scenarios import table1_grid
+
+
+def column(out, name):
+    """The cells of column ``name`` in the first table printed to ``out``
+    (its header is the first line holding a `` | ``)."""
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if " | " in line)
+    index = [c.strip() for c in lines[at].split(" | ")].index(name)
+    rows = []
+    for line in lines[at + 2:]:
+        if " | " not in line:
+            break
+        rows.append(line.split(" | ")[index].strip())
+    return rows
 
 
 class TestParser:
@@ -29,7 +46,7 @@ class TestCommands:
         rc = main(["run", "--row", "5", "--n", "8", "--strategy", "squatter"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "success          : True" in out
+        assert column(out, "success") == ["True"]
 
     def test_run_explicit_f(self, capsys):
         rc = main(["run", "--row", "7", "--n", "8", "--f", "1", "--strategy", "id_cycler"])
@@ -120,7 +137,7 @@ class TestSweep:
         ]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "Sweep (n=8" in cold
+        assert "Table 1 reproduction (n=8" in cold
         assert "0 cell(s) answered from cache, 4 computed" in cold
         assert (store / "meta.json").exists()
         assert any(p.name.startswith("shard-") for p in store.iterdir())
@@ -150,3 +167,48 @@ class TestSweep:
                    "--serials", "99"])
         assert rc == 1
         assert "nothing ran" in capsys.readouterr().out
+
+
+class TestOneTable1Command:
+    """`table1` and its alias `sweep` are one command with one flag set."""
+
+    def test_alias_and_spellings_print_identical_output(self, capsys):
+        assert main(["table1", "--n", "8", "--strategy", "squatter"]) == 0
+        table1 = capsys.readouterr().out
+        assert main(["sweep", "--n", "8", "--strategies", "squatter"]) == 0
+        assert capsys.readouterr().out == table1
+
+    def test_store_holds_exactly_table1_grid_keys(self, tmp_path, capsys):
+        """perfbench's `table1` workload runs `table1_grid(g, [s], seed)`
+        on the premise that `repro table1 --strategy s` runs that plan:
+        the same cells and store keys, however the flags are spelled."""
+        expected = table1_grid(_sample_graph(8, True, 0), ["squatter"], seed=0).keys()
+        spellings = [
+            ["table1", "--strategy", "squatter"],
+            ["table1", "--strategies", "squatter", "--scheduler", "synchronous"],
+            ["sweep", "--strategies", "squatter"],
+        ]
+        for i, argv in enumerate(spellings):
+            store = tmp_path / str(i)
+            assert main([*argv, "--n", "8", "--store", str(store)]) == 0
+            assert f"0 cell(s) answered from cache, {len(expected)} computed" \
+                in capsys.readouterr().out
+            assert sorted(RunStore(str(store)).keys()) == sorted(expected)
+
+    def test_table1_with_no_applicable_cells_fails(self, capsys):
+        rc = main(["table1", "--n", "8", "--serials", "99"])
+        assert rc == 1
+        assert "nothing ran" in capsys.readouterr().out
+
+    def test_quarantined_run_prints_the_shared_table(self, monkeypatch, capsys):
+        def always_failing(cell):
+            raise RuntimeError("injected CLI fault")
+
+        monkeypatch.setattr(experiments, "_cell_records", always_failing)
+        rc = main(["run", "--row", "5", "--n", "8", "--strategy", "idle",
+                   "--retries", "0"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "Quarantined cells (1)" in out
+        assert "injected CLI fault" in out
+        assert column(out, "success") == ["False"]

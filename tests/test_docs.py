@@ -117,3 +117,33 @@ def test_link_checker_sees_through_fences(tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "DOC_GLOBS", ("*.md",))
     errors = check_docs.check_relative_links()
     assert errors == ["DOC.md: broken link (missing.md)"]
+
+
+def test_cli_invocations_in_docs_parse():
+    assert check_docs.check_cli_invocations() == []
+
+
+def test_cli_invocations_catch_an_unknown_flag(tmp_path, monkeypatch):
+    # Every quoted `python -m repro ...` must parse; continuations are
+    # joined, and placeholders, bare mentions and CHANGES.md are skipped.
+    (tmp_path / "DOC.md").write_text(
+        "Run `python -m repro table1 --n 9 --strategy squatter` or\n"
+        "```sh\n"
+        "python -m repro sweep --strategies squatter,idle \\\n"
+        "    --scheduler 'synchronous,adversarial(window=4)'  # two schedulers\n"
+        "python -m repro table1 --n 9 --bogus 1\n"
+        "python -m repro <command> --help\n"
+        "```\n"
+        "The entry point is `python -m repro`.\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "CHANGES.md").write_text(
+        "- `python -m repro bench --suite all` (since deleted)\n", encoding="utf-8"
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_GLOBS", ("*.md",))
+    errors = check_docs.check_cli_invocations()
+    assert errors == [
+        "DOC.md: `python -m repro table1 --n 9 --bogus 1` does not parse "
+        "(repro: error: unrecognized arguments: --bogus 1)"
+    ]

@@ -14,6 +14,9 @@ from a generator graph's port table — are pickled whole.  Both must
 return records identical to serial, and to each other.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.analysis import experiments
@@ -21,7 +24,10 @@ from repro.analysis.experiments import _cell_records, _wire_cell
 from repro.core import get_row
 from repro.core.runner import Table1Row
 from repro.errors import ConfigurationError
-from repro.graphs import GraphSpec, PortLabeledGraph, random_connected, spec_of
+from repro.graphs import (
+    GraphSpec, PortLabeledGraph, clear_spec_cache, random_connected, resolve_spec, spec_of,
+)
+from repro.graphs import specs
 from repro.scenarios import Scenario, grid, scaling_grid, table1_grid, tolerance_grid
 
 
@@ -112,6 +118,77 @@ class TestSpecDispatch:
     def test_strategy_matrix_spec_vs_serial(self, g):
         plan = grid(rows=[4, 5], graphs=g, strategies=["squatter", "idle"], f="max")
         assert plan.run(workers=2) == plan.run()
+
+
+class TestSpecMemo:
+    """The per-process ``resolve_spec`` memo is bounded by the total size
+    (nodes + edges) of the graphs it holds, evicting the least recently
+    resolved spec first, so a long-lived server does not keep every
+    graph it ever keyed."""
+
+    def test_memo_stays_within_its_budget(self, monkeypatch):
+        originals = [random_connected(30, seed=s) for s in range(6)]
+        wanted = [spec_of(g) for g in originals]
+        budget = 3 * max(g.n + g.m for g in originals)
+        monkeypatch.setattr(specs, "_CACHE_BUDGET", budget)
+        built = []
+        generator = specs._REGISTRY["random_connected"]
+
+        def counted(**args):
+            built.append(args)
+            return generator(**args)
+
+        monkeypatch.setitem(specs._REGISTRY, "random_connected", counted)
+        clear_spec_cache()
+        try:
+            graphs = [resolve_spec(spec) for spec in wanted]
+            held = list(specs._CACHE.values())
+            assert sum(g.n + g.m for g in held) <= budget
+            assert 0 < len(held) < len(wanted)
+            # The latest spec is still a hit: one generator call for it.
+            assert resolve_spec(wanted[-1]) is graphs[-1]
+            assert len(built) == len(wanted)
+            # An evicted spec rebuilds an equal graph.
+            assert wanted[0] not in specs._CACHE
+            rebuilt = resolve_spec(wanted[0])
+            assert rebuilt is not graphs[0] and rebuilt == graphs[0] == originals[0]
+            assert len(built) == len(wanted) + 1
+        finally:
+            clear_spec_cache()
+
+    def test_memo_under_concurrent_resolution(self, monkeypatch):
+        # serve resolves from its compute and keying threads at once:
+        # hits, inserts and evictions must not race (a lost update would
+        # raise, leak the size count or break the budget).
+        originals = [random_connected(12, seed=s) for s in range(8)]
+        budget = 3 * max(g.n + g.m for g in originals)
+        monkeypatch.setattr(specs, "_CACHE_BUDGET", budget)
+        clear_spec_cache()
+        errors = []
+
+        def resolve_all(offset):
+            try:
+                for i in range(200):
+                    g = originals[(offset + i) % len(originals)]
+                    assert resolve_spec(spec_of(g)) == g
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=resolve_all, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        held = sum(g.n + g.m for g in specs._CACHE.values())
+        assert held == specs._cache_held <= budget
+        clear_spec_cache()
 
 
 def _fake_row(solver):

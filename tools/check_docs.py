@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: execute the README quickstart and validate Markdown links.
 
-Two checks, both deterministic and network-free:
+Six checks, all deterministic and network-free:
 
 1. **Quickstart execution** — every ```python code block in README.md is
    executed, in order, in one shared namespace.  The quickstart is the
@@ -26,13 +26,24 @@ Two checks, both deterministic and network-free:
    document or a section that is not there.  A ``§`` reference after a
    doc name always fails: the docs have no numbered sections to check
    it against.
+6. **CLI invocations parse** — every ``repro`` invocation quoted after
+   ``python -m`` in the Markdown docs (CHANGES.md, which is history,
+   excepted), in ``repro.cli``'s module docstring and in its ``--help``
+   epilogs must be accepted by ``repro.cli.build_parser()`` (``--help``
+   exiting 0 counts), so the docs cannot quote a flag or a command that
+   does not exist.  Backslash continuations are joined; an invocation with
+   a ``<placeholder>`` or with no arguments is skipped.
 
 Run:  python tools/check_docs.py   (exit 0 = docs healthy)
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -117,23 +128,24 @@ def iter_relative_links(path: Path) -> List[Tuple[str, str]]:
     return out
 
 
+def _doc_paths() -> List[Path]:
+    """The Markdown docs matched by :data:`DOC_GLOBS`, each once."""
+    found = (p for pattern in DOC_GLOBS for p in sorted(REPO_ROOT.glob(pattern)))
+    return [p for p in dict.fromkeys(found) if p.is_file()]
+
+
 def check_relative_links() -> List[str]:
     """Dangling relative links across the repo's Markdown docs."""
     errors = []
-    seen = set()
-    for pattern in DOC_GLOBS:
-        for path in sorted(REPO_ROOT.glob(pattern)):
-            if path in seen or not path.is_file():
+    for path in _doc_paths():
+        for raw, stripped in iter_relative_links(path):
+            if not stripped:  # pure-anchor link into the same file
                 continue
-            seen.add(path)
-            for raw, stripped in iter_relative_links(path):
-                if not stripped:  # pure-anchor link into the same file
-                    continue
-                resolved = (path.parent / stripped).resolve()
-                if not resolved.exists():
-                    errors.append(
-                        f"{path.relative_to(REPO_ROOT)}: broken link ({raw})"
-                    )
+            resolved = (path.parent / stripped).resolve()
+            if not resolved.exists():
+                errors.append(
+                    f"{path.relative_to(REPO_ROOT)}: broken link ({raw})"
+                )
     return errors
 
 
@@ -171,6 +183,55 @@ def check_md_references() -> List[str]:
                     errors.append(f"{where}: cites {name} {section}; quote a heading instead")
                 elif not any(h.startswith(title) for h in _headings(docs[name])):
                     errors.append(f'{where}: cites {name} "{title}", which begins no heading')
+    return errors
+
+
+#: A quoted ``python -m repro ...`` (or ``... -m repro ...``) invocation:
+#: its arguments run to the end of the line or of the inline code span,
+#: or to a shell operator.
+_INVOCATION_RE = re.compile(r"-m repro\b([^`\n|;&>]*)")
+
+
+def _epilogs(parser: argparse.ArgumentParser) -> List[str]:
+    """The ``--help`` epilogs of every subcommand of ``parser``, nested
+    ones included."""
+    out = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in dict.fromkeys(action.choices.values()):  # aliases share a parser
+                out.extend([sub.epilog or "", *_epilogs(sub)])
+    return out
+
+
+def check_cli_invocations() -> List[str]:
+    """Quoted ``python -m repro`` invocations the CLI parser rejects."""
+    src = REPO_ROOT / "src"
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    from repro import cli  # noqa: PLC0415 - after sys.path setup
+
+    parser = cli.build_parser()
+    texts = [("src/repro/cli.py", text) for text in [cli.__doc__ or "", *_epilogs(parser)]]
+    texts += [(str(path.relative_to(REPO_ROOT)), path.read_text(encoding="utf-8"))
+              for path in _doc_paths() if path.name != "CHANGES.md"]
+    errors = []
+    for where, text in texts:
+        for match in _INVOCATION_RE.finditer(re.sub(r"\\\n\s*", " ", text)):
+            quoted = f"`python -m repro {match.group(1).strip()}`"
+            stderr = io.StringIO()
+            try:
+                argv = shlex.split(match.group(1), comments=True)
+                if not argv or any("<" in arg for arg in argv):
+                    continue
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    parser.parse_args(argv)
+            except ValueError as exc:  # shlex: an unclosed quote
+                errors.append(f"{where}: {quoted} does not split ({exc})")
+            except SystemExit as exc:
+                if exc.code:
+                    reason = stderr.getvalue().strip().splitlines()[-1]
+                    errors.append(f"{where}: {quoted} does not parse ({reason})")
     return errors
 
 
@@ -274,6 +335,7 @@ def main() -> int:
     errors.extend(check_md_references())
     errors.extend(check_lint_registry())
     errors.extend(check_eval_registry())
+    errors.extend(check_cli_invocations())
     readme = REPO_ROOT / "README.md"
     if not readme.is_file():
         errors.append("README.md is missing")
@@ -284,7 +346,8 @@ def main() -> int:
     if not errors:
         print(
             "docs ok: README quickstart ran, all relative links and "
-            "doc names and sections cited in code resolve"
+            "doc names and sections cited in code resolve, every quoted "
+            "CLI invocation parses"
         )
     return 1 if errors else 0
 
