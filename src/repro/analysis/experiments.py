@@ -125,17 +125,15 @@ KINDS = ("table1", "tolerance", "scaling")
 DEFAULT_CHUNK = 1
 
 
-def _solver_extras(placement: str, max_rounds: Optional[int], scheduler: str) -> Dict:
-    """Non-default solver kwargs only, so the default call stays
-    bit-for-bit the historical one."""
-    extras: Dict = {}
-    if placement != "lowest":
-        extras["byz_placement"] = placement
-    if max_rounds is not None:
-        extras["max_rounds"] = max_rounds
-    if scheduler != "synchronous":
-        extras["scheduler"] = scheduler
-    return extras
+#: The solver keyword of each scenario axis whose name differs from it.
+_SOLVER_KWARGS = {"placement": "byz_placement", "rounds": "max_rounds"}
+
+
+def _solver_extras(scenario: Scenario) -> Dict:
+    """The scenario's non-default axes as solver keywords, so a default
+    cell calls its solver exactly as before any axis existed."""
+    return {_SOLVER_KWARGS.get(name, name): value
+            for name, value in scenario.axes().items()}
 
 
 def _record(
@@ -185,9 +183,7 @@ def cell_key_of(scenario: Scenario, fingerprint=None) -> str:
         adversary=Adversary(scenario.strategy, seed=scenario.seed).descriptor(),
         f=scenario.resolved_f(),
         seed=scenario.seed,
-        placement=scenario.placement,
-        rounds=scenario.rounds,
-        scheduler=scenario.scheduler,
+        **scenario.axes(),
     )
 
 
@@ -208,8 +204,7 @@ def _cell_records(scenario: Scenario) -> List[Dict]:
     try:
         report = row.solver(
             graph, f=f, adversary=Adversary(scenario.strategy, seed=scenario.seed),
-            seed=scenario.seed,
-            **_solver_extras(scenario.placement, scenario.rounds, scenario.scheduler),
+            seed=scenario.seed, **_solver_extras(scenario),
         )
     except ReproError as exc:
         if scenario.kind != "tolerance":
@@ -353,12 +348,7 @@ def _failure_records(
     f = scenario.resolved_f()
     if f is not None:
         rec["f"] = f
-    if scenario.placement != "lowest":
-        rec["placement"] = scenario.placement
-    if scenario.rounds is not None:
-        rec["rounds"] = scenario.rounds
-    if scenario.scheduler != "synchronous":
-        rec["scheduler"] = scenario.scheduler
+    rec.update(scenario.axes())
     return [rec]
 
 
@@ -668,7 +658,9 @@ def execute_plan(
     chunks are persisted in *completion* order (a slow first cell cannot
     hold finished work out of the store) while the returned list is
     reassembled in submission order — record values and order are
-    deterministic regardless of scheduling.
+    deterministic regardless of scheduling.  A cell repeated in the plan
+    (the same key in several slots) is looked up, solved and stored
+    once; each repeat gets its own copy of the first slot's records.
 
     Compatible pending cells — same graph fingerprint, solver serial,
     strategy, scheduler, and round budget, differing only in
@@ -700,12 +692,21 @@ def execute_plan(
     #: graph id -> fingerprint: a rows x strategies grid shares one
     #: graph, so hash its CSR/spec once, not once per cell.
     fingerprints: Dict[int, object] = {}
+    #: key -> the first slot holding it, and (slot, first slot) for each
+    #: repeat: a repeated cell is solved and stored once.
+    first: Dict[str, int] = {}
+    repeats: List[Tuple[int, int]] = []
     for i, scenario in enumerate(scenarios):
         fp = fingerprints.get(id(scenario.graph))
         if fp is None:
             fp = graph_fingerprint(scenario.graph)
             fingerprints[id(scenario.graph)] = fp
-        keys.append(cell_key_of(scenario, fingerprint=fp))
+        key = cell_key_of(scenario, fingerprint=fp)
+        keys.append(key)
+        j = first.setdefault(key, i)
+        if j != i:
+            repeats.append((i, j))
+            continue
         if store is not None and resume:
             cached = store.get(keys[i])
             if cached is not None:
@@ -761,4 +762,6 @@ def execute_plan(
     else:
         _execute_serial(scenarios, pending, keys, policy, faults,
                         _finish, _quarantine)
+    for i, j in repeats:
+        results[i] = [dict(rec) for rec in results[j]]
     return results

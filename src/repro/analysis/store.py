@@ -86,9 +86,7 @@ def cell_key(
     f: Optional[int],
     seed: int,
     schema_version: int = SCHEMA_VERSION,
-    placement: str = "lowest",
-    rounds: Optional[int] = None,
-    scheduler: str = "synchronous",
+    **axes: object,
 ) -> str:
     """Canonical content hash identifying one sweep cell.
 
@@ -99,13 +97,13 @@ def cell_key(
     Two cells collide exactly when they would run the identical solver
     invocation under the identical record schema.
 
-    ``placement`` (Byzantine placement), ``rounds`` (round budget), and
-    ``scheduler`` (canonical activation-scheduler spec, see
-    :mod:`repro.sim.schedulers`) join the hashed payload **only at
-    non-default values**: a default cell's key is bit-identical to the
-    PR-3 key, so existing stores stay warm as new axes are introduced —
-    and no schema bump is needed when an axis arrives, because default
-    records are unchanged and non-default cells cannot alias old keys.
+    ``axes`` are hashed as given; the caller passes
+    :meth:`Scenario.axes() <repro.scenarios.Scenario.axes>`, the axes set
+    away from their :data:`~repro.scenarios.AXES` defaults.  A default
+    cell passes none, so its key is the one it had before any axis
+    existed: existing stores stay warm as axes are introduced, and no
+    schema bump is needed when one arrives, because default records are
+    unchanged and non-default cells cannot alias old keys.
     """
     config = {
         "kind": kind,
@@ -115,13 +113,8 @@ def cell_key(
         "f": f,
         "seed": seed,
         "schema": schema_version,
+        **axes,
     }
-    if placement != "lowest":
-        config["placement"] = placement
-    if rounds is not None:
-        config["rounds"] = rounds
-    if scheduler != "synchronous":
-        config["scheduler"] = scheduler
     payload = _canonical_json(config)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -138,9 +131,8 @@ class RunStore:
     command prints its hits and puts after its records).
     """
 
-    def __init__(self, path: str, schema_version: int = SCHEMA_VERSION):
+    def __init__(self, path: str):
         self.path = str(path)
-        self.schema_version = schema_version
         try:
             os.makedirs(self.path, exist_ok=True)
         except OSError as exc:
@@ -181,11 +173,11 @@ class RunStore:
             #: other versions simply never hit (version is in the key).
             self.created_schema_version = meta.get("schema_version")
             return
-        self.created_schema_version = self.schema_version
+        self.created_schema_version = SCHEMA_VERSION
         tmp = meta_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(
-                {"format": "repro-run-store", "schema_version": self.schema_version},
+                {"format": "repro-run-store", "schema_version": SCHEMA_VERSION},
                 fh,
                 sort_keys=True,
             )
@@ -467,7 +459,7 @@ class RunStore:
         return {
             "path": self.path,
             "format": "repro-run-store",
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "created_schema_version": self.created_schema_version,
             "shards": len(shards),
             "cells": len(self._index),
@@ -488,5 +480,5 @@ class RunStore:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RunStore({self.path!r}, entries={len(self._index)}, "
-            f"schema_version={self.schema_version})"
+            f"schema_version={SCHEMA_VERSION})"
         )

@@ -14,9 +14,8 @@ Commands
 ``strategies``   list the adversary zoo and the activation schedulers
 ``lint``         determinism linter: static AST checks proving the
                  byte-identity rules (seeded RNG only, no wall clocks,
-                 sorted iteration, canonical JSON, scenario-axis
-                 canonicalisation, exception hygiene); nonzero exit on
-                 findings, ``--format json`` for tooling
+                 sorted iteration, canonical JSON, exception hygiene);
+                 nonzero exit on findings, ``--format json`` for tooling
 ``serve``        dispersion-as-a-service: asyncio HTTP server over a
                  run store (warm cells answered with zero solver calls,
                  single-flight dedup, bounded-queue backpressure, live
@@ -228,12 +227,9 @@ def _cmd_run(args) -> int:
         # breakdown, violation messages) that the flat record pipeline
         # cannot carry.  Uncached and serial by design.
         f = row.f_max(graph) if args.f is None else args.f
-        extras = {}
-        if scheduler != "synchronous":
-            extras["scheduler"] = scheduler
         report = row.solver(
             graph, f=f, adversary=Adversary(args.strategy, seed=args.seed),
-            seed=args.seed, **extras,
+            seed=args.seed, scheduler=scheduler,
         )
         print(f"row {row.serial} (Theorem {row.theorem}), n={graph.n}, f={f}, "
               f"strategy={args.strategy}")
@@ -646,9 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--round-every", dest="round_every", type=int, default=100,
                     help="SSE round-progress sampling stride (default: "
                          "every 100 rounds)")
-    sv.add_argument("--timeout", type=float, default=None,
-                    help="per-cell wall-clock budget in seconds "
-                         "(default: none)")
     sv.add_argument("--retries", type=int, default=2,
                     help="retries before a failing cell is quarantined "
                          "(default: 2)")

@@ -16,7 +16,6 @@ import os
 from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
-from .report import EXPECTED_FORMAT
 
 __all__ = [
     "expected_filename",
@@ -133,7 +132,3 @@ def compare_payloads(expected: Dict, fresh: Dict,
                     )
     return drift
 
-
-# Re-exported for symmetry: writers validate against the same constant
-# the report stamps into payloads.
-FORMAT = EXPECTED_FORMAT

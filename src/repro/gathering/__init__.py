@@ -1,20 +1,17 @@
 """Gathering substrates: oracle-charged prior work + real rendezvous."""
 
 from .oracle import (
-    GatheringCharge,
     canonical_gather_node,
     hirose_gathering_rounds,
     strong_gathering_rounds,
     weak_gathering_rounds,
 )
-from .rendezvous import canonical_node_on_map, rendezvous_walk
+from .rendezvous import rendezvous_walk
 
 __all__ = [
-    "GatheringCharge",
     "canonical_gather_node",
     "weak_gathering_rounds",
     "hirose_gathering_rounds",
     "strong_gathering_rounds",
-    "canonical_node_on_map",
     "rendezvous_walk",
 ]

@@ -19,7 +19,6 @@ gathering strictly as a black box, so downstream behaviour is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigurationError
@@ -28,21 +27,11 @@ from ..graphs.isomorphism import canonical_form
 from ..graphs.port_labeled import PortLabeledGraph
 
 __all__ = [
-    "GatheringCharge",
     "weak_gathering_rounds",
     "hirose_gathering_rounds",
     "strong_gathering_rounds",
     "canonical_gather_node",
 ]
-
-
-@dataclass(frozen=True)
-class GatheringCharge:
-    """A priced gathering outcome: where everyone meets and what it cost."""
-
-    node: int
-    rounds: int
-    method: str
 
 
 def canonical_gather_node(graph: PortLabeledGraph) -> int:

@@ -15,32 +15,14 @@ zero oracle charges.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator
 
-from ..graphs.isomorphism import canonical_form
 from ..graphs.port_labeled import PortLabeledGraph
 from ..graphs.traversal import navigate
 from ..sim.robot import MOVES, Action, RobotAPI
+from .oracle import canonical_gather_node
 
-__all__ = ["canonical_node_on_map", "rendezvous_walk"]
-
-
-def canonical_node_on_map(map_graph: PortLabeledGraph) -> int:
-    """The map node with lexicographically smallest rooted canonical form.
-
-    Because the canonical form is invariant under port-preserving
-    isomorphism, robots holding isomorphic private maps select the *same
-    real node* even though their private labels differ.  On
-    view-distinguishable graphs the minimum is unique (all forms differ).
-    """
-    best_node = 0
-    best_form = None
-    for v in range(map_graph.n):
-        form = canonical_form(map_graph, v)
-        if best_form is None or form < best_form:
-            best_form = form
-            best_node = v
-    return best_node
+__all__ = ["rendezvous_walk"]
 
 
 def rendezvous_walk(
@@ -50,9 +32,14 @@ def rendezvous_walk(
 ) -> Iterator[Action]:
     """Walk from ``map_pos`` to the canonical node; yields one move/round.
 
-    Returns (via StopIteration) after arriving; at most ``n − 1`` rounds.
+    The target is :func:`~repro.gathering.oracle.canonical_gather_node`
+    of the private map: the canonical form is invariant under
+    port-preserving isomorphism, so robots holding isomorphic maps pick
+    the *same real node* although their private labels differ (on
+    view-distinguishable graphs the minimum is unique).  Returns (via
+    StopIteration) after arriving; at most ``n − 1`` rounds.
     Generator-composable into larger programs with ``yield from``.
     """
-    target = canonical_node_on_map(map_graph)
+    target = canonical_gather_node(map_graph)
     for port in navigate(map_graph, map_pos, target):
         yield MOVES[port]

@@ -1,11 +1,10 @@
 """``repro.lint`` — the determinism linter (``repro lint``).
 
 Static proofs of the byte-identity invariants the dynamic suites only
-sample: a shared AST walker (:mod:`repro.lint.base`), six checkers
+sample: a shared AST walker (:mod:`repro.lint.base`), five checkers
 targeting this repo's real nondeterminism vectors
-(:mod:`repro.lint.checkers`, :mod:`repro.lint.axis`), per-checker
-``# repro: allow-*`` pragmas, and structured findings with file:line
-anchors and fix hints.
+(:mod:`repro.lint.checkers`), per-checker ``# repro: allow-*`` pragmas,
+and structured findings with file:line anchors and fix hints.
 
 Programmatic use::
 
@@ -21,8 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from .axis import ScenarioAxisChecker
-from .base import Checker, Finding, Module, ProjectChecker, load_module, run_lint
+from .base import Checker, Finding, Module, load_module, run_lint
 from .checkers import (
     CanonicalJsonChecker,
     ExceptionHygieneChecker,
@@ -36,7 +34,6 @@ __all__ = [
     "Checker",
     "Finding",
     "Module",
-    "ProjectChecker",
     "default_lint_root",
     "lint_paths",
     "load_module",
@@ -50,7 +47,6 @@ CHECKERS: List[Checker] = [
     WallClockChecker(),
     UnorderedIterationChecker(),
     CanonicalJsonChecker(),
-    ScenarioAxisChecker(),
     ExceptionHygieneChecker(),
 ]
 

@@ -7,10 +7,9 @@ determinism and chaos suites, but those sample a handful of scenarios.
 This package checks the same invariant *statically*: a shared AST walker
 parses every file once, a registry of :class:`Checker` passes inspects
 the trees for this codebase's known nondeterminism vectors (unseeded
-RNG, wall clocks, unordered set iteration, unsorted JSON, axes missing
-from the store-key canonicalisation, overly broad exception handlers),
-and structured :class:`Finding` values come back with ``file:line``
-anchors and fix hints.
+RNG, wall clocks, unordered set iteration, unsorted JSON, overly broad
+exception handlers), and structured :class:`Finding` values come back
+with ``file:line`` anchors and fix hints.
 
 Pragmas
 -------
@@ -49,7 +48,6 @@ __all__ = [
     "Checker",
     "Finding",
     "Module",
-    "ProjectChecker",
     "load_module",
     "run_lint",
 ]
@@ -213,17 +211,6 @@ class Checker:
         raise NotImplementedError
 
 
-class ProjectChecker(Checker):
-    """A cross-module pass that sees every scanned module at once
-    (the scenario-axis canonicalisation contract spans two files)."""
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, modules: Sequence[Module]) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
 # --------------------------------------------------------------------- #
 # Import resolution (shared by the RNG and wall-clock checkers)
 # --------------------------------------------------------------------- #
@@ -331,12 +318,7 @@ def run_lint(
         checkers = [c for c in checkers if c.name in wanted]
     modules, findings = collect_modules(paths)
     for checker in checkers:
-        if isinstance(checker, ProjectChecker):
-            findings.extend(checker.check_project(
-                [m for m in modules if checker.applies_to(m)]
-            ))
-        else:
-            for module in modules:
-                if checker.applies_to(module):
-                    findings.extend(checker.check(module))
+        for module in modules:
+            if checker.applies_to(module):
+                findings.extend(checker.check(module))
     return sorted(findings, key=Finding.sort_key)

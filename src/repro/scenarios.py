@@ -42,11 +42,13 @@ constructor is the one field validator: each rejected value raises a
 :class:`~repro.errors.ValidationError` naming its field, whether the
 scenario came from Python, a grid or JSON.
 
-Default-value canonicalisation keeps old caches warm: ``placement=
-"lowest"``, ``rounds=None`` and ``scheduler="synchronous"`` (the only
-values historical sweeps could express) are omitted from the hashed key
-payload, so every key produced here is bit-identical to the PR-3 key
-for the same work.
+Default-value canonicalisation keeps old caches warm: :data:`AXES`
+names every axis added to the original cell, each with its default
+(the only value historical sweeps could express), and only the
+non-default ones (:meth:`Scenario.axes`) reach the hashed key payload,
+failure records, ``to_dict`` and the solver call.  A default-valued
+scenario therefore keys bit-identically to the same work before its
+axes existed.
 
 JSON scenario files
 -------------------
@@ -68,7 +70,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis.experiments import (
     DEFAULT_CHUNK,
@@ -90,6 +92,7 @@ from .graphs.specs import GraphSpec, canonicalize_spec, resolve_spec, spec_of
 from .sim.schedulers import canonical_scheduler
 
 __all__ = [
+    "AXES",
     "KINDS",
     "PLACEMENTS",
     "ResultSet",
@@ -104,6 +107,13 @@ __all__ = [
 
 #: Byzantine placements understood by the drivers.
 PLACEMENTS = ("lowest", "highest", "random")
+
+#: The axes added to the original ``{kind, algorithm, graph, strategy,
+#: f, seed}`` cell, in the order records and ``to_dict`` list them, each
+#: with the default at which it drops out of store keys, records and
+#: ``to_dict`` so that old stores stay warm (:meth:`Scenario.axes`).  A
+#: new axis is one entry here and a ``Scenario`` field defaulting to it.
+AXES: Dict[str, Any] = {"placement": "lowest", "rounds": None, "scheduler": "synchronous"}
 
 #: ``to_dict`` format version (bumped only if the serialized shape
 #: changes incompatibly; independent of the record-schema version).
@@ -396,7 +406,7 @@ class Scenario:
     The constructor validates every field and raises
     :class:`~repro.errors.ValidationError` naming the first bad one.
     ``key()`` is definitionally the run-store key of this cell, and
-    defaults canonicalise out of the hash — a default-valued scenario
+    only :meth:`axes` joins the hash — a default-valued scenario
     addresses exactly the cache entry it had before the non-default
     axes existed.
     """
@@ -406,10 +416,10 @@ class Scenario:
     strategy: str = "squatter"
     f: Union[int, str] = "max"
     kind: str = "table1"
-    placement: str = "lowest"
+    placement: str = AXES["placement"]
     seed: int = 0
-    rounds: Optional[int] = None
-    scheduler: str = "synchronous"
+    rounds: Optional[int] = AXES["rounds"]
+    scheduler: str = AXES["scheduler"]
 
     def __post_init__(self):
         object.__setattr__(
@@ -499,6 +509,17 @@ class Scenario:
 
     # -- derived views ------------------------------------------------- #
 
+    def axes(self) -> Dict[str, Any]:
+        """The :data:`AXES` this scenario sets away from their defaults,
+        in table order: what joins its store key, its failure records,
+        its ``to_dict`` and its solver call."""
+        out: Dict[str, Any] = {}
+        for name, default in AXES.items():
+            value = getattr(self, name)
+            if value != default:
+                out[name] = value
+        return out
+
     @property
     def serial(self) -> int:
         """The normalised Table 1 serial."""
@@ -577,10 +598,7 @@ class Scenario:
             "placement": self.placement,
             "seed": self.seed,
         }
-        if self.rounds is not None:
-            out["rounds"] = self.rounds
-        if self.scheduler != "synchronous":
-            out["scheduler"] = self.scheduler
+        out.update(self.axes())
         return out
 
     @classmethod
@@ -639,13 +657,10 @@ class Scenario:
     def describe(self) -> str:
         """One-line human-readable summary (CLI output)."""
         f = self.f if isinstance(self.f, int) else "max"
-        extras = ""
-        if self.placement != "lowest":
-            extras += f", placement={self.placement}"
-        if self.rounds is not None:
-            extras += f", rounds<={self.rounds}"
-        if self.scheduler != "synchronous":
-            extras += f", scheduler={self.scheduler}"
+        extras = "".join(
+            f", rounds<={value}" if name == "rounds" else f", {name}={value}"
+            for name, value in self.axes().items()
+        )
         g = self.graph if isinstance(self.graph, GraphSpec) else spec_of(self.graph)
         graph_desc = (
             f"{g.family}({', '.join(f'{k}={v}' for k, v in g.args)})"
@@ -838,11 +853,11 @@ def grid(
     graphs: Union[PortLabeledGraph, GraphSpec, Sequence] = (),
     strategies: Union[str, Sequence[str]] = ("squatter",),
     f: Union[int, str, Sequence] = "max",
-    schedulers: Union[str, Sequence[str]] = ("synchronous",),
+    schedulers: Union[str, Sequence[str]] = (AXES["scheduler"],),
     seeds: Union[int, Sequence[int]] = (0,),
     kind: str = "table1",
-    placement: str = "lowest",
-    rounds: Optional[int] = None,
+    placement: str = AXES["placement"],
+    rounds: Optional[int] = AXES["rounds"],
     applicable_only: bool = True,
 ) -> ScenarioGrid:
     """Declaratively expand a scenario grid.

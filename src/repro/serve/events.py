@@ -10,8 +10,8 @@ the run finished still sees the complete, deterministic transcript.
 Single-threaded by construction: every method runs on the server's
 event loop (worker threads publish via ``call_soon_threadsafe``), so no
 locks are needed.  Completed logs are retained in insertion order and
-the oldest are evicted beyond ``retain_done`` — the broker's memory is
-bounded no matter how many cells a long-lived server computes.
+the oldest are evicted beyond :data:`RETAIN_DONE` — the broker's memory
+is bounded no matter how many cells a long-lived server computes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ __all__ = ["EventBroker"]
 #: An event as the broker stores it: ``(id, name, data)``.
 Event = Tuple[int, str, dict]
 
+#: Completed logs kept for late subscribers; older ones are evicted.
+RETAIN_DONE = 64
+
+#: Per-key history cap: beyond it, *round* events stop being retained
+#: (and streamed) — terminal events always land.
+MAX_EVENTS = 4096
+
 
 @dataclass
 class _KeyLog:
@@ -37,12 +44,8 @@ class _KeyLog:
 class EventBroker:
     """Ordered event history + live subscriptions, per cell key."""
 
-    def __init__(self, retain_done: int = 64, max_events: int = 4096):
+    def __init__(self) -> None:
         self._logs: "OrderedDict[str, _KeyLog]" = OrderedDict()
-        self._retain_done = retain_done
-        #: Per-key history cap: beyond it, *round* events stop being
-        #: retained (and streamed) — terminal events always land.
-        self._max_events = max_events
 
     def known(self, key: str) -> bool:
         return key in self._logs
@@ -57,7 +60,7 @@ class EventBroker:
         log = self._logs.setdefault(key, _KeyLog())
         if log.done:
             return  # a terminal log is immutable
-        if len(log.events) >= self._max_events and not done and event == "round":
+        if len(log.events) >= MAX_EVENTS and not done and event == "round":
             return  # progress overflow: drop samples, never terminals
         item: Event = (len(log.events), event, data)
         log.events.append(item)
@@ -93,7 +96,7 @@ class EventBroker:
 
     def _evict(self) -> None:
         done_keys = [k for k, log in self._logs.items() if log.done]
-        excess = len(done_keys) - self._retain_done
+        excess = len(done_keys) - RETAIN_DONE
         for key in done_keys[:max(0, excess)]:
             del self._logs[key]
 

@@ -130,12 +130,16 @@ class DispersionService:
         policy: Optional[ExecutionPolicy] = None,
         faults: Optional[FaultPlan] = None,
         round_every: int = 100,
-        retain_done_events: int = 64,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
+        if policy is not None and policy.timeout is not None:
+            # Cells run serially in compute threads, and a thread cannot
+            # be preempted: the executor enforces a timeout only when it
+            # can kill a worker process.
+            raise ValueError("a serve policy cannot carry a timeout")
         self.store = _LockedStore(store) if store is not None else None
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.faults = faults
@@ -144,7 +148,7 @@ class DispersionService:
         #: Emit one ``round`` progress event every N completed rounds
         #: (round 0 always; terminal events are never sampled away).
         self.round_every = max(1, round_every)
-        self.broker = EventBroker(retain_done=retain_done_events)
+        self.broker = EventBroker()
         self.counters: Dict[str, int] = {
             "requests": 0,
             "warm_hits": 0,

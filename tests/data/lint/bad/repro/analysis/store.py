@@ -1,24 +1,5 @@
-"""Fixture: a cell_key that breaks the drop-at-default contract four ways,
-plus a non-canonical JSON write in a canonical-bytes module."""
+"""Fixture: a non-canonical JSON write in a canonical-bytes module."""
 import json
-
-
-def cell_key(kind, serial, graph, adversary, f, seed,
-             rounds=None, scheduler="synchronous", ghost=0,
-             schema_version=1):
-    # Base payload lost the "schema" slot: old/new schema cells alias.
-    config = {
-        "kind": kind,
-        "serial": serial,
-        "graph": graph,
-        "adversary": adversary,
-        "f": f,
-        "seed": seed,
-    }
-    # Unconditional write: every pre-existing cell re-keys.
-    config["scheduler"] = scheduler
-    # `rounds` accepted but never written; `ghost` has no Scenario field.
-    return config
 
 
 def save(config, fh):

@@ -1,11 +1,9 @@
-"""Fixture: a cell_key that mirrors the real drop-at-default contract."""
+"""Fixture: a cell_key that hashes canonical JSON, like the real one."""
 import hashlib
 import json
 
 
-def cell_key(kind, serial, graph, adversary, f, seed,
-             placement="lowest", rounds=None, scheduler="synchronous",
-             schema_version=1):
+def cell_key(kind, serial, graph, adversary, f, seed, schema_version=1, **axes):
     config = {
         "kind": kind,
         "serial": serial,
@@ -14,12 +12,7 @@ def cell_key(kind, serial, graph, adversary, f, seed,
         "f": f,
         "seed": seed,
         "schema": schema_version,
+        **axes,
     }
-    if placement != "lowest":
-        config["placement"] = placement
-    if rounds is not None:
-        config["rounds"] = rounds
-    if scheduler != "synchronous":
-        config["scheduler"] = scheduler
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -7,7 +7,6 @@ from repro.core.find_map import private_quotient_map
 from repro.errors import ConfigurationError
 from repro.gathering import (
     canonical_gather_node,
-    canonical_node_on_map,
     hirose_gathering_rounds,
     rendezvous_walk,
     strong_gathering_rounds,
@@ -106,4 +105,4 @@ class TestRealRendezvous:
         from repro.graphs import find_isomorphism
 
         iso = find_isomorphism(m, root, g, 2)
-        assert iso[canonical_node_on_map(m)] == canonical_gather_node(g)
+        assert iso[canonical_gather_node(m)] == canonical_gather_node(g)

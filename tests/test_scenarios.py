@@ -20,6 +20,7 @@ The contracts under test:
   equivalent ``repro sweep`` invocation.
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -39,6 +40,7 @@ from repro.graphs import (
     spec_of,
 )
 from repro.scenarios import (
+    AXES,
     ResultSet,
     Scenario,
     ScenarioGrid,
@@ -185,6 +187,38 @@ class TestKeyIsTheStoreKey:
         for name, entry in golden.items():
             scenario = Scenario.from_dict(entry["scenario"])
             assert scenario.key() == entry["key"], f"key drifted for {name}"
+
+
+class TestAxesTable:
+    """``AXES`` is the one drop-at-default rule: every field past the
+    original cell is an entry whose default is the field's, and each
+    axis moves the key exactly when it leaves its default."""
+
+    #: The original cell; every later field must be an ``AXES`` entry.
+    BASE_FIELDS = {"algorithm", "graph", "strategy", "f", "kind", "seed"}
+    #: One value away from the default for each axis.
+    NON_DEFAULT = {"placement": "highest", "rounds": 50,
+                   "scheduler": "semi_synchronous(p=0.5)"}
+
+    def test_every_field_is_a_base_field_or_an_axis(self):
+        fields = {f.name: f for f in dataclasses.fields(Scenario)}
+        for name, field in fields.items():
+            if name in self.BASE_FIELDS:
+                continue
+            assert name in AXES, f"field {name!r} has no AXES entry"
+            assert field.default == AXES[name], name
+        assert set(AXES) <= set(fields)
+
+    def test_an_axis_moves_the_key_only_off_its_default(self, g):
+        assert set(self.NON_DEFAULT) == set(AXES)
+        base = Scenario(algorithm=5, graph=g, strategy="idle")
+        assert base.axes() == {}
+        for name, value in self.NON_DEFAULT.items():
+            moved = dataclasses.replace(base, **{name: value})
+            assert moved.axes() == {name: value}
+            assert moved.key() != base.key(), name
+            back = dataclasses.replace(moved, **{name: AXES[name]})
+            assert back.axes() == {} and back.key() == base.key(), name
 
 
 class TestSerialization:

@@ -32,8 +32,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.scenarios as scenarios_module
 import repro.serve.service as service_module
+from repro.analysis.experiments import ExecutionPolicy
 from repro.analysis.faults import FaultPlan, FaultSpec
 from repro.analysis.store import RunStore
+from repro.cli import build_parser
 from repro.errors import ConfigurationError, ReproError, ValidationError
 from repro.graphs import PortLabeledGraph
 from repro.scenarios import Scenario, ScenarioGrid
@@ -385,6 +387,25 @@ class TestSweepEndpoint:
                 [_scenario(0), dict(SCENARIO, f="lots")])
         assert status == 400
         assert body["field"] == "scenarios[1].f"
+
+
+class TestNoServeTimeout:
+    """Serve runs each cell serially in a compute thread, which cannot be
+    preempted, so a timeout could never be enforced there."""
+
+    def test_serve_has_no_timeout_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--timeout", "5"])
+        assert exc.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+
+    def test_service_rejects_a_timeout_policy(self):
+        async def build():
+            return service_module.DispersionService(
+                policy=ExecutionPolicy(timeout=5.0))
+
+        with pytest.raises(ValueError, match="timeout"):
+            asyncio.run(build())
 
 
 class TestHttpSurface:

@@ -383,3 +383,24 @@ class TestExecutePlan:
         for a, b in zip(fresh, warm):
             assert list(a.keys()) == list(b.keys())
             assert all(type(a[k]) is type(b[k]) for k in a)
+
+    def test_repeated_cell_is_solved_and_stored_once(self, g, store, monkeypatch):
+        """A plan naming one cell in several slots (``grid`` with a
+        repeated axis value) solves and stores it once; every slot still
+        gets its own record dicts, in plan order."""
+        s = Scenario(5, g, "idle", seed=0)
+        t = Scenario(5, g, "squatter", seed=0)
+        reference = {cell: execute_plan([cell])[0] for cell in (s, t)}
+        calls = []
+        real = experiments._cell_records
+
+        def counting(cell):
+            calls.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(experiments, "_cell_records", counting)
+        lists = execute_plan([s, s, t, s], store=store)
+        assert calls == [s, t]
+        assert lists == [reference[s], reference[s], reference[t], reference[s]]
+        assert len({id(rec) for recs in lists for rec in recs}) == 4
+        assert store.puts == 2 and len(store) == 2
