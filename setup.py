@@ -9,7 +9,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.19.0",
+    version="1.20.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},

@@ -114,7 +114,7 @@ from .sim import (
     parse_scheduler,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "__version__",

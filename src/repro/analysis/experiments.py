@@ -50,19 +50,20 @@ Sweep plans and the run store
 -----------------------------
 The executor optionally carries a
 :class:`~repro.analysis.store.RunStore`: completed cells are streamed to
-the store **as they finish** (chunked sliding-window submission, results
-reassembled in submission order), and on a re-run with ``resume=True``
-every cell whose content key is already present is answered from disk
-without touching a solver.  Record lists stay byte-identical to a
-serial, store-less run in every mode — serial, ``workers>1``,
-resumed-from-partial-store, and fully warm (zero solver calls).
+the store **as they finish** (one pool task per cell in a sliding
+window, results reassembled in submission order), and on a re-run with
+``resume=True`` every cell whose content key is already present is
+answered from disk without touching a solver.  Record lists stay
+byte-identical to a serial, store-less run in every mode — serial,
+``workers>1``, resumed-from-partial-store, and fully warm (zero solver
+calls).
 
 Fault tolerance
 ---------------
 :func:`execute_plan` is built to survive its own workers.  An
 :class:`ExecutionPolicy` sets the knobs: per-cell wall-clock
-``timeout`` (a hung chunk's pool is killed and respawned, the hung
-cells retried), bounded ``max_retries`` with exponential backoff, and
+``timeout`` (a hung cell's pool is killed and respawned, the hung cell
+retried), bounded ``max_retries`` with exponential backoff, and
 quarantine — a cell that keeps failing becomes a structured failure
 record (``success=False, failed=True, reason=...``) instead of a
 crashed sweep, unless ``strict=True`` opts back into raising
@@ -117,12 +118,6 @@ __all__ = [
 
 #: Record shapes a cell can produce (see ``Scenario.kind``).
 KINDS = ("table1", "tolerance", "scaling")
-
-#: Default ``Executor.map`` chunksize for plan execution.  1 keeps cell
-#: dispatch maximally load-balanced (the PR-1/2 behaviour); larger
-#: chunks amortise IPC for big grids of cheap cells.  Never affects
-#: record values or order.
-DEFAULT_CHUNK = 1
 
 
 #: The solver keyword of each scenario axis whose name differs from it.
@@ -240,19 +235,23 @@ def _wire_cell(scenario: Scenario) -> Scenario:
 # Fault-tolerant execution
 # --------------------------------------------------------------------- #
 
+#: Retry delays double from ``ExecutionPolicy.backoff`` up to this many
+#: seconds.
+_MAX_BACKOFF = 2.0
+
+
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """Fault-tolerance knobs for :func:`execute_plan`.
 
-    ``timeout`` is a per-cell wall-clock budget in seconds (a dispatch
-    chunk's deadline is ``timeout × cells-in-chunk``); it is enforced
-    only under ``workers > 1``, where a hung worker can be killed — the
-    serial path has no preemption.  ``max_retries`` bounds how many
-    times a failing cell is re-run (``max_retries + 1`` total attempts)
-    with exponential backoff ``backoff · backoff_factor^(k-1)`` capped
-    at ``max_backoff`` seconds.  A cell that exhausts its budget is
-    *quarantined* as a structured failure record unless ``strict=True``,
-    which raises :class:`~repro.errors.SweepFaultError` instead.
+    ``timeout`` is a per-cell wall-clock budget in seconds; it is
+    enforced only under ``workers > 1``, where a hung worker can be
+    killed — the serial path has no preemption.  ``max_retries`` bounds
+    how many times a failing cell is re-run (``max_retries + 1`` total
+    attempts) with exponential backoff ``backoff · 2^(k-1)`` capped at
+    2 seconds.  A cell that exhausts its budget is *quarantined* as a
+    structured failure record unless ``strict=True``, which raises
+    :class:`~repro.errors.SweepFaultError` instead.
 
     :class:`~repro.errors.ReproError` is never retried or quarantined —
     the repro hierarchy means deterministic rejection and always
@@ -263,8 +262,6 @@ class ExecutionPolicy:
     timeout: Optional[float] = None
     max_retries: int = 2
     backoff: float = 0.1
-    backoff_factor: float = 2.0
-    max_backoff: float = 2.0
     strict: bool = False
 
     def __post_init__(self):
@@ -277,57 +274,30 @@ class ExecutionPolicy:
             raise ConfigurationError(
                 f"max_retries must be a non-negative int, got {self.max_retries!r}"
             )
-        if self.backoff < 0 or self.max_backoff < 0 or self.backoff_factor < 1:
-            raise ConfigurationError(
-                "backoff/max_backoff must be >= 0 and backoff_factor >= 1"
-            )
+        if self.backoff < 0:
+            raise ConfigurationError(f"backoff must be >= 0, got {self.backoff!r}")
 
     def delay(self, failures: int) -> float:
         """Seconds to back off before retry number ``failures`` (1-based)."""
         if self.backoff <= 0:
             return 0.0
-        return min(self.backoff * self.backoff_factor ** (failures - 1),
-                   self.max_backoff)
+        return min(self.backoff * 2 ** (failures - 1), _MAX_BACKOFF)
 
 
 #: The executor's defaults: no timeout, two retries with a short
 #: exponential backoff, quarantine instead of raising.
 DEFAULT_POLICY = ExecutionPolicy()
 
-#: Per-cell outcome statuses shipped back from workers.  Values (not
-#: exceptions) cross the process boundary so one bad cell cannot poison
-#: its chunk-mates' results.
-_OK, _REJECT, _FAIL = "ok", "reject", "fail"
 
-
-def _run_job(
+def _run_cell(
     scenario: Scenario, spec: Optional[FaultSpec], attempt: int, serial: bool = False
-) -> Tuple[str, object]:
-    """One cell attempt → ``(status, payload)``.
-
-    ``payload`` is the record list (``_OK``), the original
-    :class:`ReproError` (``_REJECT`` — deterministic rejection, the
-    caller re-raises it), or a picklable ``(type name, message)`` pair
-    (``_FAIL`` — a retryable fault).
-    """
-    try:
-        inject(spec, attempt, serial=serial)
-        return (_OK, _cell_records(scenario))
-    except ReproError as exc:
-        return (_REJECT, exc)
-    # The worker fault boundary: any non-Repro crash must become a
-    # picklable retryable-fault payload (retried, then quarantined),
-    # never a worker death.
-    # repro: allow-broad-except — executor fault boundary
-    except Exception as exc:
-        return (_FAIL, (type(exc).__name__, str(exc)))
-
-
-def _run_chunk(jobs: List[Tuple[Scenario, Optional[FaultSpec], int]]) -> List[Tuple[str, object]]:
-    """Run one dispatch chunk in a worker; module-level for pickling.
-    ``jobs`` pairs each wire-form scenario with its injected fault (or
-    ``None``) and its 1-based dispatch attempt number."""
-    return [_run_job(scenario, spec, attempt) for scenario, spec, attempt in jobs]
+) -> List[Dict]:
+    """One attempt at one cell: fire its injected fault (if any) for
+    dispatch ``attempt`` (1-based), then run it.  Module-level for
+    pickling; the pool task of the parallel path.  A cell's exception
+    reaches the caller, through its future in the parallel path."""
+    inject(spec, attempt, serial=serial)
+    return _cell_records(scenario)
 
 
 def _failure_records(
@@ -386,14 +356,13 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _pop_ready(queue: deque, now: float):
-    """Remove and return the first queued group whose backoff has
-    elapsed, or ``None`` if every queued group is still backing off."""
-    for idx in range(len(queue)):
-        if queue[idx][1] <= now:
-            group = queue[idx]
-            del queue[idx]
-            return group[0]
+def _pop_ready(queue: deque, now: float) -> Optional[int]:
+    """Remove and return the first queued cell whose backoff has
+    elapsed, or ``None`` if every queued cell is still backing off."""
+    for idx, (cell, ready) in enumerate(queue):
+        if ready <= now:
+            del queue[idx]  # and return before the iteration resumes
+            return cell
     return None
 
 
@@ -410,21 +379,22 @@ def _execute_serial(
     semantics as the pool path (timeouts excepted — no preemption)."""
     for i in pending:
         spec = faults.for_key(keys[i]) if faults is not None else None
-        attempt = 0
-        failures = 0
-        while True:
-            attempt += 1
-            status, payload = _run_job(scenarios[i], spec, attempt, serial=True)
-            if status == _OK:
-                finish(i, payload)
+        for attempt in range(1, policy.max_retries + 2):
+            try:
+                records = _run_cell(scenarios[i], spec, attempt, serial=True)
+            except ReproError:
+                raise
+            # The fault boundary: any other crash is retried, then
+            # quarantined.
+            # repro: allow-broad-except — executor fault boundary
+            except Exception as exc:
+                if attempt > policy.max_retries:
+                    quarantine(i, type(exc).__name__, str(exc), attempt)
+                else:
+                    time.sleep(policy.delay(attempt))
+            else:
+                finish(i, records)
                 break
-            if status == _REJECT:
-                raise payload
-            failures += 1
-            if failures > policy.max_retries:
-                quarantine(i, payload[0], payload[1], attempt)
-                break
-            time.sleep(policy.delay(failures))
 
 
 def _execute_parallel(
@@ -432,7 +402,6 @@ def _execute_parallel(
     pending: Sequence[int],
     keys: Sequence[str],
     workers: int,
-    chunk: int,
     policy: ExecutionPolicy,
     faults: Optional[FaultPlan],
     finish: Callable[[int, List[Dict]], None],
@@ -440,126 +409,120 @@ def _execute_parallel(
 ) -> None:
     """Sliding-window pool execution that outlives its own workers.
 
-    At most ``max_workers`` chunks are in flight at once, so every
-    failure is attributable to a small, known suspect set:
+    Each cell is one pool task, and at most ``max_workers`` are in
+    flight at once, so every failure is attributable to a small, known
+    suspect set:
 
-    * a chunk whose future carries an *exception* failed attributably —
-      its cells are charged a retry;
-    * a chunk past its *deadline* hung — the pool is killed (there is no
-      portable way to kill one worker), the hung cells are charged, and
-      undamaged in-flight chunks are resubmitted uncharged;
-    * a ``BrokenProcessPool`` with exactly one unresolved chunk charges
-      that chunk; with several, nobody is charged — the suspects are
+    * a cell whose future carries an *exception* failed attributably —
+      it is charged a retry;
+    * a cell past its *deadline* hung — the pool is killed (there is no
+      portable way to kill one worker), the hung cell is charged, and
+      the other in-flight cells are resubmitted uncharged;
+    * a ``BrokenProcessPool`` with exactly one unresolved cell charges
+      that cell; with several, nobody is charged — the suspects are
       replayed one at a time (window of 1) so the next crash identifies
-      its culprit exactly, and innocents are never quarantined for a
-      chunk-mate's segfault.
+      its culprit exactly, and a cell in flight beside a segfault is
+      never quarantined for it.
 
     Completed futures are always harvested before a kill/respawn, so
     finished work reaches the store even when the pool dies around it.
-    On Ctrl-C, finished-but-unpersisted chunks are flushed to the store
+    On Ctrl-C, finished-but-unpersisted cells are flushed to the store
     before the interrupt re-raises (see ``KeyboardInterrupt`` handler).
     """
-    size = max(1, chunk)
-    queue: deque = deque(
-        (list(pending[j:j + size]), 0.0) for j in range(0, len(pending), size)
-    )
-    max_workers = max(1, min(workers, len(queue)))
+    queue: deque = deque((i, 0.0) for i in pending)  # (cell, ready time)
+    max_workers = max(1, min(workers, len(pending)))
     attempts: Dict[int, int] = {i: 0 for i in pending}
     failures: Dict[int, int] = {i: 0 for i in pending}
     #: cells requeued after an unattributed pool break; while any exist
     #: the window narrows to 1 so the next break is attributable.
     suspects: Set[int] = set()
-    done_cells: Set[int] = set()
-    inflight: Dict = {}  # future -> (indices, deadline)
+    inflight: Dict = {}  # future -> (cell, deadline)
     pool = ProcessPoolExecutor(max_workers=max_workers)
     clean = False
 
-    def spec_for(i: int) -> Optional[FaultSpec]:
-        return faults.for_key(keys[i]) if faults is not None else None
-
-    def submit(group: List[int]) -> None:
-        jobs = [(_wire_cell(scenarios[i]), spec_for(i), attempts[i] + 1) for i in group]
-        fut = pool.submit(_run_chunk, jobs)  # may raise BrokenProcessPool
-        for i in group:
-            attempts[i] += 1
+    def submit(i: int) -> None:
+        spec = faults.for_key(keys[i]) if faults is not None else None
+        fut = pool.submit(_run_cell, _wire_cell(scenarios[i]), spec,
+                          attempts[i] + 1)  # may raise BrokenProcessPool
+        attempts[i] += 1
         deadline = (
-            time.monotonic() + policy.timeout * len(group)  # repro: allow-wallclock — retry/timeout deadline, never recorded
+            time.monotonic() + policy.timeout  # repro: allow-wallclock — retry/timeout deadline, never recorded
             if policy.timeout else None
         )
-        inflight[fut] = (group, deadline)
+        inflight[fut] = (i, deadline)
 
     def charge(i: int, reason: str, message: str) -> None:
         failures[i] += 1
         suspects.discard(i)
         if failures[i] > policy.max_retries:
             quarantine(i, reason, message, attempts[i])
-            done_cells.add(i)
         else:
-            queue.appendleft(([i], time.monotonic() + policy.delay(failures[i])))  # repro: allow-wallclock — retry/timeout deadline, never recorded
+            queue.appendleft((i, time.monotonic() + policy.delay(failures[i])))  # repro: allow-wallclock — retry/timeout deadline, never recorded
 
-    def apply_outcomes(group: List[int], outcomes) -> None:
-        for i, (status, payload) in zip(group, outcomes):
-            suspects.discard(i)
-            if status == _OK:
-                finish(i, payload)
-                done_cells.add(i)
-            elif status == _REJECT:
-                raise payload
-            else:
-                charge(i, *payload)
+    def settle(fut) -> bool:
+        """Apply one finished future.  A ``ReproError`` propagates; any
+        other exception — the cell raised, or its task or result would
+        not pickle — is charged a retry.  Returns False, leaving the
+        future in flight for the pool-break handling, when the pool
+        broke under it."""
+        try:
+            records = fut.result()
+        except BrokenProcessPool:
+            return False
+        except ReproError:
+            raise
+        # repro: allow-broad-except — executor fault boundary
+        except Exception as exc:
+            charge(inflight.pop(fut)[0], type(exc).__name__, str(exc))
+            return True
+        i = inflight.pop(fut)[0]
+        suspects.discard(i)
+        finish(i, records)
+        return True
 
-    def harvest_finished() -> None:
-        """Apply every future that completed with a real result (work
-        finished before a crash/kill must not be lost)."""
-        for fut, (group, _) in list(inflight.items()):
-            if fut.done() and not fut.cancelled() and fut.exception() is None:
-                del inflight[fut]
-                apply_outcomes(group, fut.result())
+    def harvest() -> None:
+        """Settle every future that already finished (work done before a
+        crash/kill must not be lost)."""
+        for fut in [fut for fut in inflight if fut.done()]:
+            settle(fut)
+
+    def respawn() -> None:
+        nonlocal pool
+        inflight.clear()
+        _terminate_pool(pool)
+        pool = ProcessPoolExecutor(max_workers=max_workers)
 
     def absorb_break() -> None:
         """The pool died under us: save finished work, attribute or
         requeue the rest, respawn."""
-        nonlocal pool
-        harvest_finished()
-        unresolved = [group for group, _ in inflight.values()]
-        inflight.clear()
-        _terminate_pool(pool)
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+        harvest()
+        unresolved = [i for i, _ in inflight.values()]
+        respawn()
         if len(unresolved) == 1:
-            for i in unresolved[0]:
-                charge(i, "WorkerCrash",
-                       "worker process died (BrokenProcessPool)")
+            charge(unresolved[0], "WorkerCrash",
+                   "worker process died (BrokenProcessPool)")
         else:
-            for group in unresolved:
-                for i in group:
-                    suspects.add(i)
-                    queue.appendleft(([i], 0.0))
+            for i in unresolved:
+                suspects.add(i)
+                queue.appendleft((i, 0.0))
 
-    def expire(now: float) -> bool:
-        """Kill and respawn the pool if any chunk blew its deadline;
-        the hung cells are charged, innocents resubmitted uncharged."""
-        nonlocal pool
+    def expire(now: float) -> None:
+        """Kill and respawn the pool if any cell blew its deadline; the
+        hung cells are charged, the others resubmitted uncharged."""
         expired = [
-            fut for fut, (group, deadline) in inflight.items()
+            fut for fut, (_, deadline) in inflight.items()
             if deadline is not None and now >= deadline and not fut.done()
         ]
         if not expired:
-            return False
-        harvest_finished()
-        victims: List[int] = []
-        for fut in expired:
-            group, _ = inflight.pop(fut, (None, None))
-            if group:
-                victims.extend(group)
-        for group, _ in inflight.values():
-            queue.appendleft((group, 0.0))
-        inflight.clear()
-        _terminate_pool(pool)
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+            return
+        harvest()
+        victims = [inflight.pop(fut)[0] for fut in expired if fut in inflight]
+        for i, _ in inflight.values():
+            queue.appendleft((i, 0.0))
+        respawn()
         for i in victims:
             charge(i, "TimeoutError",
                    f"cell exceeded the {policy.timeout}s wall-clock timeout")
-        return True
 
     try:
         while queue or inflight:
@@ -567,22 +530,20 @@ def _execute_parallel(
             window = 1 if suspects else max_workers
             broke_on_submit = False
             while queue and len(inflight) < window:
-                group = _pop_ready(queue, now)
-                if group is None:
+                i = _pop_ready(queue, now)
+                if i is None:
                     break
                 try:
-                    submit(group)
+                    submit(i)
                 except BrokenProcessPool:
-                    queue.appendleft((group, 0.0))
+                    queue.appendleft((i, 0.0))
                     absorb_break()
                     broke_on_submit = True
                     break
             if broke_on_submit:
                 continue
             if not inflight:
-                if not queue:
-                    break
-                # Every queued group is backing off; sleep to the earliest.
+                # Every queued cell is backing off; sleep to the earliest.
                 time.sleep(max(0.0, min(r for _, r in queue) - now))
                 continue
             waits = [dl - now for _, dl in inflight.values() if dl is not None]
@@ -591,43 +552,21 @@ def _execute_parallel(
             wait_for = max(0.01, min(waits)) if waits else None
             done, _ = wait(set(inflight), timeout=wait_for,
                            return_when=FIRST_COMPLETED)
-            now = time.monotonic()  # repro: allow-wallclock — retry/timeout deadline, never recorded
             if not done:
-                expire(now)
-                continue
-            broke = False
-            for fut in done:
-                group, _ = inflight.pop(fut)
-                try:
-                    outcomes = fut.result()
-                except BrokenProcessPool:
-                    inflight[fut] = (group, None)  # absorb_break attributes it
-                    broke = True
-                    break
-                except ReproError:
-                    raise
-                # The dispatch itself failed (e.g. its jobs or result
-                # would not pickle): arbitrary by nature, attributable
-                # to this chunk, and converted to retry/quarantine.
-                # repro: allow-broad-except — executor fault boundary
-                except Exception as exc:
-                    for i in group:
-                        charge(i, type(exc).__name__, str(exc))
-                else:
-                    apply_outcomes(group, outcomes)
-            if broke:
+                expire(time.monotonic())  # repro: allow-wallclock — retry/timeout deadline, never recorded
+            elif not all([settle(fut) for fut in done]):
+                # A list, not a generator: every finished future is
+                # settled before the break is absorbed.
                 absorb_break()
         clean = True
     except KeyboardInterrupt:
-        # Ctrl-C: flush chunks that already finished — their work is
+        # Ctrl-C: flush cells that already finished — their work is
         # real, and dropping it would force recomputation on resume —
         # then shut the pool down hard and re-raise.
         try:
-            for fut, (group, _) in list(inflight.items()):
+            for fut, (i, _) in list(inflight.items()):
                 if fut.done() and not fut.cancelled() and fut.exception() is None:
-                    for i, (status, payload) in zip(group, fut.result()):
-                        if status == _OK and i not in done_cells:
-                            finish(i, payload)
+                    finish(i, fut.result())
         except KeyboardInterrupt:
             pass  # a second Ctrl-C during the flush: stop flushing
         raise
@@ -643,7 +582,6 @@ def execute_plan(
     workers: Optional[int] = None,
     store: Optional[RunStore] = None,
     resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> List[List[Dict]]:
@@ -654,9 +592,9 @@ def execute_plan(
     (``resume=True``) and every freshly computed cell is appended to the
     store **as it completes** — after a crash, the next run picks up
     from the last persisted cell.  ``workers > 1`` fans the pending
-    cells out over a process pool in submission chunks of ``chunk``;
-    chunks are persisted in *completion* order (a slow first cell cannot
-    hold finished work out of the store) while the returned list is
+    cells out over a process pool, one task per cell; cells are
+    persisted in *completion* order (a slow first cell cannot hold
+    finished work out of the store) while the returned list is
     reassembled in submission order — record values and order are
     deterministic regardless of scheduling.  A cell repeated in the plan
     (the same key in several slots) is looked up, solved and stored
@@ -754,10 +692,8 @@ def execute_plan(
                 leftovers.extend(group)
         pending = sorted(rest + leftovers)
 
-    size = max(1, chunk)
-    n_groups = -(-len(pending) // size)
-    if workers and workers > 1 and n_groups > 1:
-        _execute_parallel(scenarios, pending, keys, workers, chunk, policy,
+    if workers and workers > 1 and len(pending) > 1:
+        _execute_parallel(scenarios, pending, keys, workers, policy,
                           faults, _finish, _quarantine)
     else:
         _execute_serial(scenarios, pending, keys, policy, faults,

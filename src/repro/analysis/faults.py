@@ -29,10 +29,12 @@ Three fault modes:
 Every spec carries an ``attempts`` budget: the fault fires on the first
 ``attempts`` dispatches of its cell and the cell runs clean afterwards
 (``attempts=None`` makes the fault permanent — a poison cell).  Attempt
-numbers count *dispatches*: a dispatch voided by a sibling chunk's crash
-or timeout still advances the counter (the cell did start running).
+numbers count *dispatches*: a dispatch voided by a crash or timeout
+elsewhere in the pool still advances the counter (the cell was handed
+to a worker).
 
-Plans are plain picklable data (they ride to workers inside job tuples)
+Plans are plain picklable data (each cell's spec rides to its worker
+with the cell)
 and :meth:`FaultPlan.sample` chooses victims with a seeded RNG, so a
 chaos schedule is a value you can log, re-run, and bisect.
 """

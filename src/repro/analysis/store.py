@@ -32,12 +32,13 @@ truncated copy): any line that fails to parse — or whose ``sha`` does
 not match its records at read time — is silently treated as absent, so
 the worst a crash can cost is the one cell that was being appended.
 
-The intended regime is **one writer per store at a time** (any number of
-readers).  Concurrent writers cannot corrupt each other — appends are
-line-atomic and every read is digest-checked — but each handle indexes
-its own appends by the offset it observed, so interleaved writers can
-invalidate one another's in-memory entries and trigger redundant
-recomputes (a later open sees everything both wrote).
+Several handles — processes or threads — may write one store at once.
+Appends are line-atomic and every read is digest-checked, so writers
+cannot corrupt each other, and a handle sees what the others append: on
+a miss, :meth:`RunStore.get` indexes the lines appended to the key's
+shard since the handle last looked (one ``os.stat`` per miss).  A line
+without its trailing newline is an append still in progress (or torn
+by a crash) and stays unindexed until it is complete.
 
 Invalidation
 ------------
@@ -76,6 +77,13 @@ def _canonical_json(value) -> str:
 def _records_sha(records: List[Dict]) -> str:
     """Integrity digest of a cell's record list."""
     return hashlib.sha256(_canonical_json(records).encode("utf-8")).hexdigest()
+
+
+def _intact(entry: Optional[Dict]) -> bool:
+    """Whether a parsed shard line (see :meth:`RunStore._lines`) carries
+    records that match its digest."""
+    return (entry is not None and "records" in entry
+            and entry.get("sha") == _records_sha(entry["records"]))
 
 
 def cell_key(
@@ -123,8 +131,9 @@ class RunStore:
     """Append-only, content-addressed store of sweep-cell records.
 
     Opening a store scans its shards once to build an in-memory
-    ``key -> (shard, offset, length)`` index; record payloads stay on
-    disk until :meth:`get` fetches them, so a store indexing millions of
+    ``key -> (shard, offset, length)`` index, which a miss extends with
+    what other writers appended since; record payloads stay on disk
+    until :meth:`get` fetches them, so a store indexing millions of
     cells does not hold millions of records in memory.
 
     ``hits``/``misses``/``puts`` count this handle's traffic (every plan
@@ -140,13 +149,7 @@ class RunStore:
                 f"cannot use {self.path!r} as a run store: {exc}"
             )
         self._init_meta()
-        #: key -> (shard path, byte offset, byte length); later lines win.
-        self._index: Dict[str, Tuple[str, int, int]] = {}
-        #: shards whose last line lacks a trailing newline (torn append):
-        #: the next put must start on a fresh line or it would merge into
-        #: the garbage and be skipped by every later load.
-        self._torn_shards: set = set()
-        self._load_index()
+        self._reload()
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -165,7 +168,7 @@ class RunStore:
                 raise ConfigurationError(
                     f"{meta_path} is not a run-store meta file: {exc}"
                 )
-            if meta.get("format") != "repro-run-store":
+            if not isinstance(meta, dict) or meta.get("format") != "repro-run-store":
                 raise ConfigurationError(
                     f"{self.path} exists but is not a run store"
                 )
@@ -198,24 +201,50 @@ class RunStore:
             if name.startswith(_SHARD_PREFIX) and name.endswith(".jsonl")
         )
 
-    def _load_index(self) -> None:
-        for shard in self._shard_files():
-            offset = 0
-            raw = b""
-            with open(shard, "rb") as fh:
-                for raw in fh:
-                    length = len(raw)
-                    start = offset
-                    offset += length
-                    try:
-                        obj = json.loads(raw.decode("utf-8"))
-                    except (ValueError, UnicodeDecodeError):
-                        continue  # torn append / corrupt line
-                    if not isinstance(obj, dict) or "key" not in obj:
-                        continue
-                    self._index[obj["key"]] = (shard, start, length)
-            if raw and not raw.endswith(b"\n"):
+    @staticmethod
+    def _lines(shard: str, start: int = 0) -> Iterator[Tuple[int, bytes, Optional[Dict]]]:
+        """Every line of ``shard`` from byte ``start`` on, as ``(offset,
+        raw bytes, entry)``: ``entry`` is the parsed line when it is a
+        JSON object with a string ``key``, and ``None`` for a torn or
+        otherwise damaged line, which every reader treats as absent."""
+        offset = start
+        with open(shard, "rb") as fh:
+            fh.seek(start)
+            for raw in fh:
+                try:
+                    entry = json.loads(raw.decode("utf-8"))
+                except (ValueError, UnicodeDecodeError):
+                    entry = None
+                if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)):
+                    entry = None
+                yield offset, raw, entry
+                offset += len(raw)
+
+    def _scan(self, shard: str, end: int = 0) -> None:
+        """Index the complete lines of ``shard`` from byte ``end`` on.  A
+        last line without its newline stays unindexed: another writer's
+        append in progress, or one torn by a crash."""
+        self._torn_shards.discard(shard)
+        for offset, raw, entry in self._lines(shard, end):
+            if not raw.endswith(b"\n"):
                 self._torn_shards.add(shard)
+                break
+            end = offset + len(raw)
+            if entry is not None:
+                self._index[entry["key"]] = (shard, offset, len(raw))
+        self._ends[shard] = end
+
+    def _catch_up(self, key: str) -> Optional[Tuple[str, int, int]]:
+        """After a miss: index what other writers appended to ``key``'s
+        shard since this handle last looked, and look again."""
+        shard = self._shard_path(key)
+        end = self._ends.get(shard, 0)
+        try:
+            if os.stat(shard).st_size > end:
+                self._scan(shard, end)
+        except FileNotFoundError:  # no such shard (yet)
+            pass
+        return self._index.get(key)
 
     # ----------------------------------------------------------------- #
     # Read / write
@@ -229,6 +258,8 @@ class RunStore:
         as a miss (the executor recomputes and re-appends it).
         """
         loc = self._index.get(key)
+        if loc is None:
+            loc = self._catch_up(key)
         if loc is None:
             self.misses += 1
             return None
@@ -275,6 +306,10 @@ class RunStore:
             os.fsync(fh.fileno())
         self._torn_shards.discard(shard)
         self._index[key] = (shard, offset, len(data))
+        if self._ends.get(shard, 0) == offset:
+            # Nothing unindexed lies before this line.  Otherwise another
+            # writer appended first, and the next miss indexes both.
+            self._ends[shard] = offset + len(data)
         self.puts += 1
 
     # ----------------------------------------------------------------- #
@@ -296,35 +331,23 @@ class RunStore:
             corrupt        live entries that failed the digest check
             corrupt_keys   their cell keys (sorted)
             stale_lines    parseable lines superseded by a later put
-            torn_lines     unparseable lines (crash-torn appends etc.)
+            torn_lines     lines that are no keyed entry (crash-torn appends etc.)
             torn_shards    shards whose final line lacks a newline
         """
-        live: Dict[str, Tuple[str, int]] = {}  # key -> (shard, offset)
+        live: Dict[str, bool] = {}  # key -> whether its winning line verifies
         stale_lines = 0
         torn_lines = 0
-        corrupt_keys = []
-        verified = 0
         for shard in self._shard_files():
-            offset = 0
-            with open(shard, "rb") as fh:
-                for raw in fh:
-                    start = offset
-                    offset += len(raw)
-                    try:
-                        obj = json.loads(raw.decode("utf-8"))
-                        key = obj["key"]
-                        good = obj["sha"] == _records_sha(obj["records"])
-                    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                        torn_lines += 1
-                        continue
-                    if key in live:
-                        stale_lines += 1  # earlier line loses to this one
-                    live[key] = (shard, start) if good else None
-        for key, loc in live.items():
-            if loc is None:
-                corrupt_keys.append(key)
-            else:
-                verified += 1
+            for _, _, entry in self._lines(shard):
+                if entry is None or "sha" not in entry or "records" not in entry:
+                    torn_lines += 1
+                    continue
+                key = entry["key"]
+                if key in live:
+                    stale_lines += 1  # earlier line loses to this one
+                live[key] = _intact(entry)
+        corrupt_keys = [key for key, good in live.items() if not good]
+        verified = len(live) - len(corrupt_keys)
         return {
             "ok": not corrupt_keys,
             "cells": len(live),
@@ -352,20 +375,15 @@ class RunStore:
         for shard in self._shard_files():
             keep: List[bytes] = []
             dirty = False
-            with open(shard, "rb") as fh:
-                for raw in fh:
-                    try:
-                        obj = json.loads(raw.decode("utf-8"))
-                        if obj["sha"] != _records_sha(obj["records"]):
-                            raise ValueError("digest mismatch")
-                    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                        dirty = True
-                        dropped += 1
-                        continue
-                    if not raw.endswith(b"\n"):
-                        raw += b"\n"  # valid JSON, just missing its newline
-                        dirty = True
-                    keep.append(raw)
+            for _, raw, entry in self._lines(shard):
+                if not _intact(entry):
+                    dirty = True
+                    dropped += 1
+                    continue
+                if not raw.endswith(b"\n"):
+                    raw += b"\n"  # valid JSON, just missing its newline
+                    dirty = True
+                keep.append(raw)
             if not dirty:
                 continue
             self._rewrite_shard(shard, keep)
@@ -392,18 +410,13 @@ class RunStore:
         for shard in self._shard_files():
             winners: Dict[str, bytes] = {}
             total = 0
-            with open(shard, "rb") as fh:
-                for raw in fh:
-                    total += 1
-                    try:
-                        obj = json.loads(raw.decode("utf-8"))
-                        if obj["sha"] != _records_sha(obj["records"]):
-                            raise ValueError("digest mismatch")
-                    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                        continue
-                    if not raw.endswith(b"\n"):
-                        raw += b"\n"
-                    winners[obj["key"]] = raw  # later line wins
+            for _, raw, entry in self._lines(shard):
+                total += 1
+                if not _intact(entry):
+                    continue
+                if not raw.endswith(b"\n"):
+                    raw += b"\n"
+                winners[entry["key"]] = raw  # later line wins
             if total == len(winners):
                 continue  # nothing to reclaim
             dropped += total - len(winners)
@@ -431,10 +444,18 @@ class RunStore:
         os.replace(tmp, shard)
 
     def _reload(self) -> None:
-        """Rebuild the index from disk after a maintenance rewrite."""
-        self._index.clear()
-        self._torn_shards.clear()
-        self._load_index()
+        """Build the index from disk: at open, and after a maintenance
+        rewrite."""
+        #: key -> (shard path, byte offset, byte length); later lines win.
+        self._index: Dict[str, Tuple[str, int, int]] = {}
+        #: shard -> the byte offset up to which its lines are indexed.
+        self._ends: Dict[str, int] = {}
+        #: shards whose last line lacks a trailing newline (torn append):
+        #: the next put must start on a fresh line or it would merge into
+        #: the garbage and be skipped by every later load.
+        self._torn_shards: set = set()
+        for shard in self._shard_files():
+            self._scan(shard)
 
     # ----------------------------------------------------------------- #
     # Introspection

@@ -29,10 +29,10 @@ builds a scenario grid, runs it with the same plan flags and prints its
 records through one renderer: one table (``scenario --json`` prints the
 records instead), a per-scheduler summary when they span several
 schedulers, the quarantined cells and the store traffic.  ``--workers
-N`` fans independent cells out over ``N`` processes (records identical
-to, and ordered like, a serial run); ``--store DIR`` caches completed
-cells in a content-addressed run store; ``--resume/--no-resume`` and
-``--chunk`` control replay and dispatch; ``--timeout``/``--retries``/
+N`` fans independent cells out over ``N`` processes, one task per cell
+(records identical to, and ordered like, a serial run); ``--store DIR``
+caches completed cells in a content-addressed run store;
+``--resume/--no-resume`` controls replay; ``--timeout``/``--retries``/
 ``--strict`` set the fault policy.  Compatible cells always go through
 the batched engine (records are byte-identical to per-cell runs).  A
 re-run against a warm store answers entirely from disk with zero solver
@@ -178,7 +178,7 @@ def _show(args, plan: ScenarioGrid, title: str,
         return 1
     store = _store_of(args)
     records = plan.run(workers=args.workers, store=store, resume=args.resume,
-                       chunk=args.chunk, policy=policy)
+                       policy=policy)
     if getattr(args, "json", False):
         print(records.to_json(indent=2))
     else:
@@ -460,7 +460,7 @@ def _cmd_eval(args) -> int:
     try:
         report = run_suite(
             args.suite, store=store, workers=args.workers, solvers=solvers,
-            resume=args.resume, chunk=args.chunk, policy=_policy_of(args),
+            resume=args.resume, policy=_policy_of(args),
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -488,8 +488,6 @@ def _add_plan_args(parser: argparse.ArgumentParser) -> None:
                         help="answer cells already in the store from disk (default)")
     parser.add_argument("--no-resume", dest="resume", action="store_false",
                         help="recompute every cell (results still appended to the store)")
-    parser.add_argument("--chunk", type=int, default=1,
-                        help="cells per worker dispatch chunk (default: 1)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-cell wall-clock budget in seconds "
                              "(parallel runs only; default: none)")
@@ -637,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--workers", type=int, default=2,
                     help="compute threads for cold cells (default: 2)")
     sv.add_argument("--queue-size", dest="queue_size", type=int, default=64,
-                    help="bounded submission queue; a full queue answers "
-                         "429 + Retry-After (default: 64)")
+                    help="cells that may wait for a compute thread; one "
+                         "more answers 429 + Retry-After (default: 64)")
     sv.add_argument("--round-every", dest="round_every", type=int, default=100,
                     help="SSE round-progress sampling stride (default: "
                          "every 100 rounds)")

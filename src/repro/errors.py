@@ -2,7 +2,9 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything from this package with a single ``except`` clause while
-still letting programming errors (``TypeError`` etc.) propagate.
+still letting programming errors (``TypeError`` etc.) propagate.  Every
+class here survives ``pickle``: a sweep cell's exception crosses from its
+pool worker to the parent.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class ValidationError(ConfigurationError):
         #: The bare message without the field prefix (so wrappers can
         #: re-attribute the same reason to a longer path).
         self.reason = message
+
+    def __reduce__(self):
+        # The default rebuilds from ``args``, the one formatted message,
+        # which this constructor does not take.
+        return type(self), (self.field, self.reason)
 
 
 class ImpossibleInstance(ConfigurationError):

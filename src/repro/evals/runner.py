@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Sequence, Union
 
-from ..analysis.experiments import DEFAULT_CHUNK, ExecutionPolicy
+from ..analysis.experiments import ExecutionPolicy
 from ..analysis.store import RunStore
 from ..errors import ConfigurationError
 from ..scenarios import ResultSet, _normalize_algorithm, run_scenarios
@@ -66,13 +66,12 @@ def run_suite(
     workers: Optional[int] = None,
     solvers: Optional[Sequence[Union[int, str]]] = None,
     resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
     policy: Optional[ExecutionPolicy] = None,
 ) -> EvalReport:
     """Run one registered suite and aggregate it into an :class:`EvalReport`.
 
     ``solvers`` restricts the suite to a subset of its serials (see
-    :func:`resolve_solvers`); ``store``/``workers``/``chunk``/``policy``
+    :func:`resolve_solvers`); ``store``/``workers``/``policy``
     pass straight through to the executor with sweep semantics.
     """
     suite = get_suite(name)
@@ -89,7 +88,7 @@ def run_suite(
         # repro: allow-wallclock — display-only per-solver timing, never pinned
         start = time.perf_counter()
         records = run_scenarios(sub, workers=workers, store=store,
-                                resume=resume, chunk=chunk, policy=policy)
+                                resume=resume, policy=policy)
         # repro: allow-wallclock — closes the display-only span opened above
         wall[serial] = time.perf_counter() - start
         results.extend(records)

@@ -73,7 +73,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .analysis.experiments import (
-    DEFAULT_CHUNK,
     KINDS,
     ExecutionPolicy,
     cell_key_of,
@@ -572,7 +571,6 @@ class Scenario:
         workers: Optional[int] = None,
         store: Optional[RunStore] = None,
         resume: bool = True,
-        chunk: int = DEFAULT_CHUNK,
         policy: Optional[ExecutionPolicy] = None,
         faults: Optional[FaultPlan] = None,
     ) -> ResultSet:
@@ -580,8 +578,7 @@ class Scenario:
         resume, workers, and fault tolerance behave exactly as in a
         sweep)."""
         return run_scenarios([self], workers=workers, store=store,
-                             resume=resume, chunk=chunk,
-                             policy=policy, faults=faults)
+                             resume=resume, policy=policy, faults=faults)
 
     # -- serialization ------------------------------------------------- #
 
@@ -681,7 +678,6 @@ def run_scenarios(
     workers: Optional[int] = None,
     store: Optional[RunStore] = None,
     resume: bool = True,
-    chunk: int = DEFAULT_CHUNK,
     policy: Optional[ExecutionPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> ResultSet:
@@ -696,8 +692,7 @@ def run_scenarios(
     records — :meth:`ResultSet.failures` selects them.
     """
     lists = execute_plan(scenarios, workers=workers, store=store,
-                         resume=resume, chunk=chunk,
-                         policy=policy, faults=faults)
+                         resume=resume, policy=policy, faults=faults)
     return ResultSet(rec for recs in lists for rec in recs)
 
 
@@ -810,14 +805,12 @@ class ScenarioGrid:
         workers: Optional[int] = None,
         store: Optional[RunStore] = None,
         resume: bool = True,
-        chunk: int = DEFAULT_CHUNK,
         policy: Optional[ExecutionPolicy] = None,
         faults: Optional[FaultPlan] = None,
     ) -> ResultSet:
         """Execute the whole grid as one plan (see :func:`run_scenarios`)."""
         return run_scenarios(self.scenarios, workers=workers, store=store,
-                             resume=resume, chunk=chunk,
-                             policy=policy, faults=faults)
+                             resume=resume, policy=policy, faults=faults)
 
     def to_dicts(self) -> List[Dict]:
         """JSON-safe form: the scenario dicts, in order."""

@@ -27,9 +27,9 @@ or running a cell → 422, quarantined cells → 500 with the structured
 failure records as the body — the server never crashes on a failing
 cell.
 
-:class:`ServerThread` runs the whole stack on a background thread for
-tests, benchmarks, and the README tour; :func:`run_server` is the
-blocking CLI entry point.
+:class:`ServerThread` runs the whole stack on a background thread;
+tests, benchmarks, the README tour and :func:`run_server`, the blocking
+CLI entry point, all boot through it.
 """
 
 from __future__ import annotations
@@ -321,8 +321,9 @@ class ServeApp:
 # --------------------------------------------------------------------- #
 
 class ServerThread:
-    """The full serve stack on a background thread (tests, benchmarks,
-    the README tour, and ``tools/load_serve.py`` all boot through this).
+    """The full serve stack on a background thread (``repro serve``,
+    tests, benchmarks, the README tour, and ``tools/load_serve.py`` all
+    boot through this).
 
     ``port=0`` binds an ephemeral port; ``.port`` / ``.base_url`` are
     valid once :meth:`start` returns.  ``.service`` exposes the live
@@ -424,27 +425,20 @@ def run_server(
     policy: Optional[ExecutionPolicy] = None,
     round_every: int = 100,
 ) -> int:
-    """Blocking entry point behind ``repro serve`` (Ctrl-C to stop)."""
-
-    async def main() -> None:
-        service = DispersionService(store=store, workers=workers, queue_size=queue_size,
-                                    policy=policy, round_every=round_every)
-        app = ServeApp(service)
-        server = await asyncio.start_server(app.handle, host, port)
-        bound = server.sockets[0].getsockname()
-        store_desc = service.stats()["store"]
-        print(f"repro serve listening on http://{bound[0]}:{bound[1]}")
-        print(f"  workers={workers} queue={queue_size} "
-              f"store={store_desc['path'] if store_desc else '(none: every request computes)'}")
-        print("  POST /run /sweep · GET /events/{key} /result/{key} /stats /healthz")
-        try:
-            async with server:
-                await server.serve_forever()
-        finally:
-            await service.aclose()
-
+    """Blocking entry point behind ``repro serve`` (Ctrl-C to stop): a
+    :class:`ServerThread`, waited on from the calling thread."""
+    server = ServerThread(store=store, host=host, port=port, workers=workers,
+                          queue_size=queue_size, policy=policy,
+                          round_every=round_every).start()
+    print(f"repro serve listening on {server.base_url}")
+    print(f"  workers={workers} queue={queue_size} "
+          f"store={store.path if store is not None else '(none: every request computes)'}")
+    print("  POST /run /sweep · GET /events/{key} /result/{key} /stats /healthz",
+          flush=True)
     try:
-        asyncio.run(main())
+        server._thread.join()  # until Ctrl-C
     except KeyboardInterrupt:
         print("repro serve: stopped")
+    finally:
+        server.stop()
     return 0

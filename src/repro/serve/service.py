@@ -9,15 +9,16 @@ routing shell around it).  One instance owns:
 * a single-flight table ``key -> Future`` — concurrent identical
   requests coalesce onto one in-flight computation whose result fans
   out to every waiter;
-* a bounded submission queue feeding ``workers`` compute threads — a
-  full queue is *explicit backpressure* (:class:`Busy` → HTTP 429 with
-  ``Retry-After``), never an unbounded buffer;
+* a pool of ``workers`` compute threads, one task per cold cell; past
+  ``queue_size`` cells waiting for a thread, a new cell is *explicit
+  backpressure* (:class:`Busy` → HTTP 429 with ``Retry-After``), never
+  an unbounded buffer;
 * an :class:`~repro.serve.events.EventBroker` receiving the life cycle
   of every computed cell (``queued``/``started``/sampled ``round``
   progress/``result``/``quarantined``/``rejected``/``done``).
 
-Byte-identity is inherited, not re-implemented: workers run cells
-through the same :func:`~repro.analysis.experiments.execute_plan` →
+Byte-identity is inherited, not re-implemented: compute threads run
+cells through the same :func:`~repro.analysis.experiments.execute_plan` →
 ``store.put`` path as the CLI, so records produced here are
 byte-identical to CLI runs and land in the same store shards.  Failures
 follow the executor's taxonomy: a :class:`~repro.errors.ReproError` is
@@ -32,17 +33,17 @@ seconds driving ``Retry-After``) — records never see it.
 from __future__ import annotations
 
 import asyncio
+import functools
 import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis.experiments import ExecutionPolicy, execute_plan
 from ..analysis.faults import FaultPlan
 from ..analysis.store import RunStore
-from ..errors import ReproError
 from ..scenarios import Scenario
 from ..sim import progress
 from .events import EventBroker
@@ -51,7 +52,7 @@ __all__ = ["Busy", "DispersionService", "RunOutcome"]
 
 
 class Busy(Exception):
-    """The submission queue is full — explicit backpressure.
+    """Too many cells wait for a compute thread — explicit backpressure.
 
     Carries the advisory ``retry_after`` seconds the HTTP layer turns
     into a 429 ``Retry-After`` header.
@@ -69,7 +70,7 @@ class RunOutcome:
     ``status`` is ``"ok"`` (records computed or replayed), ``"failed"``
     (the executor quarantined the cell — ``records`` holds its
     structured failure records), or ``"rejected"`` (a deterministic
-    :class:`ReproError`; ``error`` holds type and message).
+    :class:`~repro.errors.ReproError`; ``error`` holds type and message).
     """
 
     key: str
@@ -98,10 +99,6 @@ class _LockedStore:
         with self._lock:
             self._store.put(key, records)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._store
-
     def stats(self) -> Dict:
         with self._lock:
             return self._store.stats()
@@ -116,10 +113,11 @@ class _LockedStore:
 
 
 class DispersionService:
-    """Warm-store serving + single-flight dedup + bounded compute queue.
+    """Warm-store serving + single-flight dedup + a bounded compute pool,
+    in which a cold cell's task future is its single-flight entry.
 
-    Construct on the event loop thread; every public method except the
-    worker internals must be called from that loop.
+    Construct on the event loop thread; every public method must be
+    called from that loop.
     """
 
     def __init__(
@@ -159,61 +157,66 @@ class DispersionService:
             "rejected": 0,
             "busy_429": 0,
         }
-        self._queue: "asyncio.Queue[Tuple[str, Scenario]]" = asyncio.Queue(
-            maxsize=queue_size
-        )
         self._inflight: Dict[str, "asyncio.Future[RunOutcome]"] = {}
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
-        self._worker_tasks = [
-            asyncio.ensure_future(self._worker()) for _ in range(workers)
-        ]
         #: EWMA of recent cell compute seconds — drives ``Retry-After``.
-        #: Metrics only; never touches records.
+        #: Metrics only; never touches records.  Compute threads update
+        #: it under the lock.
         self._ewma_cell_seconds = 1.0
+        self._ewma_lock = threading.Lock()
 
     # -- submission (event-loop side) ---------------------------------- #
 
     def submit(self, scenario: Scenario, key: str):
-        """Route one scenario under its store ``key``: warm answer,
-        joined in-flight, or enqueue.
+        """Route one scenario under its store ``key``: joined in-flight,
+        warm answer, or a new task in the compute pool.
 
         The caller keys the scenario (``scenario.key()``), off the event
         loop when keying builds the graph.  Returns ``("warm", key,
         records)`` for a store hit (zero solver calls), or ``(status,
         key, future)`` with ``status`` one of ``"joined"`` /
-        ``"queued"``.  Raises :class:`Busy` when the bounded queue is
-        full.
+        ``"queued"``.  Raises :class:`Busy` when ``queue_size`` cells
+        already wait for a thread.
+
+        In-flight cells are looked up first: a compute thread writes the
+        store before its future settles, and a duplicate routed in that
+        gap must join the computation, not read the store.
         """
         self.counters["requests"] += 1
+        future = self._inflight.get(key)
+        if future is not None:
+            self.counters["dedup_joined"] += 1
+            return "joined", key, future
         if self.store is not None:
             records = self.store.get(key)
             if records is not None:
                 self.counters["warm_hits"] += 1
                 return "warm", key, records
-        future = self._inflight.get(key)
-        if future is not None:
-            self.counters["dedup_joined"] += 1
-            return "joined", key, future
-        future = self._loop.create_future()
-        self._inflight[key] = future
-        try:
-            self._queue.put_nowait((key, scenario))
-        except asyncio.QueueFull:
-            del self._inflight[key]
+        waiting = self._waiting()
+        if waiting >= self.queue_size:
             self.counters["busy_429"] += 1
             raise Busy(self.retry_after())
         self.counters["enqueued"] += 1
-        self.broker.publish(key, "queued", {"key": key, "position": self._queue.qsize() - 1})
+        self.broker.publish(key, "queued", {"key": key, "position": waiting})
+        future = self._loop.run_in_executor(
+            self._executor, self._compute, key, scenario
+        )
+        future.add_done_callback(functools.partial(self._settle, key))
+        self._inflight[key] = future
         return "queued", key, future
 
+    def _waiting(self) -> int:
+        """Cells submitted to the compute pool that no thread has taken."""
+        return max(0, len(self._inflight) - self.workers)
+
     def retry_after(self) -> int:
-        """Advisory seconds until queue space is likely: the EWMA cell
-        time scaled by the work ahead of a new submission."""
-        backlog = self._queue.qsize() + len(self._inflight) + 1
-        estimate = self._ewma_cell_seconds * backlog / self.workers
+        """Advisory seconds until a compute thread is likely free for a
+        new submission: the EWMA cell time scaled by the cells waiting
+        ahead of it."""
+        estimate = self._ewma_cell_seconds * (self._waiting() + 1) / self.workers
         return max(1, min(60, math.ceil(estimate)))
 
     def result_of(self, key: str):
@@ -233,7 +236,7 @@ class DispersionService:
         out: Dict = {
             "counters": dict(self.counters),
             "queue": {
-                "depth": self._queue.qsize(),
+                "depth": self._waiting(),
                 "capacity": self.queue_size,
                 "inflight": len(self._inflight),
                 "workers": self.workers,
@@ -249,36 +252,11 @@ class DispersionService:
         return out
 
     async def aclose(self) -> None:
-        """Cancel workers and release the thread pool."""
-        for task in self._worker_tasks:
-            task.cancel()
-        for task in self._worker_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # repro: allow-broad-except — shutdown boundary: a worker's pending failure must not abort teardown
-                pass
-        self._executor.shutdown(wait=False)
+        """Release the compute pool; cells still waiting for a thread
+        are cancelled."""
+        self._executor.shutdown(wait=False, cancel_futures=True)
 
-    # -- computation (worker side) ------------------------------------- #
-
-    async def _worker(self) -> None:
-        while True:
-            key, scenario = await self._queue.get()
-            self.broker.publish(key, "started", {"key": key})
-            t0 = time.monotonic()  # repro: allow-wallclock — latency metrics (EWMA for Retry-After); records never see this value
-            try:
-                outcome = await self._loop.run_in_executor(
-                    self._executor, self._compute, key, scenario
-                )
-            except Exception as exc:  # repro: allow-broad-except — fault boundary: an executor bug becomes a structured 500, never a dead worker
-                outcome = RunOutcome(
-                    key=key, status="rejected",
-                    error={"type": type(exc).__name__, "message": str(exc)},
-                )
-            elapsed = time.monotonic() - t0  # repro: allow-wallclock — latency metrics (EWMA for Retry-After); records never see this value
-            self._ewma_cell_seconds += 0.3 * (elapsed - self._ewma_cell_seconds)
-            self._settle(key, outcome)
-            self._queue.task_done()
+    # -- computation (compute-thread side) ----------------------------- #
 
     def _compute(self, key: str, scenario: Scenario) -> RunOutcome:
         """Run one cell in a compute thread — the exact CLI code path.
@@ -286,12 +264,14 @@ class DispersionService:
         ``execute_plan`` with this service's shared store performs the
         same resume check, the same solver invocation, and the same
         ``store.put`` as ``repro scenario`` / ``repro table1``; stored
-        bytes are identical by construction.  A progress sink streams
-        sampled rounds back to the event loop.
+        bytes are identical by construction.  ``started`` and sampled
+        ``round`` events reach the event loop before the future settles,
+        and any exception becomes the ``rejected`` outcome.
         """
-        sink = self._make_sink(key)
+        self._publish_threadsafe(key, "started", {"key": key})
+        t0 = time.monotonic()  # repro: allow-wallclock — latency metrics (EWMA for Retry-After); records never see this value
         try:
-            with progress.observe(sink):
+            with progress.observe(self._make_sink(key)):
                 lists = execute_plan(
                     [scenario],
                     workers=None,
@@ -300,15 +280,22 @@ class DispersionService:
                     policy=self.policy,
                     faults=self.faults,
                 )
-        except ReproError as exc:
-            return RunOutcome(
+        # The fault boundary: a deterministic ReproError, or an executor
+        # bug, answers as a structured rejection, never a dead thread.
+        except Exception as exc:  # repro: allow-broad-except — serve fault boundary
+            outcome = RunOutcome(
                 key=key, status="rejected",
                 error={"type": type(exc).__name__, "message": str(exc)},
             )
-        records = lists[0]
-        if any(rec.get("failed") for rec in records):
-            return RunOutcome(key=key, status="failed", records=records)
-        return RunOutcome(key=key, status="ok", records=records)
+        else:
+            records = lists[0]
+            failed = any(rec.get("failed") for rec in records)
+            outcome = RunOutcome(key=key, status="failed" if failed else "ok",
+                                 records=records)
+        elapsed = time.monotonic() - t0  # repro: allow-wallclock — latency metrics (EWMA for Retry-After); records never see this value
+        with self._ewma_lock:
+            self._ewma_cell_seconds += 0.3 * (elapsed - self._ewma_cell_seconds)
+        return outcome
 
     def _make_sink(self, key: str):
         every = self.round_every
@@ -331,8 +318,13 @@ class DispersionService:
         except RuntimeError:
             pass  # loop already closed (shutdown mid-run): drop the event
 
-    def _settle(self, key: str, outcome: RunOutcome) -> None:
-        """Publish terminal events and fan the outcome out to waiters."""
+    def _settle(self, key: str, future: "asyncio.Future[RunOutcome]") -> None:
+        """The cell's done callback: leave the single-flight table and
+        publish the terminal events (waiters read the future itself)."""
+        del self._inflight[key]
+        if future.cancelled():
+            return  # cancelled at shutdown
+        outcome = future.result()
         if outcome.status == "ok":
             self.counters["computed"] += 1
             self.broker.publish(key, "result", {"records": outcome.records})
@@ -343,6 +335,3 @@ class DispersionService:
             self.counters["rejected"] += 1
             self.broker.publish(key, "rejected", {"error": outcome.error})
         self.broker.publish(key, "done", {"status": outcome.status}, done=True)
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result(outcome)

@@ -35,6 +35,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--row", "1", "--strategy", "teleporter"])
 
+    def test_no_chunk_flag(self, capsys):
+        # Each cell is one pool task, so there is no dispatch size to set.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["table1", "--chunk", "2"])
+        assert exc.value.code == 2
+        assert "--chunk" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_strategies_lists_zoo(self, capsys):
@@ -142,7 +149,7 @@ class TestSweep:
         assert (store / "meta.json").exists()
         assert any(p.name.startswith("shard-") for p in store.iterdir())
 
-        assert main(argv + ["--workers", "2", "--chunk", "2"]) == 0
+        assert main(argv + ["--workers", "2"]) == 0
         warm = capsys.readouterr().out
         assert "4 cell(s) answered from cache, 0 computed" in warm
         # identical table rows either way

@@ -125,9 +125,11 @@ def test_cli_invocations_in_docs_parse():
 
 def test_cli_invocations_catch_an_unknown_flag(tmp_path, monkeypatch):
     # Every quoted `python -m repro ...` must parse; continuations are
-    # joined, and placeholders, bare mentions and CHANGES.md are skipped.
+    # joined, and placeholders, elided arguments, bare mentions and
+    # CHANGES.md are skipped.
     (tmp_path / "DOC.md").write_text(
         "Run `python -m repro table1 --n 9 --strategy squatter` or\n"
+        "any `python -m repro …` invocation\n"
         "```sh\n"
         "python -m repro sweep --strategies squatter,idle \\\n"
         "    --scheduler 'synchronous,adversarial(window=4)'  # two schedulers\n"
@@ -147,3 +149,19 @@ def test_cli_invocations_catch_an_unknown_flag(tmp_path, monkeypatch):
         "DOC.md: `python -m repro table1 --n 9 --bogus 1` does not parse "
         "(repro: error: unrecognized arguments: --bogus 1)"
     ]
+
+
+def test_cli_flags_in_prose_exist():
+    assert check_docs.check_cli_flags() == []
+
+
+def test_cli_flags_catch_a_dropped_flag(tmp_path, monkeypatch):
+    # A backticked flag no repro command takes fails the gate; `--a/--b`
+    # names two flags, and a value after the flag is ignored.
+    (tmp_path / "README.md").write_text(
+        "Plan flags: `--workers N`, `--resume/--no-resume`, `--chunk`.\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    errors = check_docs.check_cli_flags()
+    assert errors == ["README.md: names `--chunk`, which no repro command takes"]

@@ -2,12 +2,14 @@
 
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import repro
+from repro import errors
 from repro.errors import (
     ConfigurationError,
     GraphStructureError,
@@ -18,6 +20,7 @@ from repro.errors import (
     ReproError,
     RoundLimitExceeded,
     SimulationError,
+    ValidationError,
 )
 
 
@@ -44,6 +47,20 @@ class TestHierarchy:
     def test_impossible_instance_is_configuration_error(self):
         assert issubclass(ImpossibleInstance, ConfigurationError)
 
+    def test_every_error_survives_pickle(self):
+        # A sweep cell's exception crosses from its pool worker to the
+        # parent; one that does not unpickle breaks the whole pool.
+        classes = [obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, ReproError)]
+        assert ValidationError in classes and len(classes) >= 10
+        for cls in classes:
+            exc = cls("field", "reason") if cls is ValidationError else cls("message")
+            clone = pickle.loads(pickle.dumps(exc))
+            assert type(clone) is cls
+            assert clone.args == exc.args and str(clone) == str(exc)
+        clone = pickle.loads(pickle.dumps(ValidationError("graph.n", "too small")))
+        assert (clone.field, clone.reason) == ("graph.n", "too small")
+
     def test_one_except_catches_library_errors(self):
         try:
             from repro.graphs import ring
@@ -57,7 +74,7 @@ class TestHierarchy:
 
 class TestPublicSurface:
     def test_version(self):
-        assert repro.__version__ == "1.19.0"
+        assert repro.__version__ == "1.20.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -23,7 +23,12 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -214,13 +219,15 @@ class TestBackpressure:
         monkeypatch.setattr(service_module, "execute_plan", gated)
         with ServerThread(store=RunStore(str(tmp_path / "store")),
                           workers=1, queue_size=1) as server:
-            # Cell A occupies the single worker...
+            # Cell A occupies the single compute thread...
             status, _, _ = _request(server, "POST", "/run?wait=0", _scenario(1))
             assert status == 202
             assert started.wait(30)
-            # ...cell B fills the queue...
+            # ...cell B waits for it, which fills the queue...
             status, _, _ = _request(server, "POST", "/run?wait=0", _scenario(2))
             assert status == 202
+            _, stats, _ = _request(server, "GET", "/stats")
+            assert stats["queue"]["depth"] == 1 and stats["queue"]["inflight"] == 2
             # ...cell C is explicit backpressure.
             status, body, headers = _request(
                 server, "POST", "/run?wait=0", _scenario(3))
@@ -238,6 +245,87 @@ class TestBackpressure:
                     break
                 threading.Event().wait(0.01)
             assert status == 200 and body["status"] in ("ok", "warm")
+
+
+class TestDuplicateAfterStoreWrite:
+    def test_duplicate_routed_before_the_future_settles_joins(self, tmp_path, monkeypatch):
+        """A compute thread writes the store before its future settles; a
+        duplicate routed in that gap joins the computation (202
+        ``joined``) instead of reading the store as ``warm``."""
+        written, routed = threading.Event(), threading.Event()
+        real = service_module.execute_plan
+
+        def gated(*args, **kwargs):
+            lists = real(*args, **kwargs)  # the records are in the store
+            written.set()
+            assert routed.wait(30), "test gate never released"
+            return lists
+
+        monkeypatch.setattr(service_module, "execute_plan", gated)
+        with ServerThread(store=RunStore(str(tmp_path / "store"))) as server:
+            status, body, _ = _request(server, "POST", "/run?wait=0", SCENARIO)
+            assert status == 202 and body["status"] == "queued"
+            assert written.wait(30)
+            try:
+                status, body, _ = _request(server, "POST", "/run?wait=0", SCENARIO)
+            finally:
+                routed.set()
+            assert status == 202 and body["status"] == "joined"
+            status, body, _ = _request(server, "POST", "/run", SCENARIO)
+            assert status == 200
+            service = server.service
+            assert service.counters["computed"] == 1
+            assert service.counters["dedup_joined"] >= 1
+
+
+class TestSharedStore:
+    def test_cell_written_by_another_handle_is_warm(self, tmp_path):
+        """A cell another writer (a CLI sweep, say) stores after the
+        server opened the store is answered warm, not recomputed."""
+        store_dir = str(tmp_path / "store")
+        scenario = Scenario.from_dict(SCENARIO)
+        with ServerThread(store=RunStore(store_dir)) as server:
+            records = list(scenario.run(store=RunStore(store_dir)))
+            status, body, _ = _request(server, "POST", "/run", SCENARIO)
+            assert status == 200 and body["status"] == "warm"
+            assert body["records"] == records
+            assert server.service.counters["computed"] == 0
+
+
+class TestServeCommand:
+    def test_boots_answers_and_stops_on_ctrl_c(self, tmp_path):
+        """``python -m repro serve`` prints where it listens, answers
+        ``/healthz``, and on SIGINT says it stopped and exits 0."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.fullmatch(r"repro serve listening on http://127\.0\.0\.1:(\d+)\n", line)
+            assert match, line
+            conn = http.client.HTTPConnection("127.0.0.1", int(match.group(1)), timeout=60)
+            try:
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["ok"] is True
+            finally:
+                conn.close()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+            out, err = proc.stdout.read(), proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert out.splitlines()[-1] == "repro serve: stopped", (out, err)
+        assert "Traceback" not in err, err
 
 
 class TestFailureResponses:

@@ -166,6 +166,64 @@ class TestRunStore:
         with pytest.raises(ConfigurationError):
             RunStore(tmp_path)
 
+    @pytest.mark.parametrize("meta", ["[1]", '"x"', "null", "3"])
+    def test_meta_that_is_not_an_object_refused(self, tmp_path, meta):
+        (tmp_path / "meta.json").write_text(meta + "\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="not a run store"):
+            RunStore(tmp_path)
+
+    def test_damaged_lines_are_absent(self, tmp_path):
+        """Lines that parse but are no keyed entry — not an object, or a
+        key that is not a string — are treated like torn ones."""
+        s = RunStore(tmp_path / "s")
+        key = "aa" + "0" * 62
+        s.put(key, [{"x": 1}])
+        with open(os.path.join(s.path, "shard-aa.jsonl"), "ab") as fh:
+            fh.write(b'[1, 2]\n{"key": 1}\n{"key": ["ab"], "sha": "x", "records": []}\n'
+                     b'{"key": null}\n')
+        reopened = RunStore(tmp_path / "s")
+        assert reopened.get(key) == [{"x": 1}] and len(reopened) == 1
+        report = reopened.verify()
+        assert report["ok"] and report["torn_lines"] == 4 and report["cells"] == 1
+        assert reopened.compact()["dropped_lines"] == 4
+        assert reopened.verify()["torn_lines"] == 0
+        assert reopened.get(key) == [{"x": 1}]
+
+    @pytest.mark.parametrize("same_shard", [True, False])
+    def test_handles_see_each_others_puts(self, tmp_path, same_shard):
+        """Two open handles on one directory read each other's puts
+        without reopening, whichever writes first."""
+        a = RunStore(tmp_path / "s")
+        b = RunStore(tmp_path / "s")
+        key_a = "ee" + "0" * 62
+        key_b = ("ee" if same_shard else "ef") + "1" * 62
+        a.put(key_a, [{"writer": "a"}])
+        assert b.get(key_a) == [{"writer": "a"}]
+        b.put(key_b, [{"writer": "b"}])
+        assert a.get(key_b) == [{"writer": "b"}]
+        a.put(key_b, [{"writer": "a again"}])  # a later line wins
+        assert b.get(key_b) == [{"writer": "b"}]  # b's index still hits its line
+        assert RunStore(tmp_path / "s").get(key_b) == [{"writer": "a again"}]
+        assert a.misses == 0 and b.misses == 0
+
+    def test_partial_line_is_indexed_once_complete(self, tmp_path):
+        """A line without its newline is an append still in progress: it
+        is not indexed until its newline arrives."""
+        s = RunStore(tmp_path / "s")
+        other = RunStore(tmp_path / "other")
+        key = "ab" + "0" * 62
+        other.put(key, [{"x": 1}])
+        with open(os.path.join(other.path, "shard-ab.jsonl"), "rb") as fh:
+            line = fh.read()
+        shard = os.path.join(s.path, "shard-ab.jsonl")
+        with open(shard, "ab") as fh:
+            fh.write(line[:-1])
+        assert s.get(key) is None
+        assert RunStore(tmp_path / "s").get(key) is None
+        with open(shard, "ab") as fh:
+            fh.write(b"\n")
+        assert s.get(key) == [{"x": 1}]
+
     def test_records_sha_is_canonical(self):
         assert _records_sha([{"a": 1, "b": 2}]) == _records_sha([{"b": 2, "a": 1}])
 

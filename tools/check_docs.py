@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: execute the README quickstart and validate Markdown links.
 
-Six checks, all deterministic and network-free:
+Seven checks, all deterministic and network-free:
 
 1. **Quickstart execution** — every ```python code block in README.md is
    executed, in order, in one shared namespace.  The quickstart is the
@@ -32,7 +32,12 @@ Six checks, all deterministic and network-free:
    epilogs must be accepted by ``repro.cli.build_parser()`` (``--help``
    exiting 0 counts), so the docs cannot quote a flag or a command that
    does not exist.  Backslash continuations are joined; an invocation with
-   a ``<placeholder>`` or with no arguments is skipped.
+   a ``<placeholder>``, with its arguments elided (``…``) or with no
+   arguments is skipped.
+7. **CLI flags named in prose exist** — every backticked ``--flag`` in
+   README.md and in ``repro.cli``'s module docstring (``--a/--b`` names
+   two) must be an option of ``repro``'s parser or of one of its
+   subcommands, so a flag the CLI dropped cannot live on in the prose.
 
 Run:  python tools/check_docs.py   (exit 0 = docs healthy)
 """
@@ -46,7 +51,7 @@ import re
 import shlex
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -203,13 +208,19 @@ def _epilogs(parser: argparse.ArgumentParser) -> List[str]:
     return out
 
 
-def check_cli_invocations() -> List[str]:
-    """Quoted ``python -m repro`` invocations the CLI parser rejects."""
+def _cli():
+    """``repro.cli``, imported from this tree."""
     src = REPO_ROOT / "src"
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))
     from repro import cli  # noqa: PLC0415 - after sys.path setup
 
+    return cli
+
+
+def check_cli_invocations() -> List[str]:
+    """Quoted ``python -m repro`` invocations the CLI parser rejects."""
+    cli = _cli()
     parser = cli.build_parser()
     texts = [("src/repro/cli.py", text) for text in [cli.__doc__ or "", *_epilogs(parser)]]
     texts += [(str(path.relative_to(REPO_ROOT)), path.read_text(encoding="utf-8"))
@@ -221,7 +232,7 @@ def check_cli_invocations() -> List[str]:
             stderr = io.StringIO()
             try:
                 argv = shlex.split(match.group(1), comments=True)
-                if not argv or any("<" in arg for arg in argv):
+                if not argv or any("<" in arg or arg == "…" for arg in argv):
                     continue
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(stderr):
@@ -233,6 +244,37 @@ def check_cli_invocations() -> List[str]:
                     reason = stderr.getvalue().strip().splitlines()[-1]
                     errors.append(f"{where}: {quoted} does not parse ({reason})")
     return errors
+
+
+#: A backticked option named in prose: ``--name`` or ``--a/--b``, with or
+#: without a value after it.
+_FLAG_RE = re.compile(r"`(--[\w-]+(?:/--[\w-]+)*)")
+
+
+def _options(parser: argparse.ArgumentParser) -> Set[str]:
+    """Every option string of ``parser`` and of its subcommands."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _options(sub)
+    return found
+
+
+def check_cli_flags() -> List[str]:
+    """Backticked ``--flags`` in README.md and ``repro.cli``'s docstring
+    that no ``repro`` command takes."""
+    cli = _cli()
+    known = _options(cli.build_parser())
+    texts = [("README.md", (REPO_ROOT / "README.md").read_text(encoding="utf-8")),
+             ("src/repro/cli.py", cli.__doc__ or "")]
+    errors = []
+    for where, text in texts:
+        for span in _FLAG_RE.findall(text):
+            errors.extend(f"{where}: names `{flag}`, which no repro command takes"
+                          for flag in span.split("/") if flag not in known)
+    return list(dict.fromkeys(errors))
 
 
 def check_lint_registry() -> List[str]:
@@ -336,6 +378,7 @@ def main() -> int:
     errors.extend(check_lint_registry())
     errors.extend(check_eval_registry())
     errors.extend(check_cli_invocations())
+    errors.extend(check_cli_flags())
     readme = REPO_ROOT / "README.md"
     if not readme.is_file():
         errors.append("README.md is missing")
@@ -347,7 +390,7 @@ def main() -> int:
         print(
             "docs ok: README quickstart ran, all relative links and "
             "doc names and sections cited in code resolve, every quoted "
-            "CLI invocation parses"
+            "CLI invocation parses, every CLI flag named exists"
         )
     return 1 if errors else 0
 
