@@ -154,9 +154,11 @@ def _print_failures(records) -> None:
 
 def _print_store_traffic(store: Optional[RunStore]) -> None:
     if store is not None:
+        n = store.dropped
+        dropped = f", {n} damaged entr{'y' if n == 1 else 'ies'} dropped" if n else ""
         print(
             f"store {store.path}: {store.hits} cell(s) answered from cache, "
-            f"{store.puts} computed, {len(store)} total entries"
+            f"{store.puts} computed, {len(store)} total entries{dropped}"
         )
 
 

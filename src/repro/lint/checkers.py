@@ -364,12 +364,14 @@ class CanonicalJsonChecker(Checker):
     Scoped to the modules that write store shards: there, JSON bytes
     *are* identity (content hashes, cache keys), so key order must be
     canonical, not whatever dict construction order happens to be.
+    A ``json.JSONEncoder(...)`` built there is held to the same rule,
+    since a shared encoder is how such a module may serialize.
     """
 
     name = "canonical-json-only"
     pragma = "allow-unsorted-json"
-    description = ("json.dumps/json.dump without sort_keys=True in "
-                   "store-shard writer modules")
+    description = ("json.dumps/json.dump/json.JSONEncoder without "
+                   "sort_keys=True in store-shard writer modules")
     hint = ("pass sort_keys=True (canonical bytes), or pragma with a "
             "justification when insertion order is itself the pinned "
             "contract")
@@ -384,7 +386,7 @@ class CanonicalJsonChecker(Checker):
             if not isinstance(node, ast.Call):
                 continue
             origin = imports.resolve(node.func)
-            if origin not in ("json.dumps", "json.dump"):
+            if origin not in ("json.dumps", "json.dump", "json.JSONEncoder"):
                 continue
             sort_keys = None
             for kw in node.keywords:

@@ -477,9 +477,10 @@ class Scenario:
                 "scheduler",
                 f"scheduler must be a spec string, got {type(self.scheduler).__name__}",
             )
-        object.__setattr__(
-            self, "scheduler", _named("scheduler", canonical_scheduler, self.scheduler)
-        )
+        if self.scheduler != AXES["scheduler"]:  # the default is canonical
+            object.__setattr__(
+                self, "scheduler", _named("scheduler", canonical_scheduler, self.scheduler)
+            )
 
     # -- identity ------------------------------------------------------ #
 

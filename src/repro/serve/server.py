@@ -42,7 +42,7 @@ from .. import __version__
 from ..analysis.experiments import ExecutionPolicy
 from ..analysis.faults import FaultPlan
 from ..analysis.store import RunStore
-from ..errors import ReproError, ValidationError
+from ..errors import ConfigurationError, ReproError, ValidationError
 from ..scenarios import Scenario, ScenarioGrid
 from .http import (
     HttpError,
@@ -368,6 +368,8 @@ class ServerThread:
         self._thread.start()
         if not ready.wait(timeout):
             raise RuntimeError("serve thread failed to start in time")
+        if isinstance(self._startup_error, ConfigurationError):
+            raise self._startup_error  # the address cannot be listened on
         if self._startup_error is not None:
             raise RuntimeError(
                 f"serve thread failed to start: {self._startup_error!r}"
@@ -403,7 +405,13 @@ class ServerThread:
             policy=self.policy, faults=self.faults, round_every=self.round_every,
         )
         app = ServeApp(service)
-        server = await asyncio.start_server(app.handle, self.host, self.port)
+        try:
+            server = await asyncio.start_server(app.handle, self.host, self.port)
+        except OSError as exc:
+            await service.aclose()
+            raise ConfigurationError(
+                f"cannot listen on {self.host}:{self.port}: {exc.strerror}"
+            ) from exc
         self.port = server.sockets[0].getsockname()[1]
         self.service = service
         self._loop = asyncio.get_running_loop()

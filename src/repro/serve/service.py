@@ -109,6 +109,7 @@ class _LockedStore:
                 "hits": self._store.hits,
                 "misses": self._store.misses,
                 "puts": self._store.puts,
+                "dropped": self._store.dropped,
             }
 
 

@@ -2,6 +2,12 @@
 import hashlib
 import json
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def records_sha(records):
+    return hashlib.sha256(_CANONICAL.encode(records).encode("utf-8")).hexdigest()
+
 
 def cell_key(kind, serial, graph, adversary, f, seed, schema_version=1, **axes):
     config = {

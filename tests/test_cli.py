@@ -156,6 +156,22 @@ class TestSweep:
         assert [l for l in cold.splitlines() if l.startswith(" ")] == \
             [l for l in warm.splitlines() if l.startswith(" ")]
 
+    def test_store_line_counts_dropped_entries(self, tmp_path, capsys):
+        """A stored line damaged after its head is dropped at its first
+        read, and the store line says so."""
+        store = tmp_path / "runs"
+        argv = ["sweep", "--n", "8", "--strategies", "squatter",
+                "--serials", "5", "--store", str(store)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("1 computed, 1 total entries\n")
+        (shard,) = store.glob("shard-*.jsonl")
+        line = shard.read_bytes()
+        shard.write_bytes(line[:-10] + b"#" * 9 + b"\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(
+            "0 cell(s) answered from cache, 1 computed, 1 total entries, "
+            "1 damaged entry dropped\n")
+
     def test_sweep_without_store(self, capsys):
         assert main(["sweep", "--n", "8", "--strategies", "squatter",
                      "--serials", "5"]) == 0

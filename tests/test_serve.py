@@ -327,6 +327,17 @@ class TestServeCommand:
         assert out.splitlines()[-1] == "repro serve: stopped", (out, err)
         assert "Traceback" not in err, err
 
+    def test_port_in_use_is_a_one_line_rejection(self):
+        from repro.cli import main
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--port", str(held.getsockname()[1])])
+        assert str(exc.value).startswith(
+            "serve rejected: ConfigurationError: cannot listen on"), exc.value
+
 
 class TestFailureResponses:
     def test_killed_worker_is_structured_500_and_server_survives(self, tmp_path):
@@ -511,6 +522,7 @@ class TestHttpSurface:
         for key, value in cli_stats.items():
             assert body["store"][key] == value
         assert body["queue"]["capacity"] == 64
+        assert body["store"]["dropped"] == 0
         assert set(body["counters"]) >= {
             "requests", "warm_hits", "dedup_joined", "computed", "busy_429",
         }

@@ -12,7 +12,10 @@ The contracts under test:
 * store keys are canonical: graph-object and spec payloads, or two
   equal hand-built graphs, key identically; any config or schema change
   keys differently;
-* loading tolerates torn/corrupt shard lines and bad digests.
+* loading tolerates torn/corrupt shard lines and bad digests;
+* open reads each line's key from the head ``put`` writes, without
+  parsing records, and a hit is one raw read that leaves no descriptor
+  open.
 """
 
 import json
@@ -141,16 +144,25 @@ class TestRunStore:
         with pytest.raises(ConfigurationError):
             RunStore(target)
 
-    def test_bad_digest_treated_as_missing(self, tmp_path):
+    @pytest.mark.parametrize("envelope", [
+        lambda key, sha, records: json.dumps(
+            {"key": key, "sha": sha, "records": records}),
+        lambda key, sha, records: json.dumps(
+            {"sha": sha, "key": key, "records": records}, separators=(",", ":")),
+    ], ids=["spaced", "sha-first"])
+    def test_bad_digest_treated_as_missing(self, tmp_path, envelope):
+        """A line in another spelling than put's is indexed through the
+        full parse, and a hit is digest-checked however it was indexed."""
         s = RunStore(tmp_path / "s")
         key = "bb" + "0" * 62
-        line = json.dumps({"key": key, "sha": "0" * 64, "records": [{"x": 1}]})
+        line = envelope(key, "0" * 64, [{"x": 1}])
         with open(os.path.join(s.path, "shard-bb.jsonl"), "a") as fh:
             fh.write(line + "\n")
         s2 = RunStore(tmp_path / "s")
         assert key in s2  # indexed ...
         assert s2.get(key) is None  # ... but fails integrity at read
         assert key not in s2  # and is dropped
+        assert (s2.misses, s2.dropped) == (1, 1)
 
     def test_last_write_wins(self, store):
         key = "cc" + "0" * 62
@@ -226,6 +238,101 @@ class TestRunStore:
 
     def test_records_sha_is_canonical(self):
         assert _records_sha([{"a": 1, "b": 2}]) == _records_sha([{"b": 2, "a": 1}])
+
+
+class _CountingJson:
+    """The ``json`` module as the store sees it, counting the store's own
+    ``json.loads`` calls (``json.load`` of ``meta.json`` is not one)."""
+
+    def __init__(self):
+        self.loads_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    def loads(self, *args, **kwargs):
+        self.loads_calls += 1
+        return json.loads(*args, **kwargs)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestKeyHeadIndex:
+    """Open reads each line's key from the head ``put`` writes, not its
+    records; a hit is one raw read, digest-checked."""
+
+    def test_open_parses_no_put_written_line(self, tmp_path, monkeypatch):
+        writer = RunStore(tmp_path / "s")
+        keys = [cell_key("table1", 1, {"n": i}, {"strategy": "idle"}, 1, 0)
+                for i in range(64)]
+        for i, key in enumerate(keys):
+            writer.put(key, [{"i": i}])
+        spy = _CountingJson()
+        monkeypatch.setattr(store_module, "json", spy)
+        reopened = RunStore(tmp_path / "s")
+        assert spy.loads_calls == 0
+        assert sorted(reopened.keys()) == sorted(keys)
+
+    def test_put_writes_the_head_open_reads(self, store):
+        """A change to put's envelope must fail here, not quietly send
+        every open down the full-parse path."""
+        key = cell_key("table1", 1, {"n": 5}, {"strategy": "idle"}, 1, 0)
+        store.put(key, [{"x": 1}])
+        with open(store._shard_path(key), "rb") as fh:
+            head = store_module._HEAD.match(fh.read())
+        assert head is not None and head.group(1).decode("ascii") == key
+
+    def test_intact_head_damaged_body_drops_at_first_get(self, g, tmp_path):
+        """A torn append, newline-terminated by the next put, keeps its
+        head: it is indexed at open and dropped at its first get."""
+        cell = Scenario(5, g, "idle", seed=0)
+        key = cell.key()
+        reference = json.dumps(list(cell.run()))
+        donor = RunStore(tmp_path / "donor")
+        cell.run(store=donor)
+        with open(donor._shard_path(key), "rb") as fh:
+            line = fh.read()
+        path = tmp_path / "s"
+        writer = RunStore(path)
+        with open(writer._shard_path(key), "ab") as fh:
+            fh.write(line[:len(line) // 2])  # a crash mid-append
+        writer = RunStore(path)
+        other = key[:-1] + ("0" if key[-1] != "0" else "1")  # same shard
+        writer.put(other, [{"x": 1}])  # terminates the torn line
+
+        s = RunStore(path)
+        assert key in s and len(s) == 2 and s.stats()["cells"] == 2
+        assert s.get(key) is None
+        assert (s.hits, s.misses, s.dropped) == (0, 1, 1)
+        assert key not in s
+        assert json.dumps(list(cell.run(store=s))) == reference
+        reopened = RunStore(path)
+        assert json.dumps(reopened.get(key)) == reference and reopened.hits == 1
+        assert s.verify()["torn_lines"] == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_get_leaves_no_descriptor_open(self, store):
+        """Raw descriptors raise no ResourceWarning, so count them: a
+        hit, a miss, a damaged line and a removed shard close all."""
+        hit, damaged, gone = ("aa" + "0" * 62, "ab" + "0" * 62, "ac" + "0" * 62)
+        for key in (hit, damaged, gone):
+            store.put(key, [{"x": 1}])
+        shard = store._shard_path(damaged)
+        with open(shard, "rb") as fh:
+            data = fh.read()
+        with open(shard, "wb") as fh:
+            fh.write(data.replace(b'{"x":1}', b'{"x":2}'))
+        os.remove(store._shard_path(gone))
+        before = _open_fds()
+        assert store.get(hit) == [{"x": 1}]
+        assert store.get("ad" + "0" * 62) is None
+        assert store.get(damaged) is None
+        assert store.get(gone) is None
+        assert _open_fds() == before
+        assert (store.hits, store.misses, store.dropped) == (1, 3, 2)
 
 
 class TestKeyCanonicalisation:
