@@ -38,7 +38,12 @@ naming the group and the exception, so a fallback is never silent (the
 test suite turns that warning into an error).
 
 Records are built by :func:`repro.analysis.experiments._record`, the same
-function the per-cell path uses.
+function the per-cell path uses.  A group hands its records back to the
+executor through ``emit`` instead of finishing them: ``execute_plan``
+keeps them until the whole group has run and commits them to the store
+in one :meth:`~repro.analysis.store.RunStore.put_many`, outside the
+fallback boundary, so a store error is never mistaken for an engine
+fault.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..byzantine.adversary import choose_byzantine_ids
-from ..core._setup import round_budget
+from ..core._setup import round_budget, uniform_starts
 from ..core.dispersion_using_map import dispersion_rounds_bound
 from ..core.find_map import find_map_rounds
 from ..core.runner import get_row
@@ -158,12 +163,13 @@ def plan_groups(
 def run_batch_group(
     cells: Sequence[Scenario],
     indices: Sequence[int],
-    finish: Callable[[int, List[Dict]], None],
+    emit: Callable[[int, List[Dict]], None],
 ) -> List[int]:
     """Run one compatible group through the batched engine.
 
-    Calls ``finish(i, records)`` for every simulated cell and returns
-    the indices it did *not* run (leftovers for the per-cell path):
+    Calls ``emit(i, records)`` for every simulated cell once the whole
+    group has run, and returns the indices it did *not* run (leftovers
+    for the per-cell path):
     graphs outside the Theorem 1 class, out-of-range ``f`` values (the
     serial path owns rejection records and error messages), and groups
     that shrink below two runnable cells.
@@ -185,7 +191,7 @@ def run_batch_group(
             leftover.append(i)
     if len(runnable) < 2:
         return list(indices)
-    _run_theorem1_batch(row, graph, cells, runnable, finish)
+    _run_theorem1_batch(row, graph, cells, runnable, emit)
     return leftover
 
 
@@ -194,7 +200,7 @@ def _run_theorem1_batch(
     graph,
     cells: Sequence[Scenario],
     runnable: Sequence[Tuple[int, int]],
-    finish: Callable[[int, List[Dict]], None],
+    emit: Callable[[int, List[Dict]], None],
 ) -> None:
     """Vectorized Theorem 1 execution for one group, replicating the
     serial oracle's setup draw-for-draw.
@@ -203,8 +209,8 @@ def _run_theorem1_batch(
     ``solve_theorem1`` / ``build_population`` / ``make_placement``):
     compact ids ``1..n`` (``assign_ids`` with ``seed=None``); Byzantine
     ids via ``choose_byzantine_ids(ids, f, placement, seed=run_seed)``;
-    start nodes via one ``default_rng(run_seed).integers(0, n)`` draw
-    per robot in id order.  The per-robot program RNG streams
+    start nodes via ``uniform_starts(default_rng(run_seed), n, n)``, one
+    uniform node per robot in id order.  The per-robot program RNG streams
     (``default_rng((seed, rid))`` and the honest map-permutation stream)
     are *never observable* — relabeled private maps replay identical
     port sequences — so skipping them cannot change any record.
@@ -227,9 +233,7 @@ def _run_theorem1_batch(
         byz_ids_of.append(byz)
         for rid in byz:
             byz_kind[s, rid - 1] = code
-        rng = np.random.default_rng(cell.seed)
-        for j in range(n):
-            world.pos[s, j] = int(rng.integers(0, n))
+        world.pos[s] = uniform_starts(np.random.default_rng(cell.seed), n, n)
 
     program = Theorem1BatchProgram(world, byz_kind)
     rounds = world.run(program, budget)
@@ -260,4 +264,4 @@ def _run_theorem1_batch(
                       byz_ids=byz_ids_of[s]),
             activations=int(world.activations[s]),
         )
-        finish(i, [_record(cell.kind, row, graph, cell.strategy, f_used, report)])
+        emit(i, [_record(cell.kind, row, graph, cell.strategy, f_used, report)])

@@ -44,14 +44,17 @@ struct-of-arrays engine, one group per step loop (grouping rules in
 :mod:`repro.analysis.batching`).  Batched records are byte-identical to
 per-cell ones.  If the engine raises on a group, a ``RuntimeWarning``
 names the group and the exception, and the group is recomputed per
-cell.
+cell.  A group that ran is committed to the store in one
+:meth:`~repro.analysis.store.RunStore.put_many`, outside that fallback
+boundary.
 
 Sweep plans and the run store
 -----------------------------
 The executor optionally carries a
 :class:`~repro.analysis.store.RunStore`: completed cells are streamed to
 the store **as they finish** (one pool task per cell in a sliding
-window, results reassembled in submission order), and on a re-run with
+window, results reassembled in submission order; a batch group's cells
+finish together and are committed together), and on a re-run with
 ``resume=True`` every cell whose content key is already present is
 answered from disk without touching a solver.  Record lists stay
 byte-identical to a serial, store-less run in every mode — serial,
@@ -590,9 +593,10 @@ def execute_plan(
 
     With a ``store``, cells already present are answered from disk
     (``resume=True``) and every freshly computed cell is appended to the
-    store **as it completes** — after a crash, the next run picks up
-    from the last persisted cell.  ``workers > 1`` fans the pending
-    cells out over a process pool, one task per cell; cells are
+    store **as it completes** (a batch group's cells complete together
+    and are committed in one ``put_many``) — after a crash, the next run
+    picks up from the last persisted commit.  ``workers > 1`` fans the
+    pending cells out over a process pool, one task per cell; cells are
     persisted in *completion* order (a slow first cell cannot hold
     finished work out of the store) while the returned list is
     reassembled in submission order — record values and order are
@@ -675,8 +679,10 @@ def execute_plan(
         )
         leftovers: List[int] = []
         for group in groups:
+            done: List[Tuple[int, List[Dict]]] = []
             try:
-                leftovers.extend(run_batch_group(scenarios, group, _finish))
+                leftovers.extend(run_batch_group(
+                    scenarios, group, lambda i, recs: done.append((i, recs))))
             # Engine trouble must never fail a sweep the per-cell path
             # can finish: say so, then recompute the whole group per
             # cell (where ReproErrors land on their per-kind paths —
@@ -690,6 +696,13 @@ def execute_plan(
                     RuntimeWarning, stacklevel=2,
                 )
                 leftovers.extend(group)
+                continue
+            # One commit per group, outside the boundary: a store error
+            # is no engine fault and propagates as it would per cell.
+            for i, recs in done:
+                results[i] = recs
+            if store is not None:
+                store.put_many([(keys[i], recs) for i, recs in done])
         pending = sorted(rest + leftovers)
 
     if workers and workers > 1 and len(pending) > 1:

@@ -6,10 +6,10 @@ cell — one ``(row serial, graph, adversary, f, seed)`` solver invocation
 configuration **plus the record-schema version**, and maps to the list
 of records the cell produced.  The executor in
 :mod:`repro.analysis.experiments` streams completed cells into the store
-as they finish and, on a re-run, skips every cell whose key is already
-present — so an interrupted sweep over a big grid resumes where
-it died instead of recomputing, and a warm store answers the whole sweep
-with zero solver calls.
+as they finish (a batch group's cells in one commit) and, on a re-run,
+skips every cell whose key is already present — so an interrupted sweep
+over a big grid resumes where it died instead of recomputing, and a warm
+store answers the whole sweep with zero solver calls.
 
 Layout
 ------
@@ -25,14 +25,15 @@ digest of the canonical records JSON.
 
 Durability
 ----------
-Appends are atomic at the line level: a line is written with a single
-buffered write, flushed, and fsynced before :meth:`RunStore.put`
-returns.  Loading tolerates torn or corrupt lines (a crash mid-append, a
-truncated copy): a damaged line is treated as absent, at open, or, when
-its ``{"key":...,"sha":"`` head is intact, from its first
+Cells are committed with :meth:`RunStore.put_many` (:meth:`RunStore.put`
+is its one-cell case): each touched shard gets its lines in one write,
+and every touched shard is fsynced once, after all the writes, before
+``put_many`` returns.  Loading tolerates torn or corrupt lines (a crash
+mid-write, a truncated copy): a damaged line is treated as absent, at
+open, or, when its ``{"key":...,"sha":"`` head is intact, from its first
 :meth:`RunStore.get`, which digest-checks every hit and drops a line
-that fails.  So the worst a crash can cost is the one cell that was
-being appended.
+that fails.  So the most a crash can cost is the commit in progress:
+one batch group, whose cells finish together anyway, or one cell.
 
 Several handles — processes or threads — may write one store at once.
 Appends are line-atomic and every read is digest-checked, so writers
@@ -40,7 +41,8 @@ cannot corrupt each other, and a handle sees what the others append: on
 a miss, :meth:`RunStore.get` indexes the lines appended to the key's
 shard since the handle last looked (one ``os.stat`` per miss).  A line
 without its trailing newline is an append still in progress (or torn
-by a crash) and stays unindexed until it is complete.
+by a crash) and stays unindexed until it is complete; a commit that
+finds one at the end of a shard starts its own lines on a fresh line.
 
 Invalidation
 ------------
@@ -57,7 +59,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -76,9 +78,13 @@ _SHARD_PREFIX = "shard-"
 #: threads may share it; one instance spares a ``JSONEncoder`` per call.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
-#: The head :meth:`RunStore.put` writes on every line; open reads a
-#: line's key from it without parsing the records.
+#: The head :meth:`RunStore.put_many` writes on every line; open reads
+#: a line's key from it without parsing the records.
 _HEAD = re.compile(rb'\{"key":"([0-9a-f]{64})","sha":"')
+
+#: How a commit opens a shard: appending, and readable, for the one-byte
+#: look at a tail this handle has not indexed.
+_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 def _canonical_json(value) -> str:
@@ -102,6 +108,13 @@ def _entry(raw: bytes) -> Optional[Dict]:
     if isinstance(entry, dict) and isinstance(entry.get("key"), str):
         return entry
     return None
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until every byte of ``data`` is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def _intact(entry: Optional[Dict]) -> bool:
@@ -163,9 +176,15 @@ class RunStore:
     :meth:`get` fetches and digest-checks them, so a store indexing
     millions of cells does not hold millions of records in memory.
 
+    Durability: :meth:`put_many` commits a batch of cells (:meth:`put`
+    one), and their lines are fsynced before it returns.  The most a
+    crash can cost is the commit in progress: one batch group, whose
+    cells finish together anyway, or one cell.
+
     ``hits``/``misses``/``puts`` count this handle's traffic (every plan
-    command prints its hits and puts after its records); ``dropped``
-    counts the indexed lines :meth:`get` found damaged and dropped.
+    command prints its hits and puts after its records; ``puts`` counts
+    cells); ``dropped`` counts the indexed lines :meth:`get` found
+    damaged and dropped.
     """
 
     def __init__(self, path: str):
@@ -317,37 +336,74 @@ class RunStore:
         return records
 
     def put(self, key: str, records: List[Dict]) -> None:
-        """Append one cell's records; atomic at line granularity."""
-        # Insertion order is the contract here: records must round-trip
-        # through json.loads with their key order intact (warm-store
-        # replays are byte-compared against freshly computed records),
-        # and the envelope keys are literals.  Integrity is carried by
-        # `sha`, computed over canonical sorted JSON.
-        # repro: allow-unsorted-json — record key order is load-bearing
-        line = json.dumps(
-            {"key": key, "sha": _records_sha(records), "records": records},
-            separators=(",", ":"),
-        )
-        data = (line + "\n").encode("utf-8")
-        shard = self._shard_path(key)
-        # A shard ending in a torn line must be terminated first, or this
-        # append would merge into the garbage and vanish on reload.
-        prefix = b"\n" if shard in self._torn_shards else b""
-        with open(shard, "ab") as fh:
-            fh.write(prefix + data)
-            fh.flush()
-            # Taken after the append: another writer may have appended to
-            # this shard since it was opened, and an append lands at the
-            # end of the file as it is then.
-            offset = fh.tell() - len(data)
-            os.fsync(fh.fileno())
-        self._torn_shards.discard(shard)
-        self._index[key] = (shard, offset, len(data))
-        if self._ends.get(shard, 0) == offset:
-            # Nothing unindexed lies before this line.  Otherwise another
+        """Append one cell's records: :meth:`put_many` of one cell."""
+        self.put_many([(key, records)])
+
+    def put_many(self, cells: Iterable[Tuple[str, List[Dict]]]) -> None:
+        """Append ``(key, records)`` cells in one commit.
+
+        Each touched shard gets its lines in one write, in the order
+        given; then every touched shard is fsynced once.  The lines are
+        indexed and every descriptor is closed before this returns.
+        Writing every shard before fsyncing any lets the disk flush them
+        together (PERFORMANCE.md, "Cold writes").
+        """
+        batches: Dict[str, List[Tuple[str, bytes]]] = {}
+        for key, records in cells:
+            # Insertion order is the contract here: records must
+            # round-trip through json.loads with their key order intact
+            # (warm-store replays are byte-compared against freshly
+            # computed records), and the envelope keys are literals.
+            # Integrity is carried by `sha`, computed over canonical
+            # sorted JSON.
+            # repro: allow-unsorted-json — record key order is load-bearing
+            line = json.dumps(
+                {"key": key, "sha": _records_sha(records), "records": records},
+                separators=(",", ":"),
+            )
+            batches.setdefault(self._shard_path(key), []).append(
+                (key, (line + "\n").encode("utf-8")))
+        fds: Dict[str, int] = {}
+        starts: Dict[str, int] = {}  # shard -> where this commit's lines begin
+        try:
+            for shard, lines in batches.items():
+                data = b"".join(line for _, line in lines)
+                fd = fds[shard] = os.open(shard, _APPEND, 0o666)
+                _write_all(fd, self._terminator(fd, shard) + data)
+                # Taken after the append: another writer may have appended
+                # to this shard since it was opened, and an append lands at
+                # the end of the file as it is then.
+                starts[shard] = os.lseek(fd, 0, os.SEEK_CUR) - len(data)
+            for fd in fds.values():
+                os.fsync(fd)
+        finally:
+            for fd in fds.values():
+                os.close(fd)
+        for shard, lines in batches.items():
+            offset = starts[shard]
+            # Nothing unindexed lies before these lines?  Otherwise another
             # writer appended first, and the next miss indexes both.
-            self._ends[shard] = offset + len(data)
-        self.puts += 1
+            contiguous = self._ends.get(shard, 0) == offset
+            for key, line in lines:
+                self._index[key] = (shard, offset, len(line))
+                offset += len(line)
+            if contiguous:
+                self._ends[shard] = offset
+            self._torn_shards.discard(shard)
+            self.puts += len(lines)
+
+    def _terminator(self, fd: int, shard: str) -> bytes:
+        """``b"\\n"`` when the shard open at ``fd`` ends in a line without
+        its newline, else ``b""``: an append after such a tail must start
+        a fresh line, or it would merge into the garbage and vanish on
+        reload.  Only bytes this handle has not indexed can hold such a
+        tail, so a shard that ends where this handle's index does is not
+        read."""
+        size = os.lseek(fd, 0, os.SEEK_END)
+        if size in (0, self._ends.get(shard, 0)):
+            return b""
+        os.lseek(fd, size - 1, os.SEEK_SET)
+        return b"" if os.read(fd, 1) == b"\n" else b"\n"
 
     # ----------------------------------------------------------------- #
     # Maintenance
@@ -489,9 +545,8 @@ class RunStore:
         self._index: Dict[str, Tuple[str, int, int]] = {}
         #: shard -> the byte offset up to which its lines are indexed.
         self._ends: Dict[str, int] = {}
-        #: shards whose last line lacks a trailing newline (torn append):
-        #: the next put must start on a fresh line or it would merge into
-        #: the garbage and be skipped by every later load.
+        #: shards whose last line lacked its trailing newline when this
+        #: handle last read them (a torn append), for verify and stats.
         self._torn_shards: set = set()
         for shard in self._shard_files():
             self._scan(shard)

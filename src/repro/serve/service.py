@@ -99,6 +99,10 @@ class _LockedStore:
         with self._lock:
             self._store.put(key, records)
 
+    def put_many(self, cells) -> None:
+        with self._lock:
+            self._store.put_many(cells)
+
     def stats(self) -> Dict:
         with self._lock:
             return self._store.stats()

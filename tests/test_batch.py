@@ -20,19 +20,24 @@ The contracts under test:
   a regression where everything falls back), and graphs outside the
   Theorem 1 class are *returned* to the serial path, not simulated;
 * an engine error on a group is never silent: ``execute_plan`` warns,
-  naming the group, and recomputes it per cell with identical records.
+  naming the group, and recomputes it per cell with identical records;
+  a store error while committing a group is no engine error, and
+  propagates with no warning and no per-cell recompute.
 
 ``tests/conftest.py`` turns the fallback warning into an error for the
 whole suite, so an engine bug fails its test instead of hiding behind
 the per-cell fallback.
 """
 
+import errno
 import json
+import os
 import random
+import warnings
 
 import pytest
 
-from repro.analysis import batching
+from repro.analysis import batching, experiments
 from repro.analysis.batching import batchable, plan_groups, run_batch_group
 from repro.analysis.experiments import cell_key_of, execute_plan
 from repro.analysis.faults import FaultPlan, FaultSpec
@@ -324,3 +329,31 @@ class TestFallback:
         assert "group of 4 cell(s)" in message
         assert cell_key_of(cells[0]) in message
         assert "RuntimeError: engine exploded" in message
+
+    def test_store_error_is_no_engine_fault(self, g, tmp_path, monkeypatch):
+        """A store that cannot write fails a batched plan with its own
+        ``OSError``: no fallback warning, and no cell solved again on the
+        per-cell path."""
+        cells = [
+            Scenario(1, g, "squatter", seed=seed, f=4) for seed in range(6)
+        ]
+        store = RunStore(str(tmp_path / "full"))
+        solved = []
+        real = experiments._cell_records
+
+        def counting(cell):
+            solved.append(cell)
+            return real(cell)
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(experiments, "_cell_records", counting)
+        monkeypatch.setattr(os, "fsync", no_space)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError) as raised:
+                execute_plan(cells, store=store)
+        assert raised.value.errno == errno.ENOSPC
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert solved == []

@@ -1,9 +1,10 @@
 """Tests for driver plumbing (placements, populations) and the trace."""
 
+import numpy as np
 import pytest
 
 from repro.byzantine import Adversary
-from repro.core._setup import Population, build_population, make_placement
+from repro.core._setup import Population, build_population, make_placement, uniform_starts
 from repro.errors import ConfigurationError
 from repro.graphs import ring
 from repro.sim import Trace, World, Stay
@@ -53,6 +54,27 @@ class TestMakePlacement:
     def test_unknown_spec(self):
         with pytest.raises(ConfigurationError):
             make_placement(ring(5), [1], "everywhere")
+
+
+class TestUniformStarts:
+    def test_equals_scalar_draws_and_leaves_the_same_state(self):
+        """One array draw is ``count`` scalar ``integers(0, n)`` draws:
+        the same nodes, and the generator left in the same state, so the
+        next draw agrees too.  A numpy release that breaks this fails
+        here, not in a pinned record digest."""
+        for seed in range(1000):
+            array_rng = np.random.default_rng(seed)
+            scalar_rng = np.random.default_rng(seed)
+            for n in range(2, 34):
+                nodes = uniform_starts(array_rng, n, n)
+                assert nodes.tolist() == [int(scalar_rng.integers(0, n)) for _ in range(n)]
+                assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_arbitrary_placement_draws_through_it(self):
+        g = ring(7)
+        nodes = uniform_starts(np.random.default_rng(3), 7, 4).tolist()
+        assert make_placement(g, [5, 2, 9, 1], "arbitrary", seed=3) == dict(
+            zip([5, 2, 9, 1], nodes))
 
 
 class TestBuildPopulation:

@@ -15,9 +15,13 @@ The contracts under test:
 * loading tolerates torn/corrupt shard lines and bad digests;
 * open reads each line's key from the head ``put`` writes, without
   parsing records, and a hit is one raw read that leaves no descriptor
-  open.
+  open;
+* a batch group is one commit: one write and one fsync per shard it
+  touches, every fsync after the last write, byte for byte the shards a
+  put per cell writes.
 """
 
+import errno
 import json
 import os
 
@@ -118,17 +122,15 @@ class TestRunStore:
         a = RunStore(tmp_path / "s")
         b = RunStore(tmp_path / "s")
         key_a, key_b = "dd" + "0" * 62, "dd" + "1" * 62  # same shard
-        real_open = open
         interleaved = []
 
-        def open_then_let_b_write(path, mode="r", *args, **kwargs):
-            fh = real_open(path, mode, *args, **kwargs)
-            if mode == "ab" and not interleaved:
-                interleaved.append(path)
+        def let_b_write_first(fd, data):
+            if not interleaved:
+                interleaved.append(fd)
                 b.put(key_b, [{"writer": "b"}])
-            return fh
+            return os.write(fd, data)
 
-        monkeypatch.setattr(store_module, "open", open_then_let_b_write, raising=False)
+        monkeypatch.setattr(store_module, "os", _OsSpy(write=let_b_write_first))
         a.put(key_a, [{"writer": "a"}])
         monkeypatch.undo()
         assert interleaved
@@ -137,6 +139,22 @@ class TestRunStore:
         fresh = RunStore(tmp_path / "s")
         assert fresh.get(key_a) == [{"writer": "a"}]
         assert fresh.get(key_b) == [{"writer": "b"}]
+
+    def test_put_after_another_writers_torn_line(self, tmp_path):
+        """Regression: another writer's torn tail that this handle never
+        indexed must not swallow this handle's next append, or the cell is
+        lost to every fresh handle while ``verify`` still reports ok."""
+        a = RunStore(tmp_path / "s")
+        k1, k2 = "ab" + "0" * 62, "ab" + "1" * 62  # same shard
+        a.put(k1, [{"x": 1}])
+        with open(a._shard_path(k1), "ab") as fh:
+            fh.write(b'{"key":"ab' + b"2" * 62 + b'","sha":"deadbeef","rec')
+        a.put(k2, [{"x": 2}])
+        assert a.get(k2) == [{"x": 2}]
+        fresh = RunStore(tmp_path / "s")
+        assert fresh.get(k1) == [{"x": 1}]
+        assert fresh.get(k2) == [{"x": 2}]
+        assert fresh.verify()["torn_lines"] == 1
 
     def test_store_path_collides_with_file(self, tmp_path):
         target = tmp_path / "occupied"
@@ -255,6 +273,17 @@ class _CountingJson:
         return json.loads(*args, **kwargs)
 
 
+class _OsSpy:
+    """The ``os`` module as the store sees it, with some of its functions
+    replaced by the given hooks."""
+
+    def __init__(self, **hooks):
+        self.__dict__.update(hooks)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -333,6 +362,82 @@ class TestKeyHeadIndex:
         assert store.get(gone) is None
         assert _open_fds() == before
         assert (store.hits, store.misses, store.dropped) == (1, 3, 2)
+
+
+def _row1_sweep(g, seeds=40):
+    """A row-1 seed sweep on ``g``: its cells form one batch group."""
+    return list(grid(rows=1, graphs=g, strategies="squatter", seeds=list(range(seeds))))
+
+
+class TestGroupCommit:
+    """A batch group is committed in one ``put_many``: one write and one
+    fsync per shard its keys touch, every fsync after the last write."""
+
+    def test_one_fsync_per_touched_shard_after_every_write(self, g, tmp_path, monkeypatch):
+        plan = _row1_sweep(g)
+        keys = [cell.key() for cell in plan]
+        calls = []
+
+        def logged(name, fn):
+            def call(fd, *args):
+                calls.append(name)
+                return fn(fd, *args)
+            return call
+
+        monkeypatch.setattr(store_module, "os", _OsSpy(
+            write=logged("write", os.write), fsync=logged("fsync", os.fsync)))
+        _solver_ban(monkeypatch)  # every cell runs in the batch engine
+        cold = execute_plan(plan, store=RunStore(tmp_path / "s"))
+        monkeypatch.undo()
+        shards = len({key[:2] for key in keys})
+        assert shards < len(plan)
+        assert calls == ["write"] * shards + ["fsync"] * shards
+        assert json.dumps(cold) == json.dumps(execute_plan(plan))
+        fresh = RunStore(tmp_path / "s")
+        assert json.dumps([fresh.get(key) for key in keys]) == json.dumps(cold)
+
+    def test_warm_replay_never_fsyncs(self, g, tmp_path, monkeypatch):
+        plan = _row1_sweep(g)
+        cold = execute_plan(plan, store=RunStore(tmp_path / "s"))
+        fsyncs = []
+        monkeypatch.setattr(store_module, "os", _OsSpy(fsync=fsyncs.append))
+        warm = execute_plan(plan, store=RunStore(tmp_path / "s"))
+        assert fsyncs == [] and json.dumps(warm) == json.dumps(cold)
+
+    def test_shard_bytes_equal_a_put_per_cell(self, tmp_path):
+        cells = [(cell_key("table1", 1, {"n": i}, {"strategy": "idle"}, 1, 0), [{"i": i}])
+                 for i in range(300)]
+        one, many = RunStore(tmp_path / "one"), RunStore(tmp_path / "many")
+        for key, records in cells:
+            one.put(key, records)
+        many.put_many(cells)
+        names = sorted(os.listdir(one.path))
+        assert names == sorted(os.listdir(many.path))
+        for name in names:
+            with open(os.path.join(one.path, name), "rb") as a, \
+                    open(os.path.join(many.path, name), "rb") as b:
+                assert a.read() == b.read(), name
+        reloaded = RunStore(many.path)
+        assert (many._index, many._ends) == (reloaded._index, reloaded._ends)
+        assert many.puts == len(cells) == len(reloaded)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_commit_leaves_no_descriptor_open(self, g, tmp_path, monkeypatch):
+        """Raw descriptors raise no ResourceWarning, so count them: a
+        group commit and a commit whose fsync fails close every one."""
+        store = RunStore(tmp_path / "s")
+        before = _open_fds()
+        execute_plan(_row1_sweep(g), store=store)
+        assert _open_fds() == before
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(store_module, "os", _OsSpy(fsync=no_space))
+        with pytest.raises(OSError):
+            store.put_many([("a%d" % i + "0" * 62, [{"i": i}]) for i in range(10)])
+        assert _open_fds() == before
 
 
 class TestKeyCanonicalisation:
@@ -465,6 +570,39 @@ class TestCrashResume:
         monkeypatch.setattr(experiments, "_cell_records", counting)
         _table1_45(g).run(store=RunStore(tmp_path / "store"))
         assert len(calls) == 2  # only the two cells the crash lost
+
+    def test_killed_batched_sweep_resumes_byte_identical(self, g, tmp_path, monkeypatch):
+        """A batch group's commit dies part-way, inside a shard's write: a
+        fresh handle indexes exactly the complete lines, and the resume
+        recomputes only the cells whose lines are missing."""
+        plan = _row1_sweep(g)
+        uninterrupted = execute_plan(plan)
+        written = []
+
+        def dying_write(fd, data):
+            if len(written) == 10:  # the 11th shard's last line torn, then death
+                written.append(bytes(data[:-10]))
+                os.write(fd, written[-1])
+                raise KeyboardInterrupt("simulated crash")
+            written.append(bytes(data))
+            return os.write(fd, data)
+
+        monkeypatch.setattr(store_module, "os", _OsSpy(write=dying_write))
+        with pytest.raises(KeyboardInterrupt):
+            execute_plan(plan, store=RunStore(tmp_path / "store"))
+        monkeypatch.undo()
+        complete = {json.loads(line)["key"]
+                    for data in written for line in data.split(b"\n")[:-1]}
+
+        resumed_store = RunStore(tmp_path / "store")
+        assert set(resumed_store.keys()) == complete
+        assert resumed_store.verify()["torn_shards"] == 1
+        resumed = execute_plan(plan, store=resumed_store)
+        assert json.dumps(resumed) == json.dumps(uninterrupted)
+        assert resumed_store.hits == len(complete)
+        assert resumed_store.puts == len(plan) - len(complete) > 1
+        final = RunStore(tmp_path / "store")
+        assert json.dumps([final.get(c.key()) for c in plan]) == json.dumps(uninterrupted)
 
 
 class TestStoreMaintenance:
