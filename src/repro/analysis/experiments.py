@@ -44,7 +44,8 @@ struct-of-arrays engine, one group per step loop (grouping rules in
 :mod:`repro.analysis.batching`).  Batched records are byte-identical to
 per-cell ones.  If the engine raises on a group, a ``RuntimeWarning``
 names the group and the exception, and the group is recomputed per
-cell.  A group that ran is committed to the store in one
+cell; a :class:`~repro.errors.ReproError` propagates instead, as it
+would per cell.  A group that ran is committed to the store in one
 :meth:`~repro.analysis.store.RunStore.put_many`, outside that fallback
 boundary.
 
@@ -607,14 +608,15 @@ def execute_plan(
     Compatible pending cells — same graph fingerprint, solver serial,
     strategy, scheduler, and round budget, differing only in
     seed/``f``/placement — first go through the struct-of-arrays engine
-    (:mod:`repro.sim.batch`), stepping a whole group per round instead
-    of one robot at a time.  Batched records are byte-identical to the
-    per-cell path (pinned by ``tests/test_batch.py`` and
+    (:mod:`repro.analysis.batching`), stepping a whole group per round
+    instead of one robot at a time.  Batched records are byte-identical
+    to the per-cell path (pinned by ``tests/test_batch.py`` and
     ``tests/test_record_golden.py``); singletons, fault-injected cells,
-    and anything :mod:`repro.analysis.batching` rules out run per cell.
-    If the engine raises on a group, a ``RuntimeWarning`` names the
-    group's size, its first cell key, and the exception, and the whole
-    group is recomputed per cell.
+    and anything that module rules out run per cell.  If the engine
+    raises on a group, a ``RuntimeWarning`` names the group's size, its
+    first cell key, and the exception, and the whole group is
+    recomputed per cell; a :class:`~repro.errors.ReproError` (a graph
+    its generator refuses) propagates, as it would per cell.
 
     ``policy`` (default :data:`DEFAULT_POLICY`) governs the failure
     paths: per-cell timeouts, bounded retries with backoff, pool respawn
@@ -683,10 +685,15 @@ def execute_plan(
             try:
                 leftovers.extend(run_batch_group(
                     scenarios, group, lambda i, recs: done.append((i, recs))))
+            except ReproError:
+                # A deterministic rejection (a graph its generator
+                # refuses) is no engine fault: per cell it would raise
+                # the same, since the graph resolves outside the
+                # solver's rejection path.
+                raise
             # Engine trouble must never fail a sweep the per-cell path
             # can finish: say so, then recompute the whole group per
-            # cell (where ReproErrors land on their per-kind paths —
-            # propagate for table1, reject for tolerance).
+            # cell.
             # repro: allow-broad-except — batch-engine fallback boundary
             except Exception as exc:
                 warnings.warn(

@@ -100,7 +100,7 @@ def tagged(fn: Callable[..., PortLabeledGraph]) -> Callable[..., PortLabeledGrap
         bound = sig.bind(*args, **kwargs)
         bound.apply_defaults()
         _check_args(sig, bound.arguments)
-        graph = fn(*args, **kwargs)
+        graph = fn(*bound.args, **bound.kwargs)
         graph._spec = GraphSpec(name, tuple(bound.arguments.items()))
         return graph
 
@@ -175,7 +175,11 @@ def _check_args(sig: inspect.Signature, args: Dict[str, object]) -> None:
     parameter (a size) a non-negative ``int`` and a ``float`` parameter a
     finite number; bools pass as neither (``True`` would build ``1``'s
     graph under another key).  Without this check the generator fails
-    mid-build with an untyped ``TypeError`` or ``ValueError``."""
+    mid-build with an untyped ``TypeError`` or ``ValueError``.
+
+    A ``float`` parameter is stored back in ``args`` as a ``float``, so
+    ``avg_degree=3`` binds, builds and keys as ``avg_degree=3.0``: the
+    two are ``==`` and build one graph, so they must share one key."""
     for name, value in args.items():
         # The generators' modules postpone annotations: they are strings.
         annotation = sig.parameters[name].annotation
@@ -185,9 +189,14 @@ def _check_args(sig: inspect.Signature, args: Dict[str, object]) -> None:
         elif annotation == "int":
             ok, admits = _is_count(value), "a non-negative int"
         elif annotation == "float":
-            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
-            admits = "a finite number"
+            number = math.nan
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                try:
+                    number = float(value)
+                except OverflowError:  # an int past the float range
+                    pass
+            args[name] = number
+            ok, admits = math.isfinite(number), "a finite number"
         else:
             continue
         if not ok:
@@ -203,34 +212,38 @@ def _is_count(value: object) -> bool:
 # --------------------------------------------------------------------- #
 
 def _canonical_value(value):
-    """JSON-safe canonical form of one spec argument value.
+    """Canonical form of one spec argument value: nested tuples, which
+    hash, and which ``json`` encodes as the arrays of a list form.
 
     Dict keys keep their type via ``repr`` (``1`` vs ``"1"`` must not
     alias to the same content address).
     """
     if isinstance(value, (tuple, list)):
-        return [_canonical_value(v) for v in value]
+        return tuple(_canonical_value(v) for v in value)
     if isinstance(value, dict):
-        return [
-            [repr(k), _canonical_value(v)]
+        return tuple(
+            (repr(k), _canonical_value(v))
             for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-        ]
+        )
     return value
 
 
 def canonical_spec(spec: GraphSpec):
-    """JSON-safe canonical form of ``spec`` for content-addressed keys.
+    """Canonical form of ``spec`` for content-addressed keys: JSON-safe
+    nested tuples.
 
     Argument order is the generator's signature order (fixed in code),
     and defaults were applied when the spec was bound, so two calls that
     build the same graph canonicalise identically regardless of how the
     arguments were spelled.
     """
-    return ["spec", spec.family, [[k, _canonical_value(v)] for k, v in spec.args]]
+    return ("spec", spec.family, tuple((k, _canonical_value(v)) for k, v in spec.args))
 
 
 def graph_fingerprint(graph: Union[PortLabeledGraph, GraphSpec]):
-    """JSON-safe content fingerprint of a graph or spec for cache keys.
+    """Content fingerprint of a graph or spec for cache keys: nested
+    tuples, so it hashes (batch grouping compares it as it is) and
+    encodes as JSON arrays (store keys).
 
     Specs and generator-built graphs fingerprint as the canonical spec —
     stable across processes and machines, and equal for a spec and the
@@ -245,4 +258,4 @@ def graph_fingerprint(graph: Union[PortLabeledGraph, GraphSpec]):
     h = hashlib.sha256()
     for arr in (offsets, dest, in_port):
         h.update(arr.tobytes())
-    return ["csr", graph.n, h.hexdigest()]
+    return ("csr", graph.n, h.hexdigest())

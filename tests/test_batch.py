@@ -22,7 +22,11 @@ The contracts under test:
 * an engine error on a group is never silent: ``execute_plan`` warns,
   naming the group, and recomputes it per cell with identical records;
   a store error while committing a group is no engine error, and
-  propagates with no warning and no per-cell recompute.
+  propagates with no warning and no per-cell recompute; nor is a graph
+  its generator refuses;
+* a derandomized property: batched records equal per-cell records over
+  random plans on five view-distinct graphs, every batchable strategy,
+  both batchable kinds and short round budgets.
 
 ``tests/conftest.py`` turns the fallback warning into an error for the
 whole suite, so an engine bug fails its test instead of hiding behind
@@ -30,20 +34,30 @@ the per-cell fallback.
 """
 
 import errno
+import functools
 import json
 import os
 import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import batching, experiments
 from repro.analysis.batching import batchable, plan_groups, run_batch_group
 from repro.analysis.experiments import cell_key_of, execute_plan
 from repro.analysis.faults import FaultPlan, FaultSpec
 from repro.analysis.store import RunStore
-from repro.graphs import graph_fingerprint, random_connected, ring
-from repro.scenarios import Scenario
+from repro.errors import ConfigurationError
+from repro.graphs import (
+    graph_fingerprint,
+    is_quotient_isomorphic,
+    random_connected,
+    ring,
+)
+from repro.graphs.specs import GraphSpec
+from repro.scenarios import PLACEMENTS, Scenario
 
 #: ``random_connected(12, seed=0)`` is connected and quotient-isomorphic
 #: (n=12, m=18) — a Theorem 1 graph without any seed scanning.
@@ -58,6 +72,32 @@ def g():
 @pytest.fixture(scope="module")
 def g2():
     return random_connected(12, seed=3)  # same n, different fingerprint
+
+
+@functools.lru_cache(maxsize=None)
+def _theorem1_graph(n):
+    """The first view-distinct ``random_connected(n, seed)``."""
+    return next(g for g in (random_connected(n, seed=s) for s in range(100))
+                if is_quotient_isomorphic(g))
+
+
+@st.composite
+def _batchable_plans(draw):
+    """2-6 row-1 cells that share a graph, strategy, kind and round
+    budget, with their own ``f``, placement and seed: one batch group,
+    less the cells whose ``f`` is out of range."""
+    n = draw(st.sampled_from((5, 7, 9, 11, 14)))
+    kind = draw(st.sampled_from(("table1", "tolerance")))
+    strategy = draw(st.sampled_from(("crash", "idle", "squatter", "flag_spammer")))
+    rounds = draw(st.sampled_from((None, 0, 1, 3)))
+    fs = ["max", *range(n)] + ([n] if kind == "tolerance" else [])
+    return [
+        Scenario(1, _theorem1_graph(n), strategy, kind=kind, rounds=rounds,
+                 f=draw(st.sampled_from(fs)),
+                 placement=draw(st.sampled_from(PLACEMENTS)),
+                 seed=draw(st.integers(0, 50)))
+        for _ in range(draw(st.integers(2, 6)))
+    ]
 
 
 def _plan(cells, faults=None):
@@ -146,6 +186,24 @@ class TestGrouping:
         groups, rest = _plan(cells, faults=faults)
         assert groups == [[0, 1, 3]]
         assert rest == [2]
+
+    def test_grouping_encodes_no_fingerprint(self, g, monkeypatch):
+        """A fingerprint hashes as it is: grouping a 64-cell plan calls
+        ``json.dumps`` not once (it used to encode one per cell)."""
+        cells = [Scenario(1, g, "squatter", seed=seed, f=4) for seed in range(64)]
+        keys = [cell_key_of(c) for c in cells]
+        fingerprint = graph_fingerprint(g)
+        encoded = []
+        real = json.dumps
+
+        def counting(*args, **kwargs):
+            encoded.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        groups, rest = plan_groups(cells, list(range(64)), keys, lambda i: fingerprint)
+        assert groups == [list(range(64))] and rest == []
+        assert encoded == []
 
     def test_property_random_plans_never_mix_axes(self, g, g2):
         """Property test: however a plan is assembled, every planned
@@ -257,6 +315,11 @@ class TestByteIdentity:
             faults_b=FaultPlan({target: spec}),
         )
 
+    @settings(max_examples=40, derandomize=True)
+    @given(_batchable_plans())
+    def test_property_batched_records_equal_per_cell(self, cells):
+        assert json.dumps(execute_plan(cells)) == json.dumps(_per_cell(cells))
+
     def test_batch_engine_actually_runs(self, g, monkeypatch):
         """Guard against a regression where every group silently falls
         back: the grouped cells must be simulated by the engine."""
@@ -355,5 +418,29 @@ class TestFallback:
             with pytest.raises(OSError) as raised:
                 execute_plan(cells, store=store)
         assert raised.value.errno == errno.ENOSPC
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert solved == []
+
+    def test_refused_graph_is_no_engine_fault(self, monkeypatch):
+        """A graph its generator refuses fails a batched plan with the
+        generator's own ``ConfigurationError``, as it would per cell: no
+        fallback warning, and no cell tried again on the per-cell path."""
+        cells = [
+            Scenario(1, GraphSpec("random_regular", (("n", 5), ("d", 3))),
+                     "squatter", seed=seed)
+            for seed in range(3)
+        ]
+        solved = []
+        real = experiments._cell_records
+
+        def counting(cell):
+            solved.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(experiments, "_cell_records", counting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="no 3-regular graph"):
+                execute_plan(cells)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert solved == []

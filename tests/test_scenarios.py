@@ -286,6 +286,22 @@ class TestSerialization:
         assert s.resolved_graph() == g
         assert s.key() == Scenario(algorithm=5, graph=g).key()
 
+    def test_integer_spelling_of_a_float_argument_keys_like_the_default(self):
+        """``avg_degree=3`` builds the graph the default ``3.0`` builds,
+        so it must key alike: it used to compare equal under another key,
+        missing the store cell the default wrote."""
+        spelled, default = (
+            Scenario.from_dict({"algorithm": 1, "graph": {
+                "family": "random_connected", "args": args}})
+            for args in ({"n": 9, "seed": 0, "avg_degree": 3}, {"n": 9, "seed": 0})
+        )
+        assert spelled == default
+        assert spelled.key() == default.key()
+        assert spelled.key() == Scenario(1, random_connected(9, seed=0)).key()
+        assert spec_of(random_connected(9, seed=0, avg_degree=3)) == spelled.graph
+        merged = ScenarioGrid.concat([ScenarioGrid([spelled]), ScenarioGrid([default])])
+        assert merged.keys() == [default.key()]
+
     def test_bad_payloads_rejected(self, g):
         with pytest.raises(ConfigurationError):
             Scenario.from_dict({"algorithm": 5})  # no graph

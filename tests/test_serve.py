@@ -813,6 +813,11 @@ class TestScenarioValidation:
         # ``True == 1``: equality alone took it as version 1.
         ({"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}},
           "version": True}, "version"),
+        # An int past the float range escaped as a raw OverflowError (a
+        # 500 from serve).
+        ({"algorithm": 4, "graph": {"family": "random_connected",
+                                    "args": {"n": 9, "avg_degree": 10 ** 400}}},
+         "graph"),
     ])
     def test_bad_input_names_the_field(self, payload, field):
         with pytest.raises(ValidationError) as excinfo:
@@ -832,13 +837,14 @@ class TestScenarioValidation:
             assert excinfo.value.field == "scenarios[1].graph"
 
     @settings(max_examples=200, derandomize=True)
-    @given(st.data())
-    def test_from_dict_fuzz_parses_or_names_a_field(self, data):
+    @given(payload=_SCENARIO_PAYLOADS)
+    @example(payload={"algorithm": 4, "graph": {
+        "family": "random_connected", "args": {"n": 9, "avg_degree": 10 ** 400}}})
+    def test_from_dict_fuzz_parses_or_names_a_field(self, payload):
         """Property over untrusted JSON: every field may hold any nested
         JSON value.  ``from_dict`` either returns a scenario whose JSON
         round trip keeps its identity and key, or raises
         ``ValidationError``; nothing else may escape."""
-        payload = data.draw(_SCENARIO_PAYLOADS)
         try:
             scenario = Scenario.from_dict(payload)
         except ValidationError:
