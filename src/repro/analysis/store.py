@@ -16,33 +16,45 @@ Layout
 A store is a directory::
 
     <path>/meta.json        {"format": "repro-run-store", "schema_version": N}
-    <path>/shard-ab.jsonl   one JSON line per completed cell
+    <path>/shard-log.jsonl  one JSON line per committed cell
 
-Shards are named by the first two hex digits of the cell key (up to 256
-shards), which keeps any one file small and append cheap.  Each line is
-``{"key": ..., "sha": ..., "records": [...]}`` where ``sha`` is a
-digest of the canonical records JSON.
+Every commit appends to the one log.  Each line is ``{"key": ...,
+"sha": ..., "records": [...]}`` where ``sha`` is a digest of the
+canonical records JSON.  Stores written before v1.24.0 spread their
+lines over up to 256 key-prefix shards, ``shard-<key[:2]>.jsonl``.
+Open indexes every ``shard-*.jsonl`` file in sorted order, later lines
+winning, and the log's name sorts after ``shard-ff.jsonl``: such a
+store opens fully warm, and where a legacy shard and the log both hold
+a key, the log's line wins.  To a v1.23.0 handle the log is one more
+shard, so it opens a store written here fully warm too.
+:meth:`RunStore.compact` folds every file into the log.
 
 Durability
 ----------
 Cells are committed with :meth:`RunStore.put_many` (:meth:`RunStore.put`
-is its one-cell case): each touched shard gets its lines in one write,
-and every touched shard is fsynced once, after all the writes, before
-``put_many`` returns.  Loading tolerates torn or corrupt lines (a crash
-mid-write, a truncated copy): a damaged line is treated as absent, at
-open, or, when its ``{"key":...,"sha":"`` head is intact, from its first
-:meth:`RunStore.get`, which digest-checks every hit and drops a line
-that fails.  So the most a crash can cost is the commit in progress:
-one batch group, whose cells finish together anyway, or one cell.
+is its one-cell case): one write of all the commit's lines to the log,
+then one fsync, before ``put_many`` returns.  A file's fsync does not
+make its directory entry durable, so the store directory is fsynced too
+after the commit that creates the log, after ``meta.json`` is renamed
+into place and after every maintenance rewrite.  Loading tolerates torn
+or corrupt lines (a crash mid-write, a truncated copy): a damaged line
+is treated as absent, at open, or, when its ``{"key":...,"sha":"`` head
+is intact, from its first :meth:`RunStore.get`, which digest-checks
+every hit and drops a line that fails.  So the most a crash can cost is
+the commit in progress: one batch group, whose cells finish together
+anyway, or one cell.
 
 Several handles — processes or threads — may write one store at once.
-Appends are line-atomic and every read is digest-checked, so writers
-cannot corrupt each other, and a handle sees what the others append: on
-a miss, :meth:`RunStore.get` indexes the lines appended to the key's
-shard since the handle last looked (one ``os.stat`` per miss).  A line
-without its trailing newline is an append still in progress (or torn
-by a crash) and stays unindexed until it is complete; a commit that
-finds one at the end of a shard starts its own lines on a fresh line.
+A commit is one append, so its lines land whole and together, every
+read is digest-checked, and writers cannot corrupt each other.  A
+handle sees what the others append: on a miss, :meth:`RunStore.get`
+indexes the lines appended to the log since the handle last looked (one
+``os.stat`` per miss).  A line without its trailing newline is an
+append still in progress (or torn by a crash) and stays unindexed until
+it is complete; a commit that finds one at the end of the log starts
+its own lines on a fresh line.  A v1.23.0 writer appends to key-prefix
+shards instead: a handle sees those lines at its next open, not by
+catch-up.
 
 Invalidation
 ------------
@@ -72,6 +84,10 @@ SCHEMA_VERSION = 1
 
 _META_NAME = "meta.json"
 _SHARD_PREFIX = "shard-"
+#: The log every commit appends to: a ``shard-*.jsonl`` name, so open
+#: indexes it with the key-prefix shards of older stores, and one that
+#: sorts after ``shard-ff.jsonl``, so its lines win the scan.
+_LOG_NAME = "shard-log.jsonl"
 
 
 #: The one canonical encoder.  It keeps no state between calls, so
@@ -82,9 +98,11 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 #: a line's key from it without parsing the records.
 _HEAD = re.compile(rb'\{"key":"([0-9a-f]{64})","sha":"')
 
-#: How a commit opens a shard: appending, and readable, for the one-byte
+_BINARY = getattr(os, "O_BINARY", 0)
+
+#: How a commit opens the log: appending, and readable, for the one-byte
 #: look at a tail this handle has not indexed.
-_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | _BINARY
 
 
 def _canonical_json(value) -> str:
@@ -115,6 +133,36 @@ def _write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
+
+
+def _fsync_dir(path: str) -> None:
+    """Fsync the directory ``path``, making the entries created or
+    renamed in it durable: a file's fsync does not (fsync(2)).  Skipped
+    where a directory cannot be opened, as on Windows."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _replace(path: str, data: bytes) -> None:
+    """Atomically make ``data`` the contents of ``path``: write a temp
+    file, fsync it, rename it over ``path`` and fsync the directory, so
+    a crash leaves the old file or the new one, and the new one is
+    durable when this returns."""
+    tmp = path + ".tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
+    try:
+        _write_all(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(tmp, path)
+    _fsync_dir(os.path.dirname(path))
 
 
 def _intact(entry: Optional[Dict]) -> bool:
@@ -168,18 +216,27 @@ def cell_key(
 class RunStore:
     """Append-only, content-addressed store of sweep-cell records.
 
-    Opening a store scans its shards once to build an in-memory
-    ``key -> (shard, offset, length)`` index, which a miss extends with
-    what other writers appended since.  The scan reads each line's key
-    from the head :meth:`put` writes, not its records (a line in another
+    Opening a store scans its files once to build an in-memory ``key ->
+    (file, offset, length)`` index.  The scan reads each line's key from
+    the head :meth:`put` writes, not its records (a line in another
     spelling is parsed whole); record payloads stay on disk until
     :meth:`get` fetches and digest-checks them, so a store indexing
     millions of cells does not hold millions of records in memory.
 
+    Layout: every commit appends to one log, ``shard-log.jsonl``, and
+    open indexes every ``shard-*.jsonl`` file in sorted order, so a
+    store of v1.23.0's key-prefix shards opens fully warm and the log
+    wins a key both hold.
+
     Durability: :meth:`put_many` commits a batch of cells (:meth:`put`
-    one), and their lines are fsynced before it returns.  The most a
-    crash can cost is the commit in progress: one batch group, whose
-    cells finish together anyway, or one cell.
+    one) with one write and one fsync of the log before it returns, and
+    the commit that creates the log fsyncs the store directory too.  The
+    most a crash can cost is the commit in progress: one batch group,
+    whose cells finish together anyway, or one cell.
+
+    Several writers: a miss indexes what other handles appended to the
+    log since this one looked; lines a v1.23.0 writer appends to its
+    key-prefix shards show at this handle's next open, not by catch-up.
 
     ``hits``/``misses``/``puts`` count this handle's traffic (every plan
     command prints its hits and puts after its records; ``puts`` counts
@@ -195,6 +252,7 @@ class RunStore:
             raise ConfigurationError(
                 f"cannot use {self.path!r} as a run store: {exc}"
             )
+        self._log = os.path.join(self.path, _LOG_NAME)
         self._init_meta()
         self._reload()
         self.hits = 0
@@ -225,24 +283,19 @@ class RunStore:
             self.created_schema_version = meta.get("schema_version")
             return
         self.created_schema_version = SCHEMA_VERSION
-        tmp = meta_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"format": "repro-run-store", "schema_version": SCHEMA_VERSION},
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        os.replace(tmp, meta_path)
+        meta = json.dumps(
+            {"format": "repro-run-store", "schema_version": SCHEMA_VERSION},
+            sort_keys=True,
+        )
+        _replace(meta_path, (meta + "\n").encode("utf-8"))
 
     # ----------------------------------------------------------------- #
-    # Index / shards
+    # Index / files
     # ----------------------------------------------------------------- #
-
-    def _shard_path(self, key: str) -> str:
-        return os.path.join(self.path, f"{_SHARD_PREFIX}{key[:2]}.jsonl")
 
     def _shard_files(self) -> List[str]:
+        """Every file open indexes, in the order it indexes them: the key-
+        prefix shards of stores written before v1.24.0, then the log."""
         return sorted(
             os.path.join(self.path, name)
             for name in os.listdir(self.path)
@@ -284,14 +337,13 @@ class RunStore:
         self._ends[shard] = end
 
     def _catch_up(self, key: str) -> Optional[Tuple[str, int, int]]:
-        """After a miss: index what other writers appended to ``key``'s
-        shard since this handle last looked, and look again."""
-        shard = self._shard_path(key)
-        end = self._ends.get(shard, 0)
+        """After a miss: index what other writers appended to the log
+        since this handle last looked, and look again."""
+        end = self._ends.get(self._log, 0)
         try:
-            if os.stat(shard).st_size > end:
-                self._scan(shard, end)
-        except FileNotFoundError:  # no such shard (yet)
+            if os.stat(self._log).st_size > end:
+                self._scan(self._log, end)
+        except FileNotFoundError:  # no log (yet)
             pass
         return self._index.get(key)
 
@@ -317,7 +369,7 @@ class RunStore:
         try:
             # One raw read: for a ~400-byte line, a buffered open + seek
             # + read costs 2.5x as much.  No descriptor outlives the call.
-            fd = os.open(shard, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+            fd = os.open(shard, os.O_RDONLY | _BINARY)
             try:
                 os.lseek(fd, offset, os.SEEK_SET)
                 raw = os.read(fd, length)
@@ -340,15 +392,19 @@ class RunStore:
         self.put_many([(key, records)])
 
     def put_many(self, cells: Iterable[Tuple[str, List[Dict]]]) -> None:
-        """Append ``(key, records)`` cells in one commit.
+        """Append ``(key, records)`` cells to the log in one commit.
 
-        Each touched shard gets its lines in one write, in the order
-        given; then every touched shard is fsynced once.  The lines are
-        indexed and every descriptor is closed before this returns.
-        Writing every shard before fsyncing any lets the disk flush them
-        together (PERFORMANCE.md, "Cold writes").
+        The lines, in the order given, go to the log in one write, so
+        other writers' appends land before or after them, never between;
+        then the log is fsynced once, and the commit that creates the log
+        fsyncs the store directory too.  The lines are indexed and the
+        descriptor closed before this returns.  One file makes a commit
+        one fsync however many keys it holds (PERFORMANCE.md, "One log
+        per store (v1.24.0)").  Beside a v1.23.0 writer, each handle sees
+        the other's lines at its next open, not by catch-up: this one's
+        catch-up reads the log, a v1.23.0 handle's the key's prefix shard.
         """
-        batches: Dict[str, List[Tuple[str, bytes]]] = {}
+        lines: List[Tuple[str, bytes]] = []
         for key, records in cells:
             # Insertion order is the contract here: records must
             # round-trip through json.loads with their key order intact
@@ -361,46 +417,43 @@ class RunStore:
                 {"key": key, "sha": _records_sha(records), "records": records},
                 separators=(",", ":"),
             )
-            batches.setdefault(self._shard_path(key), []).append(
-                (key, (line + "\n").encode("utf-8")))
-        fds: Dict[str, int] = {}
-        starts: Dict[str, int] = {}  # shard -> where this commit's lines begin
+            lines.append((key, (line + "\n").encode("utf-8")))
+        if not lines:
+            return
+        log = self._log
+        data = b"".join(line for _, line in lines)
+        fd = os.open(log, _APPEND, 0o666)
         try:
-            for shard, lines in batches.items():
-                data = b"".join(line for _, line in lines)
-                fd = fds[shard] = os.open(shard, _APPEND, 0o666)
-                _write_all(fd, self._terminator(fd, shard) + data)
-                # Taken after the append: another writer may have appended
-                # to this shard since it was opened, and an append lands at
-                # the end of the file as it is then.
-                starts[shard] = os.lseek(fd, 0, os.SEEK_CUR) - len(data)
-            for fd in fds.values():
-                os.fsync(fd)
+            size = os.lseek(fd, 0, os.SEEK_END)
+            _write_all(fd, self._terminator(fd, size) + data)
+            # Taken after the append: another writer may have appended to
+            # the log since it was opened, and an append lands at the end
+            # of the file as it is then.
+            offset = os.lseek(fd, 0, os.SEEK_CUR) - len(data)
+            os.fsync(fd)
         finally:
-            for fd in fds.values():
-                os.close(fd)
-        for shard, lines in batches.items():
-            offset = starts[shard]
-            # Nothing unindexed lies before these lines?  Otherwise another
-            # writer appended first, and the next miss indexes both.
-            contiguous = self._ends.get(shard, 0) == offset
-            for key, line in lines:
-                self._index[key] = (shard, offset, len(line))
-                offset += len(line)
-            if contiguous:
-                self._ends[shard] = offset
-            self._torn_shards.discard(shard)
-            self.puts += len(lines)
+            os.close(fd)
+        if size == 0:  # this commit created the log
+            _fsync_dir(self.path)
+        # Nothing unindexed lies before these lines?  Otherwise another
+        # writer appended first, and the next miss indexes both.
+        contiguous = self._ends.get(log, 0) == offset
+        for key, line in lines:
+            self._index[key] = (log, offset, len(line))
+            offset += len(line)
+        if contiguous:
+            self._ends[log] = offset
+        self._torn_shards.discard(log)
+        self.puts += len(lines)
 
-    def _terminator(self, fd: int, shard: str) -> bytes:
-        """``b"\\n"`` when the shard open at ``fd`` ends in a line without
-        its newline, else ``b""``: an append after such a tail must start
-        a fresh line, or it would merge into the garbage and vanish on
-        reload.  Only bytes this handle has not indexed can hold such a
-        tail, so a shard that ends where this handle's index does is not
-        read."""
-        size = os.lseek(fd, 0, os.SEEK_END)
-        if size in (0, self._ends.get(shard, 0)):
+    def _terminator(self, fd: int, size: int) -> bytes:
+        """``b"\\n"`` when the log open at ``fd``, ``size`` bytes long,
+        ends in a line without its newline, else ``b""``: an append after
+        such a tail must start a fresh line, or it would merge into the
+        garbage and vanish on reload.  Only bytes this handle has not
+        indexed can hold such a tail, so a log that ends where this
+        handle's index does is not read."""
+        if size in (0, self._ends.get(self._log, 0)):
             return b""
         os.lseek(fd, size - 1, os.SEEK_SET)
         return b"" if os.read(fd, 1) == b"\n" else b"\n"
@@ -412,8 +465,8 @@ class RunStore:
     def verify(self) -> Dict:
         """Full-store integrity scan; returns a structured report.
 
-        Every shard line is parsed and digest-checked — not just the
-        indexed ones, so superseded duplicates and torn tails are
+        Every line of every file is parsed and digest-checked — not just
+        the indexed ones, so superseded duplicates and torn tails are
         counted too.  Nothing is modified; ``ok`` is True exactly when
         every *live* (index-winning) entry checks out, because dead
         bytes cost space, not answers.  Report keys::
@@ -425,7 +478,7 @@ class RunStore:
             corrupt_keys   their cell keys (sorted)
             stale_lines    parseable lines superseded by a later put
             torn_lines     lines that are no keyed entry (crash-torn appends etc.)
-            torn_shards    shards whose final line lacks a newline
+            torn_shards    files whose final line lacks a newline
         """
         live: Dict[str, bool] = {}  # key -> whether its winning line verifies
         stale_lines = 0
@@ -454,15 +507,17 @@ class RunStore:
         }
 
     def repair(self) -> Dict:
-        """Drop corrupt entries and rewrite damaged shards in place.
+        """Drop corrupt entries and rewrite damaged files in place.
 
-        Each shard containing a torn line or a digest-failing live entry
-        is rewritten atomically (temp file + ``fsync`` + ``os.replace``)
-        keeping only lines that parse *and* verify; healthy shards are
-        untouched.  Superseded duplicates survive repair — reclaiming
-        them is :meth:`compact`'s job.  The in-memory index is rebuilt.
-        Returns ``{"repaired_shards": n, "dropped_lines": n,
-        "cells": live-entry count after repair}``.
+        Each file (the log, or a legacy key-prefix shard) containing a
+        torn line or a digest-failing live entry is rewritten whole and
+        atomically (see :meth:`_rewrite_shard`) keeping only lines that
+        parse *and* verify; healthy files are untouched.  Superseded
+        duplicates survive repair — reclaiming them is :meth:`compact`'s
+        job.  The in-memory index is rebuilt.  Returns
+        ``{"repaired_shards": n, "dropped_lines": n, "cells": live-entry
+        count after repair}``, where ``repaired_shards`` counts the files
+        rewritten.
         """
         repaired = 0
         dropped = 0
@@ -490,20 +545,25 @@ class RunStore:
         }
 
     def compact(self) -> Dict:
-        """Rewrite every shard keeping only the winning line per key.
+        """Fold every file's winning lines into the log.
 
-        Reclaims the space of superseded duplicates and sheds torn or
-        corrupt lines as a side effect (a corrupt line never wins its
-        key).  Rewrites are atomic per shard; a crash mid-compaction
-        leaves each shard either fully old or fully new — both readable.
-        Returns ``{"reclaimed_bytes": n, "dropped_lines": n,
-        "cells": live-entry count}``.
+        Keeps the winning line per key (the later file, then the later
+        line, wins, as at open; a corrupt line never wins its key),
+        rewrites the log with them atomically (see
+        :meth:`_rewrite_shard`) and then removes every other shard file,
+        so a store of legacy key-prefix shards leaves ``meta.json`` and
+        the log.  This reclaims superseded duplicates and sheds torn or
+        corrupt lines.  A crash mid-compaction leaves the old files, or
+        the new log beside legacy files whose lines it wins.  A store
+        that is the log alone with nothing to reclaim is not rewritten.
+        Returns ``{"reclaimed_bytes": n, "dropped_lines": n, "cells":
+        live-entry count}``.
         """
-        before = sum(os.path.getsize(s) for s in self._shard_files())
-        dropped = 0
-        for shard in self._shard_files():
-            winners: Dict[str, bytes] = {}
-            total = 0
+        shards = self._shard_files()
+        before = sum(os.path.getsize(s) for s in shards)
+        winners: Dict[str, bytes] = {}
+        total = 0
+        for shard in shards:
             for _, raw in self._lines(shard):
                 total += 1
                 entry = _entry(raw)
@@ -512,40 +572,37 @@ class RunStore:
                 if not raw.endswith(b"\n"):
                     raw += b"\n"
                 winners[entry["key"]] = raw  # later line wins
-            if total == len(winners):
-                continue  # nothing to reclaim
-            dropped += total - len(winners)
-            self._rewrite_shard(shard, list(winners.values()))
+        legacy = [shard for shard in shards if shard != self._log]
+        if legacy or total != len(winners):
+            self._rewrite_shard(self._log, list(winners.values()))
+            for shard in legacy:
+                os.remove(shard)
         self._reload()
         after = sum(os.path.getsize(s) for s in self._shard_files())
         return {
             "reclaimed_bytes": before - after,
-            "dropped_lines": dropped,
+            "dropped_lines": total - len(winners),
             "cells": len(self._index),
         }
 
     def _rewrite_shard(self, shard: str, lines: List[bytes]) -> None:
-        """Atomically replace ``shard`` with ``lines`` (or delete it if
-        empty); the temp file is fsynced before the rename so a crash
-        cannot leave a half-written replacement."""
-        if not lines:
+        """Atomically replace ``shard`` with ``lines``, or delete it if
+        there are none: the temp file is fsynced before the rename and
+        the directory after it, so a crash cannot leave a half-written
+        replacement and the rename is durable when this returns."""
+        if lines:
+            _replace(shard, b"".join(lines))
+        elif os.path.exists(shard):
             os.remove(shard)
-            return
-        tmp = shard + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(lines))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, shard)
 
     def _reload(self) -> None:
         """Build the index from disk: at open, and after a maintenance
         rewrite."""
-        #: key -> (shard path, byte offset, byte length); later lines win.
+        #: key -> (file path, byte offset, byte length); later lines win.
         self._index: Dict[str, Tuple[str, int, int]] = {}
-        #: shard -> the byte offset up to which its lines are indexed.
+        #: file -> the byte offset up to which its lines are indexed.
         self._ends: Dict[str, int] = {}
-        #: shards whose last line lacked its trailing newline when this
+        #: files whose last line lacked its trailing newline when this
         #: handle last read them (a torn append), for verify and stats.
         self._torn_shards: set = set()
         for shard in self._shard_files():
@@ -556,11 +613,12 @@ class RunStore:
     # ----------------------------------------------------------------- #
 
     def stats(self) -> Dict:
-        """Inspectable on-disk facts (``repro store stats``): shard
-        count, indexed cells, byte totals, and schema versions — without
-        anyone having to read JSONL by hand.
+        """Inspectable on-disk facts (``repro store stats``): file
+        count (``shards``: the log and any legacy key-prefix shards),
+        indexed cells, byte totals, and schema versions — without anyone
+        having to read JSONL by hand.
 
-        ``bytes`` is the shard payload on disk (meta.json excluded);
+        ``bytes`` is the payload of those files (meta.json excluded);
         ``indexed_bytes`` the bytes the live index points at — the gap is
         superseded or corrupt lines a future compaction could reclaim.
         """

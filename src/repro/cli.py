@@ -350,7 +350,7 @@ def _cmd_store_verify(args) -> int:
         print(f"  stale lines      : {report['stale_lines']} "
               f"(superseded; 'store compact' reclaims them)")
     if "repaired_shards" in report:
-        print(f"  repaired         : {report['repaired_shards']} shard(s) "
+        print(f"  repaired         : {report['repaired_shards']} file(s) "
               f"rewritten, {report['dropped_lines']} bad line(s) dropped")
     elif not report["ok"]:
         print("  (re-run with --repair to drop the corrupt entries; the "
@@ -360,7 +360,8 @@ def _cmd_store_verify(args) -> int:
 
 
 def _cmd_store_compact(args) -> int:
-    """Rewrite shards keeping only the winning line per cell key."""
+    """Fold every shard file into the log, keeping only the winning line
+    per cell key."""
     store = _existing_store(args.path)
     report = store.compact()
     if args.json:
@@ -578,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st_sub = st.add_subparsers(dest="store_command", required=True)
     st_stats = st_sub.add_parser(
-        "stats", help="shard count, cells, bytes, schema version",
+        "stats", help="shard files (the log and any older key-prefix shards), "
+                      "cells, bytes, schema version",
         epilog="example: python -m repro store stats runs/ --json",
     )
     st_stats.add_argument("path", help="run-store directory")
@@ -591,13 +593,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st_verify.add_argument("path", help="run-store directory")
     st_verify.add_argument("--repair", action="store_true",
-                           help="rewrite damaged shards, dropping corrupt "
-                                "lines (atomic per shard)")
+                           help="rewrite each damaged file (the whole log, or "
+                                "an older key-prefix shard), dropping corrupt "
+                                "lines (atomic per file)")
     st_verify.add_argument("--json", action="store_true",
                            help="print the report as JSON")
     st_verify.set_defaults(func=_cmd_store_verify)
     st_compact = st_sub.add_parser(
-        "compact", help="reclaim superseded/corrupt lines from the shards",
+        "compact", help="fold every shard file into the log, reclaiming "
+                        "superseded/corrupt lines",
         epilog="example: python -m repro store compact runs/",
     )
     st_compact.add_argument("path", help="run-store directory")

@@ -28,6 +28,7 @@ import functools
 import hashlib
 import inspect
 import math
+import sys
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
@@ -174,8 +175,10 @@ def _check_args(sig: inspect.Signature, args: Dict[str, object]) -> None:
     ``seed`` must be ``None`` or a non-negative ``int``, an ``int``
     parameter (a size) a non-negative ``int`` and a ``float`` parameter a
     finite number; bools pass as neither (``True`` would build ``1``'s
-    graph under another key).  Without this check the generator fails
-    mid-build with an untyped ``TypeError`` or ``ValueError``.
+    graph under another key), and an ``int`` stays below
+    :data:`INT_LIMIT`, or no key could spell it.  Without this check the
+    generator fails mid-build with an untyped ``TypeError`` or
+    ``ValueError``, or the key with a ``ValueError``.
 
     A ``float`` parameter is stored back in ``args`` as a ``float``, so
     ``avg_degree=3`` binds, builds and keys as ``avg_degree=3.0``: the
@@ -200,11 +203,30 @@ def _check_args(sig: inspect.Signature, args: Dict[str, object]) -> None:
         else:
             continue
         if not ok:
-            raise ConfigurationError(f"graph {name} must be {admits}, got {value!r}")
+            raise ConfigurationError(
+                f"graph {name} must be {admits}, got {safe_repr(value)}")
 
 
 def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < INT_LIMIT
+
+
+#: The most digits the interpreter converts an int to text with:
+#: ``sys.get_int_max_str_digits()``, 4,300 by default, and 4,300 where
+#: the interpreter sets no limit.  A key is JSON text, so every int a
+#: scenario or a graph spec admits lies strictly between ``-INT_LIMIT``
+#: and ``INT_LIMIT``: one of more digits could be neither keyed nor
+#: quoted in an error message.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+INT_LIMIT = 10 ** INT_DIGITS
+
+
+def safe_repr(value: object) -> str:
+    """``repr(value)`` for an error message, or, for an int of more than
+    :data:`INT_DIGITS` digits, which has no text form, a description."""
+    if isinstance(value, int) and not -INT_LIMIT < value < INT_LIMIT:
+        return f"an int of more than {INT_DIGITS} digits"
+    return repr(value)
 
 
 # --------------------------------------------------------------------- #

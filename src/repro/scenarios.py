@@ -87,7 +87,9 @@ from .byzantine import STRATEGIES
 from .core.runner import TABLE1, Table1Row, get_row, row_applicable
 from .errors import ConfigurationError, GraphStructureError, ValidationError
 from .graphs.port_labeled import PortLabeledGraph
-from .graphs.specs import GraphSpec, canonicalize_spec, resolve_spec, spec_of
+from .graphs.specs import (
+    INT_DIGITS, INT_LIMIT, GraphSpec, canonicalize_spec, resolve_spec, safe_repr, spec_of,
+)
 from .sim.schedulers import canonical_scheduler
 
 __all__ = [
@@ -251,7 +253,7 @@ def _normalize_algorithm(algorithm: Union[int, str, Table1Row]) -> int:
         algorithm = algorithm.serial
     if isinstance(algorithm, bool):
         raise ConfigurationError(f"algorithm must be a serial or name, not {algorithm!r}")
-    if isinstance(algorithm, int):
+    if isinstance(algorithm, int) and -INT_LIMIT < algorithm < INT_LIMIT:
         try:
             get_row(algorithm)
         except KeyError as exc:
@@ -259,7 +261,8 @@ def _normalize_algorithm(algorithm: Union[int, str, Table1Row]) -> int:
         return algorithm
     if isinstance(algorithm, str):
         token = algorithm.strip().lower()
-        if token.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as "²".
+        if token.isdecimal() and len(token) <= INT_DIGITS:
             return _normalize_algorithm(int(token))
         match = _THEOREM_NAME.fullmatch(token)
         if match:
@@ -269,8 +272,8 @@ def _normalize_algorithm(algorithm: Union[int, str, Table1Row]) -> int:
                     return row.serial
             raise ConfigurationError(f"no Table 1 row implements theorem {theorem}")
     raise ConfigurationError(
-        f"unknown algorithm {algorithm!r} (use a Table 1 serial 1..7 or a "
-        f"solver name like 'solve_theorem4')"
+        f"unknown algorithm {safe_repr(algorithm)} (use a Table 1 serial 1..7 "
+        f"or a solver name like 'solve_theorem4')"
     )
 
 
@@ -450,24 +453,27 @@ class Scenario:
         elif isinstance(f, str):
             if f != "max":
                 raise ValidationError("f", f"f must be an int or 'max', got {f!r}")
-        elif isinstance(f, bool) or not isinstance(f, int):
-            raise ValidationError("f", f"f must be an int or 'max', got {f!r}")
+        elif (isinstance(f, bool) or not isinstance(f, int)
+              or not -INT_LIMIT < f < INT_LIMIT):  # else no key spells it
+            raise ValidationError("f", f"f must be an int or 'max', got {safe_repr(f)}")
         if self.placement not in PLACEMENTS:
             raise ValidationError(
                 "placement",
                 f"unknown placement {self.placement!r} (choose from {PLACEMENTS})",
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < INT_LIMIT):
             # True == 1 would alias seed 1's identity under another key.
             raise ValidationError(
-                "seed", f"seed must be a non-negative int, got {self.seed!r}"
+                "seed", f"seed must be a non-negative int, got {safe_repr(self.seed)}"
             )
         if self.rounds is not None and (
             isinstance(self.rounds, bool) or not isinstance(self.rounds, int)
-            or self.rounds < 0
+            or not 0 <= self.rounds < INT_LIMIT
         ):
             raise ValidationError(
-                "rounds", f"rounds must be a non-negative int, got {self.rounds!r}"
+                "rounds",
+                f"rounds must be a non-negative int, got {safe_repr(self.rounds)}",
             )
         if not isinstance(self.scheduler, str):
             # Serializable scenarios only speak registry spec strings
@@ -621,7 +627,7 @@ class Scenario:
         # ``True == 1`` and ``1.0 == 1``: equality alone would take them.
         if type(version) is not int or version != FORMAT_VERSION:
             raise ValidationError(
-                "version", f"unsupported scenario format version {version!r}"
+                "version", f"unsupported scenario format version {safe_repr(version)}"
             )
         unknown = set(payload) - _SCENARIO_FIELDS
         if unknown:

@@ -20,7 +20,7 @@ routing shell around it).  One instance owns:
 Byte-identity is inherited, not re-implemented: compute threads run
 cells through the same :func:`~repro.analysis.experiments.execute_plan` →
 ``store.put`` path as the CLI, so records produced here are
-byte-identical to CLI runs and land in the same store shards.  Failures
+byte-identical to CLI runs and land in the same store log.  Failures
 follow the executor's taxonomy: a :class:`~repro.errors.ReproError` is
 a deterministic *rejection* (HTTP 422), a quarantined cell surfaces its
 structured failure record as a 5xx body, and neither crashes the
@@ -83,7 +83,7 @@ class _LockedStore:
     """A thread-safe facade over one shared :class:`RunStore` handle.
 
     The store's file format is append-atomic, but one *handle* (shared
-    index, shard cursor) is built for one caller at a time; compute
+    index, log cursor) is built for one caller at a time; compute
     threads and the event loop therefore serialize on this lock.
     """
 

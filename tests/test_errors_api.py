@@ -74,7 +74,7 @@ class TestHierarchy:
 
 class TestPublicSurface:
     def test_version(self):
-        assert repro.__version__ == "1.23.0"
+        assert repro.__version__ == "1.24.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

@@ -524,7 +524,9 @@ def _torn_writer(path: str, key_ok: str, key_torn: str, offset_seed: int):
     )
     data = (line + "\n").encode("utf-8")
     offset = random.Random(offset_seed).randrange(1, len(data) - 1)
-    shard = store._shard_path(key_torn)
+    # The torn tail sits directly after the good line, in its file: the
+    # worst case for the line-oriented loader.
+    shard = store._index[key_ok][0]
     with open(shard, "ab") as fh:
         fh.write(data[:offset])
         fh.flush()
@@ -537,8 +539,6 @@ class TestTornWriteDurability:
     def test_killed_writer_loses_only_inflight_cell(self, tmp_path,
                                                     offset_seed):
         path = str(tmp_path / "store")
-        # Keys sharing a shard make the torn tail sit directly after the
-        # good line — the worst case for the line-oriented loader.
         key_ok = "aa" + "0" * 62
         key_torn = "aa" + "1" * 62
         ctx = multiprocessing.get_context("fork")
@@ -621,7 +621,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "status           : ok" in out
         # Corrupt the entry on disk; verify now fails, --repair heals.
-        shard = store._shard_path(key)
+        shard = store._index[key][0]
         with open(shard, "rb") as fh:
             data = fh.read().replace(b'{"v":1}', b'{"v":7}')
         with open(shard, "wb") as fh:

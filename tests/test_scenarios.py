@@ -340,6 +340,43 @@ class TestSerialization:
             Scenario.from_dict(payload)
         assert excinfo.value.field == field
 
+    HUGE = 10 ** 5000  # more digits than the interpreter prints (4,300)
+
+    @pytest.mark.parametrize("update, field", [
+        ({"seed": -HUGE}, "seed"),
+        ({"rounds": -HUGE}, "rounds"),
+        ({"f": HUGE}, "f"),
+        ({"graph": {"family": "ring", "args": {"n": HUGE}}}, "graph"),
+        ({"graph": {"family": "random_connected", "args": {"n": 8, "seed": HUGE}}},
+         "graph"),
+        ({"seed": HUGE}, "seed"),
+        ({"f": -HUGE}, "f"),
+        ({"algorithm": HUGE}, "algorithm"),
+        ({"algorithm": "²"}, "algorithm"),
+        ({"version": HUGE}, "version"),
+        ({"graph": {"family": "random_connected", "args": {"n": 8, "avg_degree": HUGE}}},
+         "graph"),
+    ], ids=["seed", "rounds", "f", "graph-n", "graph-seed", "seed+", "f-",
+            "algorithm", "algorithm-digit", "version", "graph-float"])
+    def test_ints_too_long_to_print_rejected(self, update, field):
+        """An int of more digits than the interpreter converts to text
+        used to escape as a raw ``ValueError``: while the constructor
+        formatted its error message, or, past validation, in ``key()``."""
+        payload = {"algorithm": 4, "graph": {"family": "ring", "args": {"n": 6}}, **update}
+        with pytest.raises(ValidationError) as excinfo:
+            Scenario.from_dict(payload).key()
+        assert excinfo.value.field == field
+        assert "more than 4300 digits" in str(excinfo.value) or field == "algorithm"
+
+    def test_a_long_seed_that_prints_keys_as_before(self):
+        """The bound refuses only ints with no text form: ``10**100``
+        keys as it did before the bound existed."""
+        s = Scenario.from_dict({"algorithm": 5, "strategy": "idle", "seed": 10 ** 100,
+                                "graph": {"family": "random_connected",
+                                          "args": {"n": 8, "seed": 5}}})
+        assert s.key() == "f187fe995d028f6f3e07202612ab6b7045c0e11494b8d60debdc27f5b160a616"
+        assert len(Scenario(4, ring(6), seed=10 ** 4300 - 1).key()) == 64
+
 
 class TestGridExpansion:
     def test_expansion_is_deterministic(self, g):

@@ -12,16 +12,23 @@ The contracts under test:
 * store keys are canonical: graph-object and spec payloads, or two
   equal hand-built graphs, key identically; any config or schema change
   keys differently;
-* loading tolerates torn/corrupt shard lines and bad digests;
+* every commit appends to one log, ``shard-log.jsonl``; a store of
+  v1.23.0's key-prefix shards opens fully warm, a commit to it writes
+  only the log, the log wins a key both hold, and ``compact`` folds
+  every file into the log;
+* loading tolerates torn/corrupt lines and bad digests;
 * open reads each line's key from the head ``put`` writes, without
   parsing records, and a hit is one raw read that leaves no descriptor
   open;
-* a batch group is one commit: one write and one fsync per shard it
-  touches, every fsync after the last write, byte for byte the shards a
-  put per cell writes.
+* a batch group is one commit: one open, one write, one fsync and one
+  close of the log, byte for byte the log a put per cell writes;
+* store creation and every rewrite are durable: the file is fsynced
+  before its rename and the directory after it, and the commit that
+  creates the log fsyncs the directory too.
 """
 
 import errno
+import fnmatch
 import json
 import os
 
@@ -58,6 +65,37 @@ def _solver_ban(monkeypatch):
     monkeypatch.setattr(experiments, "_cell_records", boom)
 
 
+def _file_of(store, key):
+    """The file holding ``key``'s indexed line."""
+    return store._index[key][0]
+
+
+def _line(key, records):
+    """The line ``put`` writes for one cell, spelled out here."""
+    return (json.dumps({"key": key, "sha": _records_sha(records), "records": records},
+                       separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _legacy_store(path, cells):
+    """A store in the v1.23.0 layout, built by hand: ``meta.json`` and
+    each cell's line appended to ``shard-<key[:2]>.jsonl``."""
+    os.makedirs(path)
+    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
+        fh.write('{"format": "repro-run-store", "schema_version": %d}\n' % SCHEMA_VERSION)
+    for key, records in cells:
+        with open(os.path.join(path, f"shard-{key[:2]}.jsonl"), "ab") as fh:
+            fh.write(_line(key, records))
+
+
+def _files(path):
+    """Every file of a store directory, name -> bytes."""
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
 def _table1_45(g, strategies=("squatter", "idle")):
     """Rows 4 and 5 of Table 1 on ``g`` (cheap, always applicable)."""
     return table1_grid(g, list(strategies), serials=[4, 5])
@@ -81,19 +119,30 @@ class TestRunStore:
         assert s2.get("cd" * 32) == [{"x": 1}]
 
     def test_shard_layout(self, store):
-        key = "ef" + "0" * 62
-        store.put(key, [{"x": 1}])
-        assert os.path.exists(os.path.join(store.path, "shard-ef.jsonl"))
+        """Cells of any key prefix go to the one log, beside ``meta.json``."""
+        keys = ["ef" + "0" * 62, "01" + "0" * 62]
+        for key in keys:
+            store.put(key, [{"x": key[:2]}])
+        assert sorted(os.listdir(store.path)) == ["meta.json", "shard-log.jsonl"]
+        assert {_file_of(store, key) for key in keys} == {
+            os.path.join(store.path, "shard-log.jsonl")}
         with open(os.path.join(store.path, "meta.json")) as fh:
             meta = json.load(fh)
         assert meta == {"format": "repro-run-store", "schema_version": SCHEMA_VERSION}
+
+    def test_log_name_is_a_shard_name_sorting_last(self):
+        """A v1.23.0 handle indexes the log as one more shard, and open
+        scans it after every key-prefix shard, so its lines win."""
+        name = store_module._LOG_NAME
+        assert fnmatch.fnmatch(name, "shard-*.jsonl")
+        prefixes = [f"shard-{i:02x}.jsonl" for i in range(256)]
+        assert sorted(prefixes + [name])[-1] == name
 
     def test_torn_final_line_is_skipped(self, tmp_path):
         s = RunStore(tmp_path / "s")
         key = "aa" + "0" * 62
         s.put(key, [{"x": 1}])
-        shard = os.path.join(s.path, "shard-aa.jsonl")
-        with open(shard, "ab") as fh:
+        with open(_file_of(s, key), "ab") as fh:
             fh.write(b'{"key": "aa11", "sha": "tru')  # crash mid-append
         s2 = RunStore(tmp_path / "s")
         assert s2.get(key) == [{"x": 1}]
@@ -104,9 +153,9 @@ class TestRunStore:
         trailing line must start a fresh line, not merge into the
         garbage and vanish on the next load."""
         s = RunStore(tmp_path / "s")
-        k1, k2 = "aa" + "0" * 62, "aa" + "1" * 62  # same shard
+        k1, k2 = "aa" + "0" * 62, "aa" + "1" * 62
         s.put(k1, [{"x": 1}])
-        with open(os.path.join(s.path, "shard-aa.jsonl"), "ab") as fh:
+        with open(_file_of(s, k1), "ab") as fh:
             fh.write(b'{"key": "aa22", "sha": "tru')  # torn, no newline
         s2 = RunStore(tmp_path / "s")
         s2.put(k2, [{"x": 2}])
@@ -116,12 +165,12 @@ class TestRunStore:
         assert s3.get(k2) == [{"x": 2}]
 
     def test_put_after_another_writers_append(self, tmp_path, monkeypatch):
-        """Regression: a second handle appending to the same shard between
+        """Regression: a second handle appending to the log between
         this handle's open and its write must not leave a wrong offset in
         this handle's index (a silent miss that recomputes the cell)."""
         a = RunStore(tmp_path / "s")
         b = RunStore(tmp_path / "s")
-        key_a, key_b = "dd" + "0" * 62, "dd" + "1" * 62  # same shard
+        key_a, key_b = "dd" + "0" * 62, "dd" + "1" * 62
         interleaved = []
 
         def let_b_write_first(fd, data):
@@ -145,9 +194,9 @@ class TestRunStore:
         indexed must not swallow this handle's next append, or the cell is
         lost to every fresh handle while ``verify`` still reports ok."""
         a = RunStore(tmp_path / "s")
-        k1, k2 = "ab" + "0" * 62, "ab" + "1" * 62  # same shard
+        k1, k2 = "ab" + "0" * 62, "ab" + "1" * 62
         a.put(k1, [{"x": 1}])
-        with open(a._shard_path(k1), "ab") as fh:
+        with open(_file_of(a, k1), "ab") as fh:
             fh.write(b'{"key":"ab' + b"2" * 62 + b'","sha":"deadbeef","rec')
         a.put(k2, [{"x": 2}])
         assert a.get(k2) == [{"x": 2}]
@@ -208,7 +257,7 @@ class TestRunStore:
         s = RunStore(tmp_path / "s")
         key = "aa" + "0" * 62
         s.put(key, [{"x": 1}])
-        with open(os.path.join(s.path, "shard-aa.jsonl"), "ab") as fh:
+        with open(_file_of(s, key), "ab") as fh:
             fh.write(b'[1, 2]\n{"key": 1}\n{"key": ["ab"], "sha": "x", "records": []}\n'
                      b'{"key": null}\n')
         reopened = RunStore(tmp_path / "s")
@@ -238,21 +287,20 @@ class TestRunStore:
 
     def test_partial_line_is_indexed_once_complete(self, tmp_path):
         """A line without its newline is an append still in progress: it
-        is not indexed until its newline arrives."""
+        is not indexed until its newline arrives, by an open handle's
+        catch-up or a fresh handle alike."""
         s = RunStore(tmp_path / "s")
-        other = RunStore(tmp_path / "other")
+        s.put("cd" + "0" * 62, [{"x": 0}])
         key = "ab" + "0" * 62
-        other.put(key, [{"x": 1}])
-        with open(os.path.join(other.path, "shard-ab.jsonl"), "rb") as fh:
-            line = fh.read()
-        shard = os.path.join(s.path, "shard-ab.jsonl")
-        with open(shard, "ab") as fh:
-            fh.write(line[:-1])
+        log = os.path.join(s.path, "shard-log.jsonl")
+        with open(log, "ab") as fh:
+            fh.write(_line(key, [{"x": 1}])[:-1])
         assert s.get(key) is None
         assert RunStore(tmp_path / "s").get(key) is None
-        with open(shard, "ab") as fh:
+        with open(log, "ab") as fh:
             fh.write(b"\n")
         assert s.get(key) == [{"x": 1}]
+        assert RunStore(tmp_path / "s").get(key) == [{"x": 1}]
 
     def test_records_sha_is_canonical(self):
         assert _records_sha([{"a": 1, "b": 2}]) == _records_sha([{"b": 2, "a": 1}])
@@ -284,6 +332,32 @@ class _OsSpy:
         return getattr(os, name)
 
 
+def _traced_os(calls):
+    """The ``os`` module as the store sees it, logging ``(call, name)``
+    for every open, write, fsync, close and rename, where ``name`` is
+    the file's base name, or ``"."`` for a directory."""
+    names = {}
+
+    def open_(path, *args):
+        fd = os.open(path, *args)
+        names[fd] = "." if os.path.isdir(path) else os.path.basename(path)
+        calls.append(("open", names[fd]))
+        return fd
+
+    def logged(call):
+        def on_fd(fd, *args):
+            calls.append((call, names[fd]))
+            return getattr(os, call)(fd, *args)
+        return on_fd
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(dst)))
+        return os.replace(src, dst)
+
+    return _OsSpy(open=open_, write=logged("write"), fsync=logged("fsync"),
+                  close=logged("close"), replace=replace)
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -309,7 +383,7 @@ class TestKeyHeadIndex:
         every open down the full-parse path."""
         key = cell_key("table1", 1, {"n": 5}, {"strategy": "idle"}, 1, 0)
         store.put(key, [{"x": 1}])
-        with open(store._shard_path(key), "rb") as fh:
+        with open(_file_of(store, key), "rb") as fh:
             head = store_module._HEAD.match(fh.read())
         assert head is not None and head.group(1).decode("ascii") == key
 
@@ -321,14 +395,14 @@ class TestKeyHeadIndex:
         reference = json.dumps(list(cell.run()))
         donor = RunStore(tmp_path / "donor")
         cell.run(store=donor)
-        with open(donor._shard_path(key), "rb") as fh:
+        with open(_file_of(donor, key), "rb") as fh:
             line = fh.read()
         path = tmp_path / "s"
         writer = RunStore(path)
-        with open(writer._shard_path(key), "ab") as fh:
+        with open(os.path.join(path, os.path.basename(_file_of(donor, key))), "ab") as fh:
             fh.write(line[:len(line) // 2])  # a crash mid-append
         writer = RunStore(path)
-        other = key[:-1] + ("0" if key[-1] != "0" else "1")  # same shard
+        other = key[:-1] + ("0" if key[-1] != "0" else "1")
         writer.put(other, [{"x": 1}])  # terminates the torn line
 
         s = RunStore(path)
@@ -343,18 +417,20 @@ class TestKeyHeadIndex:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts descriptors in /proc/self/fd")
-    def test_get_leaves_no_descriptor_open(self, store):
+    def test_get_leaves_no_descriptor_open(self, tmp_path):
         """Raw descriptors raise no ResourceWarning, so count them: a
-        hit, a miss, a damaged line and a removed shard close all."""
+        hit, a miss, a damaged line and a removed file close all."""
         hit, damaged, gone = ("aa" + "0" * 62, "ab" + "0" * 62, "ac" + "0" * 62)
-        for key in (hit, damaged, gone):
-            store.put(key, [{"x": 1}])
-        shard = store._shard_path(damaged)
-        with open(shard, "rb") as fh:
+        _legacy_store(tmp_path / "s", [(gone, [{"x": 1}])])
+        store = RunStore(tmp_path / "s")
+        store.put(hit, [{"x": 1}])
+        store.put(damaged, [{"x": 2}])
+        log = _file_of(store, damaged)
+        with open(log, "rb") as fh:
             data = fh.read()
-        with open(shard, "wb") as fh:
-            fh.write(data.replace(b'{"x":1}', b'{"x":2}'))
-        os.remove(store._shard_path(gone))
+        with open(log, "wb") as fh:
+            fh.write(data.replace(b'{"x":2}', b'{"x":3}'))
+        os.remove(_file_of(store, gone))
         before = _open_fds()
         assert store.get(hit) == [{"x": 1}]
         assert store.get("ad" + "0" * 62) is None
@@ -370,28 +446,23 @@ def _row1_sweep(g, seeds=40):
 
 
 class TestGroupCommit:
-    """A batch group is committed in one ``put_many``: one write and one
-    fsync per shard its keys touch, every fsync after the last write."""
+    """A batch group is committed in one ``put_many``: one open, one
+    write, one fsync and one close of the log, however many keys."""
 
-    def test_one_fsync_per_touched_shard_after_every_write(self, g, tmp_path, monkeypatch):
-        plan = _row1_sweep(g)
+    def test_one_open_write_and_fsync_per_commit(self, g, tmp_path, monkeypatch):
+        plan = list(grid(rows=1, graphs=g, strategies=["squatter", "idle"],
+                         seeds=list(range(40))))  # two batch groups
         keys = [cell.key() for cell in plan]
+        store = RunStore(tmp_path / "s")
+        store.put("ab" * 32, [{"x": 1}])  # the log exists: no directory fsync
         calls = []
-
-        def logged(name, fn):
-            def call(fd, *args):
-                calls.append(name)
-                return fn(fd, *args)
-            return call
-
-        monkeypatch.setattr(store_module, "os", _OsSpy(
-            write=logged("write", os.write), fsync=logged("fsync", os.fsync)))
+        monkeypatch.setattr(store_module, "os", _traced_os(calls))
         _solver_ban(monkeypatch)  # every cell runs in the batch engine
-        cold = execute_plan(plan, store=RunStore(tmp_path / "s"))
+        cold = execute_plan(plan, store=store)
         monkeypatch.undo()
-        shards = len({key[:2] for key in keys})
-        assert shards < len(plan)
-        assert calls == ["write"] * shards + ["fsync"] * shards
+        assert len({key[:2] for key in keys}) > 2
+        log = "shard-log.jsonl"
+        assert calls == [("open", log), ("write", log), ("fsync", log), ("close", log)] * 2
         assert json.dumps(cold) == json.dumps(execute_plan(plan))
         fresh = RunStore(tmp_path / "s")
         assert json.dumps([fresh.get(key) for key in keys]) == json.dumps(cold)
@@ -438,6 +509,137 @@ class TestGroupCommit:
         with pytest.raises(OSError):
             store.put_many([("a%d" % i + "0" * 62, [{"i": i}]) for i in range(10)])
         assert _open_fds() == before
+
+
+def _mixed_plan(g):
+    """Row-1 cells, which form one batch group, and row-5 cells, which
+    run per cell."""
+    return list(grid(rows=[1, 5], graphs=g, strategies="squatter", seeds=list(range(6))))
+
+
+class TestLegacyLayout:
+    """A store of v1.23.0's key-prefix shards stays warm under the log."""
+
+    def test_legacy_store_opens_fully_warm(self, g, tmp_path):
+        plan = _mixed_plan(g)
+        cold = execute_plan(plan)
+        path = tmp_path / "s"
+        _legacy_store(path, [(cell.key(), records) for cell, records in zip(plan, cold)])
+        legacy = _files(path)
+        assert len(legacy) > 2  # meta.json and several shards
+        store = RunStore(path)
+        warm = execute_plan(plan, store=store)
+        assert json.dumps(warm) == json.dumps(cold)
+        assert (store.hits, store.misses, store.puts) == (len(plan), 0, 0)
+        assert _files(path) == legacy
+
+    def test_commit_to_a_legacy_store_writes_only_the_log(self, tmp_path):
+        path = tmp_path / "s"
+        _legacy_store(path, [("ab" + "0" * 62, [{"x": 0}])])
+        legacy = _files(path)
+        cells = [("ab" + "1" * 62, [{"x": 1}]), ("cd" + "0" * 62, [{"x": 2}])]
+        RunStore(path).put_many(cells)
+        after = _files(path)
+        assert after.pop("shard-log.jsonl") == b"".join(_line(*cell) for cell in cells)
+        assert after == legacy
+
+    def test_the_log_wins_a_key_both_hold(self, tmp_path):
+        path = tmp_path / "s"
+        key = "ab" + "0" * 62
+        _legacy_store(path, [(key, [{"v": "legacy"}])])
+        RunStore(path).put(key, [{"v": "log"}])
+        # A v1.23.0 writer appends to the key's shard after that.
+        with open(os.path.join(path, "shard-ab.jsonl"), "ab") as fh:
+            fh.write(_line(key, [{"v": "later legacy"}]))
+        fresh = RunStore(path)
+        assert fresh.get(key) == [{"v": "log"}]
+        assert _file_of(fresh, key) == os.path.join(fresh.path, "shard-log.jsonl")
+        assert fresh.verify()["stale_lines"] == 2
+
+    def test_compact_folds_every_file_into_the_log(self, g, tmp_path):
+        plan = _mixed_plan(g)
+        cold = execute_plan(plan)
+        cells = [(cell.key(), records) for cell, records in zip(plan, cold)]
+        path = tmp_path / "s"
+        _legacy_store(path, cells)
+        store = RunStore(path)
+        store.put(*cells[0])  # one key in a legacy shard and the log
+        report = store.compact()
+        assert report == {"reclaimed_bytes": len(_line(*cells[0])),
+                          "dropped_lines": 1, "cells": len(plan)}
+        assert sorted(os.listdir(path)) == ["meta.json", "shard-log.jsonl"]
+        fresh = RunStore(path)
+        assert json.dumps([fresh.get(key) for key, _ in cells]) == json.dumps(cold)
+        assert (fresh.hits, fresh.misses) == (len(plan), 0)
+        assert fresh.verify()["stale_lines"] == 0
+
+
+#: The calls that fsync the store directory, as ``_traced_os`` logs them.
+_DIRECTORY_FSYNC = [("open", "."), ("fsync", "."), ("close", ".")]
+
+
+def _replaced(name):
+    """The calls that atomically replace file ``name``, durably."""
+    tmp = name + ".tmp"
+    return ([("open", tmp), ("write", tmp), ("fsync", tmp), ("close", tmp),
+             ("replace", name)] + _DIRECTORY_FSYNC)
+
+
+class TestDurability:
+    """A file's fsync does not make its directory entry durable, so the
+    store directory is fsynced after every rename and after the commit
+    that creates the log; a rename's file is fsynced before it."""
+
+    def test_creation_fsyncs_meta_then_the_directory(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(store_module, "os", _traced_os(calls))
+        RunStore(tmp_path / "s")
+        assert calls == _replaced("meta.json")
+        monkeypatch.undo()
+        with open(tmp_path / "s" / "meta.json", "rb") as fh:
+            assert fh.read() == (b'{"format": "repro-run-store", "schema_version": %d}\n'
+                                 % SCHEMA_VERSION)
+
+    def test_the_commit_creating_the_log_fsyncs_the_directory(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "s")
+        calls = []
+        monkeypatch.setattr(store_module, "os", _traced_os(calls))
+        store.put("ab" * 32, [{"x": 1}])
+        store.put("cd" * 32, [{"x": 2}])
+        log = "shard-log.jsonl"
+        commit = [("open", log), ("write", log), ("fsync", log), ("close", log)]
+        assert calls == commit + _DIRECTORY_FSYNC + commit
+
+    @pytest.mark.parametrize("maintenance", ["compact", "repair"])
+    def test_a_rewrite_fsyncs_the_file_then_renames_then_the_directory(
+            self, tmp_path, monkeypatch, maintenance):
+        store = RunStore(tmp_path / "s")
+        key = "cc" + "0" * 62
+        store.put(key, [{"v": 1}])
+        store.put(key, [{"v": 2}])  # superseded: compact's work
+        with open(_file_of(store, key), "ab") as fh:
+            fh.write(b'{"key": "cc1')  # torn: repair's work
+        calls = []
+        monkeypatch.setattr(store_module, "os", _traced_os(calls))
+        getattr(store, maintenance)()
+        assert calls == _replaced("shard-log.jsonl")
+        monkeypatch.undo()
+        assert RunStore(tmp_path / "s").get(key) == [{"v": 2}]
+
+    def test_skipped_where_a_directory_cannot_be_opened(self, tmp_path, monkeypatch):
+        def no_directories(path, *args):
+            if os.path.isdir(path):  # as on Windows
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            return os.open(path, *args)
+
+        monkeypatch.setattr(store_module, "os", _OsSpy(open=no_directories))
+        store = RunStore(tmp_path / "s")
+        key = "cc" + "0" * 62
+        store.put(key, [{"v": 1}])
+        store.put(key, [{"v": 2}])
+        assert store.compact()["dropped_lines"] == 1
+        monkeypatch.undo()
+        assert RunStore(tmp_path / "s").get(key) == [{"v": 2}]
 
 
 class TestKeyCanonicalisation:
@@ -572,27 +774,28 @@ class TestCrashResume:
         assert len(calls) == 2  # only the two cells the crash lost
 
     def test_killed_batched_sweep_resumes_byte_identical(self, g, tmp_path, monkeypatch):
-        """A batch group's commit dies part-way, inside a shard's write: a
+        """A batch group's commit dies part-way through its one write: a
         fresh handle indexes exactly the complete lines, and the resume
         recomputes only the cells whose lines are missing."""
         plan = _row1_sweep(g)
         uninterrupted = execute_plan(plan)
+        store = RunStore(tmp_path / "store")
         written = []
 
         def dying_write(fd, data):
-            if len(written) == 10:  # the 11th shard's last line torn, then death
-                written.append(bytes(data[:-10]))
-                os.write(fd, written[-1])
-                raise KeyboardInterrupt("simulated crash")
-            written.append(bytes(data))
-            return os.write(fd, data)
+            # Ten bytes into a line past the middle, then death.
+            cut = bytes(data).index(b"\n", len(data) // 2) + 11
+            written.append(bytes(data[:cut]))
+            os.write(fd, written[-1])
+            raise KeyboardInterrupt("simulated crash")
 
         monkeypatch.setattr(store_module, "os", _OsSpy(write=dying_write))
         with pytest.raises(KeyboardInterrupt):
-            execute_plan(plan, store=RunStore(tmp_path / "store"))
+            execute_plan(plan, store=store)
         monkeypatch.undo()
-        complete = {json.loads(line)["key"]
-                    for data in written for line in data.split(b"\n")[:-1]}
+        (data,) = written
+        complete = {json.loads(line)["key"] for line in data.split(b"\n")[:-1]}
+        assert 1 < len(complete) < len(plan) - 1
 
         resumed_store = RunStore(tmp_path / "store")
         assert set(resumed_store.keys()) == complete
@@ -617,7 +820,7 @@ class TestStoreMaintenance:
         assert report["ok"] and report["verified"] == 2
         assert report["stale_lines"] == 1 and report["corrupt"] == 0
         # Corrupt key_b's line on disk: verify names it.
-        shard = store._shard_path(key_b)
+        shard = _file_of(store, key_b)
         with open(shard, "rb") as fh:
             data = fh.read().replace(b'{"v":2}', b'{"v":8}')
         with open(shard, "wb") as fh:
@@ -632,7 +835,7 @@ class TestStoreMaintenance:
         key_b = "bb" + "1" * 62
         store.put(key_a, [{"v": 1}])
         store.put(key_b, [{"v": 2}])
-        shard = store._shard_path(key_b)
+        shard = _file_of(store, key_b)
         with open(shard, "rb") as fh:
             data = fh.read().replace(b'{"v":2}', b'{"v":8}')
         with open(shard, "wb") as fh:

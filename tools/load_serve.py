@@ -8,7 +8,10 @@ records), reads one complete SSE stream, and checks ``/healthz`` +
 ``/stats``.  Last, it sends one tolerance-kind scenario at ``f="max"``,
 whose key builds its graph (in a worker thread, off the event loop),
 and checks for a 200 whose records equal a direct ``Scenario.run()``.
-Exit 0 on success, 1 with a reason on any failure::
+After shutdown it reopens the store the server leaves: it must verify,
+answer every served cell as a hit from a fresh handle, and hold only
+``meta.json`` and the log.  Exit 0 on success, 1 with a reason on any
+failure::
 
     python tools/load_serve.py
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -70,9 +74,11 @@ def _read_sse(server, key: str) -> list:
 
 def smoke() -> int:
     """Boot, cold+warm pair, one SSE stream, health + stats, one
-    tolerance cell keyed off the loop.  0 = pass."""
+    tolerance cell keyed off the loop, then the store left behind.
+    0 = pass."""
     tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     failures = []
+    served = []  # the keys of the cells the server answered
 
     def check(label: str, ok: bool, detail: str = "") -> None:
         print(f"  {'ok ' if ok else 'FAIL'} {label}" + (f" ({detail})" if detail else ""))
@@ -89,6 +95,7 @@ def smoke() -> int:
             check("cold run", status == 200 and cold.get("status") == "ok",
                   f"status={status}")
             key = cold.get("key", "")
+            served.append(key)
 
             computed = server.service.counters["computed"]
             status, warm = _request(server, "POST", "/run", _SMOKE_SCENARIO)
@@ -124,6 +131,16 @@ def smoke() -> int:
                 status == 200 and body.get("records") == direct,
                 f"status={status}, records equal a direct Scenario.run()",
             )
+            served.append(body.get("key", ""))
+
+        store = RunStore(tmp)
+        check("store verifies after shutdown", store.verify()["ok"] is True)
+        hits = sum(store.get(k) is not None for k in served)
+        check("fresh handle hits every served cell", hits == len(served) == 2,
+              f"{hits}/{len(served)}")
+        names = sorted(os.listdir(tmp))
+        check("store holds meta.json and the log",
+              names == ["meta.json", "shard-log.jsonl"], ", ".join(names))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"smoke: {'PASS' if not failures else 'FAIL: ' + ', '.join(failures)}")
