@@ -114,7 +114,7 @@ from .sim import (
     parse_scheduler,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "__version__",

@@ -6,7 +6,7 @@ Sweeps are built with the declarative Scenario API in
 machinery.
 """
 
-from ..sim.report import dispersion_violations, is_dispersed, settlement_histogram
+from ..sim.report import dispersion_violations, settlement_histogram
 from .complexity import PowerFit, fit_power_law
 from .experiments import (
     DEFAULT_POLICY,
@@ -36,6 +36,5 @@ __all__ = [
     "render_table",
     "format_big",
     "dispersion_violations",
-    "is_dispersed",
     "settlement_histogram",
 ]

@@ -30,18 +30,18 @@ from ..graphs.quotient import is_quotient_isomorphic, quotient_graph
 __all__ = ["find_map_rounds", "private_quotient_map"]
 
 
-def find_map_rounds(n: int, m: int, constant: int = 1) -> int:
+def find_map_rounds(n: int, m: int) -> int:
     """Charged round cost of Find-Map.
 
     Lemma 1 states "polynomial in n" without an exponent; we charge
-    ``c·n³·⌈log₂ n⌉`` (documented in EXPERIMENTS.md, "What is simulated
-    and what is charged"; constant configurable).
+    ``n³·⌈log₂ n⌉`` (documented in EXPERIMENTS.md, "What is simulated
+    and what is charged").
     Only the *shape* (a polynomial dominating the O(n) dispersion phase)
     matters for Theorem 1's statement.
     """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    return constant * n**3 * max(1, math.ceil(math.log2(max(n, 2))))
+    return n**3 * max(1, math.ceil(math.log2(max(n, 2))))
 
 
 def private_quotient_map(

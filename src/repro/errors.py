@@ -50,16 +50,6 @@ class ProtocolViolation(SimulationError):
     """
 
 
-class RoundLimitExceeded(SimulationError):
-    """A simulation ran past its configured safety round budget.
-
-    Every entry point takes an explicit or derived ``max_rounds``; hitting
-    it means the algorithm failed to terminate within its theoretical
-    bound (times a safety factor) and is reported as a failure rather than
-    hanging the test suite.
-    """
-
-
 class SweepFaultError(ReproError):
     """A sweep cell exhausted its retry budget under strict execution.
 
@@ -96,7 +86,3 @@ class ValidationError(ConfigurationError):
         # The default rebuilds from ``args``, the one formatted message,
         # which this constructor does not take.
         return type(self), (self.field, self.reason)
-
-
-class ImpossibleInstance(ConfigurationError):
-    """The requested instance is provably unsolvable (Theorem 8 regime)."""

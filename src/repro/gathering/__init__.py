@@ -1,4 +1,4 @@
-"""Gathering substrates: oracle-charged prior work + real rendezvous."""
+"""Gathering substrates: oracle-charged prior work."""
 
 from .oracle import (
     canonical_gather_node,
@@ -6,12 +6,10 @@ from .oracle import (
     strong_gathering_rounds,
     weak_gathering_rounds,
 )
-from .rendezvous import rendezvous_walk
 
 __all__ = [
     "canonical_gather_node",
     "weak_gathering_rounds",
     "hirose_gathering_rounds",
     "strong_gathering_rounds",
-    "rendezvous_walk",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..graphs.exploration import ExplorationCostModel, DEFAULT_COST_MODEL, id_length_bits
+from ..graphs.exploration import exploration_rounds, id_length_bits
 from ..graphs.isomorphism import canonical_form
 from ..graphs.port_labeled import PortLabeledGraph
 
@@ -54,30 +54,21 @@ def canonical_gather_node(graph: PortLabeledGraph) -> int:
     return best_node
 
 
-def weak_gathering_rounds(
-    graph: PortLabeledGraph,
-    honest_ids: Sequence[int],
-    model: ExplorationCostModel = DEFAULT_COST_MODEL,
-) -> int:
+def weak_gathering_rounds(graph: PortLabeledGraph, honest_ids: Sequence[int]) -> int:
     """[24]'s weak-Byzantine gathering cost: ``4·n⁴·|Λgood|·X(n)``."""
     if not honest_ids:
         raise ConfigurationError("need at least one honest robot")
     n = graph.n
     lam = id_length_bits(honest_ids)
-    return 4 * n**4 * lam * model.best_available(graph)
+    return 4 * n**4 * lam * exploration_rounds(graph)
 
 
-def hirose_gathering_rounds(
-    graph: PortLabeledGraph,
-    all_ids: Sequence[int],
-    f: int,
-    model: ExplorationCostModel = DEFAULT_COST_MODEL,
-) -> int:
+def hirose_gathering_rounds(graph: PortLabeledGraph, all_ids: Sequence[int], f: int) -> int:
     """[27]'s gathering cost for ``f = O(√n)``: ``(f + |Λall|)·X(n)``."""
     if f < 0:
         raise ConfigurationError("f must be >= 0")
     lam = id_length_bits(all_ids)
-    return (f + lam) * model.best_available(graph)
+    return (f + lam) * exploration_rounds(graph)
 
 
 def strong_gathering_rounds(graph: PortLabeledGraph) -> int:

@@ -5,13 +5,7 @@ theory references.  Everything the simulator and the paper's algorithms
 know about graphs flows through these exports.
 """
 
-from .exploration import (
-    DEFAULT_COST_MODEL,
-    ExplorationCostModel,
-    exploration_rounds,
-    id_length_bits,
-    random_walk_cover,
-)
+from .exploration import exploration_rounds, id_length_bits, random_walk_cover
 from .generators import (
     clique,
     complete_bipartite,
@@ -26,13 +20,7 @@ from .generators import (
     star,
     torus,
 )
-from .isomorphism import (
-    are_isomorphic,
-    canonical_form,
-    canonical_forms_all_roots,
-    find_isomorphism,
-    rooted_isomorphic,
-)
+from .isomorphism import canonical_form, find_isomorphism, rooted_isomorphic
 from .port_labeled import PortLabeledGraph
 from .quotient import QuotientGraph, is_quotient_isomorphic, quotient_graph
 from .specs import (
@@ -44,7 +32,7 @@ from .specs import (
     spec_of,
 )
 from .traversal import TourStep, bfs_order, euler_tour, navigate, path_nodes
-from .views import truncated_view, view_partition, view_signature
+from .views import truncated_view, view_partition
 
 __all__ = [
     "PortLabeledGraph",
@@ -58,20 +46,15 @@ __all__ = [
     "quotient_graph",
     "is_quotient_isomorphic",
     "view_partition",
-    "view_signature",
     "truncated_view",
     "canonical_form",
-    "canonical_forms_all_roots",
     "rooted_isomorphic",
-    "are_isomorphic",
     "find_isomorphism",
     "TourStep",
     "euler_tour",
     "navigate",
     "bfs_order",
     "path_nodes",
-    "ExplorationCostModel",
-    "DEFAULT_COST_MODEL",
     "exploration_rounds",
     "random_walk_cover",
     "id_length_bits",

@@ -1,33 +1,26 @@
-"""Exploration round-cost models ``X(n)`` and runnable exploration.
+"""The exploration bound ``X(n)`` and a runnable exploration.
 
 Table 1 of the paper prices several phases in units of ``X(n)`` — "the
 number of rounds required to explore any graph of ``n`` nodes" — citing
 Aleliunas et al. [2] (random walks / universal traversal sequences) and
-Ta-Shma & Zwick [45] (universal exploration sequences):
-
-* general graphs:              ``X(n) = Õ(n⁵)``
-* known max degree ``d``:      ``X(n) = Õ(d²·n³)``
-* simple ``d``-regular graphs: ``X(n) = Õ(d·n³)``   (paper footnote 5)
-
-These enter the theorems only as multiplicative *charged* round costs, so
-we model them as explicit integer formulas (the ``Õ`` log factor spelled
-out as ``⌈log₂ n⌉``), used by the oracle-gathering substrate and the
-benchmark harness.  For runnable demos and baselines we also provide an
-actual random-walk exploration with measured cover time.
+Ta-Shma & Zwick [45] (universal exploration sequences).  These enter the
+theorems only as multiplicative *charged* round costs, so
+:func:`exploration_rounds` gives them as one integer formula per graph
+(the ``Õ`` log factor spelled out as ``⌈log₂ n⌉``, constant 1), which
+the oracle-gathering charges consume.  :func:`random_walk_cover` is an
+actual random-walk exploration with measured cover time, the walk the
+tests check that formula against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .port_labeled import PortLabeledGraph
 
 __all__ = [
-    "ExplorationCostModel",
-    "DEFAULT_COST_MODEL",
     "exploration_rounds",
     "random_walk_cover",
     "id_length_bits",
@@ -38,79 +31,25 @@ def _log2_ceil(n: int) -> int:
     return max(1, math.ceil(math.log2(max(n, 2))))
 
 
-@dataclass(frozen=True)
-class ExplorationCostModel:
-    """Integer formulas for ``X(n)`` with configurable leading constant.
+def exploration_rounds(graph: PortLabeledGraph) -> int:
+    """``X(n)``: the tightest bound the paper licenses for ``graph``.
 
-    The paper's bounds are asymptotic; the constant ``c`` rescales every
-    formula uniformly so experiments can sanity-check that *shape*
-    conclusions (who dominates whom, crossover locations) are constant-
-    independent.
+    Footnote 5's three branches, for ``n`` nodes and maximum degree ``d``:
+
+    * simple ``d``-regular graphs: ``d·n³·⌈log₂n⌉``;
+    * otherwise ``d²·n³·⌈log₂n⌉`` (robots learn ``d`` from their maps in
+      all our uses);
+    * no edges: ``n⁵·⌈log₂n⌉`` ([2, 45]).
     """
-
-    c: int = 1
-
-    def general(self, n: int) -> int:
-        """``X(n)`` with no structural knowledge: ``c·n⁵·⌈log₂n⌉`` ([2,45])."""
-        self._check(n)
-        return self.c * n**5 * _log2_ceil(n)
-
-    def max_degree(self, n: int, d: int) -> int:
-        """``X(n)`` when the maximum degree ``d`` is known: ``c·d²·n³·⌈log₂n⌉``."""
-        self._check(n)
-        if d < 1:
-            raise ConfigurationError("max degree must be >= 1")
-        return self.c * d * d * n**3 * _log2_ceil(n)
-
-    def regular(self, n: int, d: int) -> int:
-        """``X(n)`` for simple ``d``-regular graphs: ``c·d·n³·⌈log₂n⌉``."""
-        self._check(n)
-        if d < 1:
-            raise ConfigurationError("degree must be >= 1")
-        return self.c * d * n**3 * _log2_ceil(n)
-
-    def best_available(self, graph: PortLabeledGraph) -> int:
-        """The tightest formula the paper licenses for this graph.
-
-        Mirrors footnote 5: regular graphs get ``Õ(d·n³)``, otherwise the
-        max-degree bound ``Õ(d²·n³)`` (robots can learn ``Δ`` from their
-        maps in all our uses), falling back to ``Õ(n⁵)`` for empty graphs.
-        """
-        n = graph.n
-        d = graph.max_degree()
-        if d == 0:
-            return self.general(n)
-        if graph.is_regular():
-            return self.regular(n, d)
-        return self.max_degree(n, d)
-
-    @staticmethod
-    def _check(n: int) -> None:
-        if n < 1:
-            raise ConfigurationError("n must be >= 1")
-
-
-#: Shared default instance (constant 1 — pure paper formulas).
-DEFAULT_COST_MODEL = ExplorationCostModel()
-
-
-def exploration_rounds(
-    n: int,
-    max_degree: Optional[int] = None,
-    regular_degree: Optional[int] = None,
-    model: ExplorationCostModel = DEFAULT_COST_MODEL,
-) -> int:
-    """Functional façade over :class:`ExplorationCostModel`.
-
-    Precedence follows the paper: regular bound if ``regular_degree`` is
-    given, else max-degree bound if ``max_degree`` is given, else the
-    general ``Õ(n⁵)`` bound.
-    """
-    if regular_degree is not None:
-        return model.regular(n, regular_degree)
-    if max_degree is not None:
-        return model.max_degree(n, max_degree)
-    return model.general(n)
+    n = graph.n
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
+    d = graph.max_degree()
+    if d == 0:
+        return n**5 * _log2_ceil(n)
+    if graph.is_regular():
+        return d * n**3 * _log2_ceil(n)
+    return d * d * n**3 * _log2_ceil(n)
 
 
 def random_walk_cover(
@@ -123,8 +62,8 @@ def random_walk_cover(
 
     Returns ``(steps_taken, visit_order)``.  This is the constructive
     counterpart of the Aleliunas et al. bound (expected cover time
-    ``O(n·m) ≤ O(n³)``); used by examples and by tests that check the cost
-    model upper-bounds measured behaviour on benchmark families.
+    ``O(n·m) ≤ O(n³)``); tests check that :func:`exploration_rounds`
+    upper-bounds its measured cover time.
 
     Raises :class:`ConfigurationError` if ``max_steps`` is exhausted first
     (the default budget ``8·n·m·⌈log₂n⌉`` makes that astronomically

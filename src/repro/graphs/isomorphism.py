@@ -9,9 +9,6 @@ image under any root-preserving isomorphism).  The resulting encoding is a
 complete invariant:
 
     two rooted maps are port-preserving isomorphic  ⟺  equal encodings.
-
-Unrooted isomorphism is reduced to rooted: fix any root in one graph and
-try all roots of the other (``O(n · m)`` — fine at simulation scale).
 """
 
 from __future__ import annotations
@@ -21,13 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .port_labeled import PortLabeledGraph
 
-__all__ = [
-    "canonical_form",
-    "canonical_forms_all_roots",
-    "rooted_isomorphic",
-    "are_isomorphic",
-    "find_isomorphism",
-]
+__all__ = ["canonical_form", "rooted_isomorphic", "find_isomorphism"]
 
 CanonicalForm = Tuple[Tuple[int, int, int, int], ...]
 
@@ -62,11 +53,6 @@ def canonical_form(graph: PortLabeledGraph, root: int) -> CanonicalForm:
     return tuple(rows)
 
 
-def canonical_forms_all_roots(graph: PortLabeledGraph) -> List[CanonicalForm]:
-    """Canonical encodings of ``graph`` for every choice of root."""
-    return [canonical_form(graph, r) for r in range(graph.n)]
-
-
 def rooted_isomorphic(
     g1: PortLabeledGraph, root1: int, g2: PortLabeledGraph, root2: int
 ) -> bool:
@@ -74,16 +60,6 @@ def rooted_isomorphic(
     if g1.n != g2.n or g1.m != g2.m:
         return False
     return canonical_form(g1, root1) == canonical_form(g2, root2)
-
-
-def are_isomorphic(g1: PortLabeledGraph, g2: PortLabeledGraph) -> bool:
-    """Port-preserving isomorphism test (any root mapping)."""
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if g1.n == 0:
-        return True
-    target = canonical_form(g1, 0)
-    return any(canonical_form(g2, r) == target for r in range(g2.n))
 
 
 def find_isomorphism(

@@ -60,13 +60,6 @@ class QuotientGraph:
             raise GraphStructureError(f"class {cls} has ports 1..{len(row)}, not {port}")
         return row[port - 1]
 
-    def class_sizes(self) -> List[int]:
-        """Number of original nodes per class."""
-        sizes = [0] * self.num_classes
-        for c in self.class_of:
-            sizes[c] += 1
-        return sizes
-
     def to_port_labeled(self) -> PortLabeledGraph:
         """Reconstruct a :class:`PortLabeledGraph` when the quotient is simple.
 

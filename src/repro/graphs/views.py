@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from .port_labeled import PortLabeledGraph
 
-__all__ = ["view_partition", "view_signature", "truncated_view"]
+__all__ = ["view_partition", "truncated_view"]
 
 
 def view_partition(graph: PortLabeledGraph) -> List[int]:
@@ -58,19 +58,6 @@ def _canonical(keys: List) -> List[int]:
             ids[k] = len(ids)
         out.append(ids[k])
     return out
-
-
-def view_signature(graph: PortLabeledGraph, u: int) -> Tuple:
-    """A hashable signature deciding the view-equivalence class of ``u``.
-
-    Equal signatures (for nodes of the *same* graph) iff equal views.
-    Implemented as ``(class id, class census)`` from the stable partition,
-    wrapped with the graph size so signatures from different graphs are
-    never accidentally equal.
-    """
-    part = view_partition(graph)
-    census = tuple(sorted(part))
-    return (graph.n, census, part[u])
 
 
 def truncated_view(graph: PortLabeledGraph, u: int, depth: int) -> Tuple:

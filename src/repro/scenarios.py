@@ -257,7 +257,7 @@ def _normalize_algorithm(algorithm: Union[int, str, Table1Row]) -> int:
         try:
             get_row(algorithm)
         except KeyError as exc:
-            raise ConfigurationError(str(exc))
+            raise ConfigurationError(exc.args[0])
         return algorithm
     if isinstance(algorithm, str):
         token = algorithm.strip().lower()

@@ -76,7 +76,10 @@ class ServeApp:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # A shutdown that cancels the close ends the handler too:
+                # a cancelled handler task makes asyncio's done-callback
+                # log a CancelledError traceback.
                 pass
 
     async def _serve_connection(self, reader, writer) -> None:
@@ -369,7 +372,7 @@ class ServerThread:
         if not ready.wait(timeout):
             raise RuntimeError("serve thread failed to start in time")
         if isinstance(self._startup_error, ConfigurationError):
-            raise self._startup_error  # the address cannot be listened on
+            raise self._startup_error  # a bad address or service setting
         if self._startup_error is not None:
             raise RuntimeError(
                 f"serve thread failed to start: {self._startup_error!r}"
@@ -407,10 +410,11 @@ class ServerThread:
         app = ServeApp(service)
         try:
             server = await asyncio.start_server(app.handle, self.host, self.port)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # OverflowError: a port past 0..65535
             await service.aclose()
+            reason = exc.strerror if isinstance(exc, OSError) else exc
             raise ConfigurationError(
-                f"cannot listen on {self.host}:{self.port}: {exc.strerror}"
+                f"cannot listen on {self.host}:{self.port}: {reason}"
             ) from exc
         self.port = server.sockets[0].getsockname()[1]
         self.service = service
@@ -438,12 +442,12 @@ def run_server(
     server = ServerThread(store=store, host=host, port=port, workers=workers,
                           queue_size=queue_size, policy=policy,
                           round_every=round_every).start()
-    print(f"repro serve listening on {server.base_url}")
-    print(f"  workers={workers} queue={queue_size} "
-          f"store={store.path if store is not None else '(none: every request computes)'}")
-    print("  POST /run /sweep · GET /events/{key} /result/{key} /stats /healthz",
-          flush=True)
-    try:
+    try:  # from the banner on: a client may Ctrl-C as soon as it reads it
+        print(f"repro serve listening on {server.base_url}")
+        print(f"  workers={workers} queue={queue_size} "
+              f"store={store.path if store is not None else '(none: every request computes)'}")
+        print("  POST /run /sweep · GET /events/{key} /result/{key} /stats /healthz",
+              flush=True)
         server._thread.join()  # until Ctrl-C
     except KeyboardInterrupt:
         print("repro serve: stopped")

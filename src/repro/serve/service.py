@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 from ..analysis.experiments import ExecutionPolicy, execute_plan
 from ..analysis.faults import FaultPlan
 from ..analysis.store import RunStore
+from ..errors import ConfigurationError
 from ..scenarios import Scenario
 from ..sim import progress
 from .events import EventBroker
@@ -135,14 +136,14 @@ class DispersionService:
         round_every: int = 100,
     ):
         if workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigurationError("workers must be >= 1")
         if queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
+            raise ConfigurationError("queue_size must be >= 1")
         if policy is not None and policy.timeout is not None:
             # Cells run serially in compute threads, and a thread cannot
             # be preempted: the executor enforces a timeout only when it
             # can kill a worker process.
-            raise ValueError("a serve policy cannot carry a timeout")
+            raise ConfigurationError("a serve policy cannot carry a timeout")
         self.store = _LockedStore(store) if store is not None else None
         self.policy = policy if policy is not None else ExecutionPolicy()
         self.faults = faults

@@ -22,7 +22,6 @@ __all__ = [
     "RunReport",
     "dispersion_violations",
     "finish_report",
-    "is_dispersed",
     "settlement_histogram",
 ]
 
@@ -112,14 +111,6 @@ def dispersion_violations(
     if stuck:
         violations.append(f"honest robots neither settled nor terminated: {stuck}")
     return violations
-
-
-def is_dispersed(
-    settled: Dict[int, Optional[int]],
-    honest_cap: int = 1,
-) -> bool:
-    """True iff the configuration satisfies (modified) Byzantine dispersion."""
-    return not dispersion_violations(settled, honest_cap=honest_cap)
 
 
 def finish_report(

@@ -8,7 +8,6 @@ from repro.analysis import (
     dispersion_violations,
     fit_power_law,
     format_big,
-    is_dispersed,
     record_from_report,
     render_table,
     settlement_histogram,
@@ -36,7 +35,7 @@ class TestValidation:
         assert hist == {0: [1, 2], 4: [3]}
 
     def test_clean_configuration(self):
-        assert is_dispersed({1: 0, 2: 1, 3: 2})
+        assert dispersion_violations({1: 0, 2: 1, 3: 2}) == []
         assert dispersion_violations({1: 0, 2: 1}) == []
 
     def test_collision_detected(self):
@@ -44,12 +43,12 @@ class TestValidation:
         assert len(v) == 1 and "cap 1" in v[0]
 
     def test_cap_relaxation(self):
-        assert is_dispersed({1: 0, 2: 0}, honest_cap=2)
-        assert not is_dispersed({1: 0, 2: 0, 3: 0}, honest_cap=2)
+        assert dispersion_violations({1: 0, 2: 0}, honest_cap=2) == []
+        v = dispersion_violations({1: 0, 2: 0, 3: 0}, honest_cap=2)
+        assert len(v) == 1 and "cap 2" in v[0]
 
     def test_unsettled_detected(self):
-        assert not is_dispersed({1: None})
-        assert is_dispersed({1: None}, honest_cap=1) is False
+        assert dispersion_violations({1: None}) == ["honest robots never settled: [1]"]
 
     def test_require_all_settled_off(self):
         assert dispersion_violations({1: None}, require_all_settled=False) == []

@@ -274,6 +274,10 @@ class TestCliGolden:
         err = capsys.readouterr().err
         assert CHEAP in err and "serial 4" in err
 
+    def test_unknown_row_is_named_unquoted(self, capsys):
+        assert main(["eval", CHEAP, "--solvers", "9"]) == 2
+        assert capsys.readouterr().err == "error: Table 1 has rows 1..7, not 9\n"
+
     def test_unknown_suite_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "nope"])

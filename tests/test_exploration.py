@@ -1,65 +1,59 @@
-"""Tests for exploration cost models and the random-walk explorer."""
+"""Tests for the exploration bound X(n) and the random-walk explorer."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.graphs import (
-    DEFAULT_COST_MODEL,
-    ExplorationCostModel,
     PortLabeledGraph,
+    clique,
     exploration_rounds,
+    hypercube,
     id_length_bits,
+    path,
     random_walk_cover,
     ring,
+    star,
 )
+
+
+def edgeless(n):
+    return PortLabeledGraph.from_edges(n, [])
 
 
 class TestCostModel:
     def test_general_formula(self):
-        # n^5 * ceil(log2 n)
-        assert DEFAULT_COST_MODEL.general(8) == 8**5 * 3
-        assert DEFAULT_COST_MODEL.general(10) == 10**5 * 4
+        # No edges: n^5 * ceil(log2 n)
+        assert exploration_rounds(edgeless(8)) == 8**5 * 3
+        assert exploration_rounds(edgeless(10)) == 10**5 * 4
 
     def test_max_degree_formula(self):
-        assert DEFAULT_COST_MODEL.max_degree(8, 3) == 9 * 8**3 * 3
+        # Not regular, max degree d = 3: d^2 * n^3 * ceil(log2 n)
+        g = PortLabeledGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+        assert exploration_rounds(g) == 9 * 4**3 * 2
 
     def test_regular_formula(self):
-        assert DEFAULT_COST_MODEL.regular(8, 3) == 3 * 8**3 * 3
-
-    def test_constant_scales(self):
-        assert ExplorationCostModel(c=5).general(8) == 5 * DEFAULT_COST_MODEL.general(8)
+        # d-regular, d = 2: d * n^3 * ceil(log2 n)
+        assert exploration_rounds(ring(8)) == 2 * 8**3 * 3
 
     def test_regular_cheaper_than_max_degree(self):
+        # Same n and max degree: the regular graph takes the cheaper branch.
         for n in (8, 16, 64):
-            for d in (3, 4):
-                assert DEFAULT_COST_MODEL.regular(n, d) < DEFAULT_COST_MODEL.max_degree(n, d)
+            assert exploration_rounds(ring(n)) < exploration_rounds(path(n))
+        assert exploration_rounds(clique(4)) < exploration_rounds(star(4))
 
-    def test_best_available_picks_regular(self):
-        g = ring(8)
-        assert DEFAULT_COST_MODEL.best_available(g) == DEFAULT_COST_MODEL.regular(8, 2)
+    def test_picks_regular_branch(self):
+        assert exploration_rounds(hypercube(3)) == 3 * 8**3 * 3
 
-    def test_best_available_picks_max_degree(self):
-        g = PortLabeledGraph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-        assert DEFAULT_COST_MODEL.best_available(g) == DEFAULT_COST_MODEL.max_degree(4, 3)
-
-    def test_facade_precedence(self):
-        assert exploration_rounds(8) == DEFAULT_COST_MODEL.general(8)
-        assert exploration_rounds(8, max_degree=3) == DEFAULT_COST_MODEL.max_degree(8, 3)
-        assert exploration_rounds(8, regular_degree=3) == DEFAULT_COST_MODEL.regular(8, 3)
-        # regular wins over max_degree when both given
-        assert exploration_rounds(8, max_degree=5, regular_degree=3) == (
-            DEFAULT_COST_MODEL.regular(8, 3)
-        )
+    def test_picks_max_degree_branch(self):
+        assert exploration_rounds(star(6)) == 5 * 5 * 6**3 * 3
 
     def test_invalid_inputs(self):
         with pytest.raises(ConfigurationError):
-            DEFAULT_COST_MODEL.general(0)
-        with pytest.raises(ConfigurationError):
-            DEFAULT_COST_MODEL.regular(8, 0)
+            exploration_rounds(PortLabeledGraph({}))
 
     def test_monotone_in_n(self):
-        vals = [DEFAULT_COST_MODEL.general(n) for n in range(2, 30)]
+        vals = [exploration_rounds(edgeless(n)) for n in range(2, 30)]
         assert vals == sorted(vals)
 
 
@@ -70,11 +64,11 @@ class TestRandomWalk:
         assert steps >= zoo_graph.n - 1
 
     def test_cost_model_upper_bounds_walk(self):
-        """The paper's X(n) formulas dominate measured cover times on the
+        """The paper's X(n) dominates measured cover times on the
         benchmark families by construction — sanity check at small n."""
         g = ring(9)
         steps, _ = random_walk_cover(g, 0, np.random.default_rng(1))
-        assert steps <= DEFAULT_COST_MODEL.regular(9, 2)
+        assert steps <= exploration_rounds(g)
 
     def test_budget_exhaustion_raises(self):
         g = ring(12)

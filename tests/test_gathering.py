@@ -1,4 +1,4 @@
-"""Tests for the gathering substrates (oracle charges + real rendezvous)."""
+"""Tests for the gathering substrates (oracle charges + the meeting node)."""
 
 import numpy as np
 import pytest
@@ -8,21 +8,17 @@ from repro.errors import ConfigurationError
 from repro.gathering import (
     canonical_gather_node,
     hirose_gathering_rounds,
-    rendezvous_walk,
     strong_gathering_rounds,
     weak_gathering_rounds,
 )
-from repro.graphs import random_connected, ring
-from repro.sim import World
+from repro.graphs import exploration_rounds, find_isomorphism, random_connected, ring
 
 
 class TestOracleCharges:
     def test_weak_formula(self, rc8):
-        # 4 * n^4 * |Λgood| * X(n); ids 1..8 -> 4 bits (wait: 8 = 0b1000 -> 4)
+        # 4 * n^4 * |Λgood| * X(n); ids 1..8 -> 4 bits (8 = 0b1000)
         lam = 8 .bit_length()
-        from repro.graphs import DEFAULT_COST_MODEL
-
-        expected = 4 * 8**4 * lam * DEFAULT_COST_MODEL.best_available(rc8)
+        expected = 4 * 8**4 * lam * exploration_rounds(rc8)
         assert weak_gathering_rounds(rc8, list(range(1, 9))) == expected
 
     def test_weak_grows_with_id_length(self, rc8):
@@ -35,9 +31,7 @@ class TestOracleCharges:
             weak_gathering_rounds(rc8, [])
 
     def test_hirose_formula(self, rc8):
-        from repro.graphs import DEFAULT_COST_MODEL
-
-        x = DEFAULT_COST_MODEL.best_available(rc8)
+        x = exploration_rounds(rc8)
         assert hirose_gathering_rounds(rc8, list(range(1, 9)), 2) == (2 + 4) * x
 
     def test_hirose_cheaper_than_weak(self, rc8):
@@ -72,37 +66,8 @@ class TestCanonicalGatherNode:
     def test_in_range(self, zoo_graph):
         assert 0 <= canonical_gather_node(zoo_graph) < zoo_graph.n
 
-
-class TestRealRendezvous:
-    def test_all_robots_meet(self):
-        """On view-distinguishable graphs, robots that privately map the
-        graph and walk to the canonical node end up co-located — a real,
-        oracle-free gathering."""
-        g = random_connected(9, seed=7)
-        w = World(g)
-        rng = np.random.default_rng(0)
-        for rid in range(1, 6):
-            start = int(rng.integers(0, 9))
-            m, root = private_quotient_map(g, start, np.random.default_rng(rid))
-
-            def program(api, _m=m, _r=root):
-                yield from rendezvous_walk(api, _m, _r)
-                from repro.sim.robot import Stay
-
-                while True:
-                    yield Stay()
-
-            w.add_robot(rid, start, program)
-        w.run(max_rounds=2 * g.n)
-        nodes = {r.node for r in w.robots.values()}
-        assert len(nodes) == 1
-        # And the meeting point is the canonical node of the true graph.
-        assert nodes.pop() == canonical_gather_node(g)
-
     def test_canonical_node_on_map_matches_world(self):
         g = random_connected(9, seed=7)
         m, root = private_quotient_map(g, 2, np.random.default_rng(5))
-        from repro.graphs import find_isomorphism
-
         iso = find_isomorphism(m, root, g, 2)
         assert iso[canonical_gather_node(m)] == canonical_gather_node(g)

@@ -79,6 +79,15 @@ class TestNormalization:
             with pytest.raises(ConfigurationError):
                 Scenario(algorithm=bad, graph=g)
 
+    def test_unknown_row_message_is_unquoted(self, g):
+        """``get_row``'s ``KeyError`` reaches users as its own message
+        (``str()`` of a ``KeyError`` quotes it); serve's 400 body is
+        this text."""
+        payload = dict(Scenario(algorithm=5, graph=g).to_dict(), algorithm=9)
+        with pytest.raises(ValidationError) as exc:
+            Scenario.from_dict(payload)
+        assert str(exc.value) == "algorithm: Table 1 has rows 1..7, not 9"
+
     def test_hand_built_row_rejected(self, g):
         """A non-registry Table1Row must not be silently swapped for the
         registry row sharing its serial (wrong solver, wrong cache key)."""

@@ -44,7 +44,7 @@ from repro.cli import build_parser
 from repro.errors import ConfigurationError, ReproError, ValidationError
 from repro.graphs import PortLabeledGraph
 from repro.scenarios import Scenario, ScenarioGrid
-from repro.serve import ServerThread
+from repro.serve import ServeApp, ServerThread
 from repro.serve.http import HttpError, Request, read_request
 
 DATA = Path(__file__).parent / "data"
@@ -327,16 +327,50 @@ class TestServeCommand:
         assert out.splitlines()[-1] == "repro serve: stopped", (out, err)
         assert "Traceback" not in err, err
 
-    def test_port_in_use_is_a_one_line_rejection(self):
+    @pytest.mark.parametrize("flags, reason", [
+        (None, "cannot listen on"),
+        (["--port", "70000"], "cannot listen on 127.0.0.1:70000: bind(): port must be"),
+        (["--port", "-1"], "cannot listen on 127.0.0.1:-1: bind(): port must be"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--queue-size", "0"], "queue_size must be >= 1"),
+    ], ids=["port-in-use", "port-70000", "port--1", "workers-0", "queue-size-0"])
+    def test_port_in_use_is_a_one_line_rejection(self, flags, reason):
         from repro.cli import main
 
         with socket.socket() as held:
             held.bind(("127.0.0.1", 0))
             held.listen()
+            if flags is None:
+                flags = ["--port", str(held.getsockname()[1])]
             with pytest.raises(SystemExit) as exc:
-                main(["serve", "--port", str(held.getsockname()[1])])
+                main(["serve", *flags])
         assert str(exc.value).startswith(
-            "serve rejected: ConfigurationError: cannot listen on"), exc.value
+            f"serve rejected: ConfigurationError: {reason}"), exc.value
+
+    def test_cancelled_close_ends_the_handler_quietly(self):
+        """A shutdown that cancels the handler while it awaits the
+        writer's close must not leave the task cancelled: asyncio's
+        done-callback would log a CancelledError traceback."""
+        class Writer:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+            async def wait_closed(self):
+                raise asyncio.CancelledError
+
+        async def handle():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            writer = Writer()
+            task = asyncio.ensure_future(ServeApp(None).handle(reader, writer))
+            await asyncio.wait([task])
+            return task, writer
+
+        task, writer = asyncio.run(handle())
+        assert writer.closed
+        assert not task.cancelled() and task.exception() is None
 
 
 class TestFailureResponses:
@@ -503,7 +537,7 @@ class TestNoServeTimeout:
             return service_module.DispersionService(
                 policy=ExecutionPolicy(timeout=5.0))
 
-        with pytest.raises(ValueError, match="timeout"):
+        with pytest.raises(ConfigurationError, match="timeout"):
             asyncio.run(build())
 
 

@@ -36,7 +36,6 @@ class TestFindMap:
 
     def test_round_charge_polynomial(self):
         assert find_map_rounds(8, 12) == 8**3 * 3
-        assert find_map_rounds(8, 12, constant=2) == 2 * 8**3 * 3
 
 
 class TestDriverValidation:

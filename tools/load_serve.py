@@ -10,8 +10,10 @@ whose key builds its graph (in a worker thread, off the event loop),
 and checks for a 200 whose records equal a direct ``Scenario.run()``.
 After shutdown it reopens the store the server leaves: it must verify,
 answer every served cell as a hit from a fresh handle, and hold only
-``meta.json`` and the log.  Exit 0 on success, 1 with a reason on any
-failure::
+``meta.json`` and the log.  Any ERROR record on the ``asyncio`` logger
+fails the smoke too: a traceback asyncio logs from a callback (say, at
+shutdown) never reaches a caller.  Exit 0 on success, 1 with a reason
+on any failure::
 
     python tools/load_serve.py
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import os
 import shutil
 import sys
@@ -72,13 +75,26 @@ def _read_sse(server, key: str) -> list:
             if line.startswith("event: ")]
 
 
+class _Records(logging.Handler):
+    """Keeps every record it is handed."""
+
+    def __init__(self, level: int):
+        super().__init__(level)
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
 def smoke() -> int:
     """Boot, cold+warm pair, one SSE stream, health + stats, one
-    tolerance cell keyed off the loop, then the store left behind.
-    0 = pass."""
+    tolerance cell keyed off the loop, then the store left behind, and
+    no asyncio error logged.  0 = pass."""
     tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     failures = []
     served = []  # the keys of the cells the server answered
+    asyncio_errors = _Records(logging.ERROR)
+    logging.getLogger("asyncio").addHandler(asyncio_errors)
 
     def check(label: str, ok: bool, detail: str = "") -> None:
         print(f"  {'ok ' if ok else 'FAIL'} {label}" + (f" ({detail})" if detail else ""))
@@ -141,7 +157,10 @@ def smoke() -> int:
         names = sorted(os.listdir(tmp))
         check("store holds meta.json and the log",
               names == ["meta.json", "shard-log.jsonl"], ", ".join(names))
+        check("no asyncio error logged", not asyncio_errors.records,
+              "; ".join(r.getMessage() for r in asyncio_errors.records))
     finally:
+        logging.getLogger("asyncio").removeHandler(asyncio_errors)
         shutil.rmtree(tmp, ignore_errors=True)
     print(f"smoke: {'PASS' if not failures else 'FAIL: ' + ', '.join(failures)}")
     return 1 if failures else 0
